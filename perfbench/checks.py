@@ -13,6 +13,8 @@ import math
 import numpy as np
 
 SHIFTS = (1, 3, 6, 9)  # the table1 grid of phase-space indices
+LOW_ORDERS = 6  # compare: delta_m is checked against scipy for m < LOW_ORDERS
+LAW_PAIRS = 4  # seeded (α, β) pairs for K(α)K(β) = K(α+β)
 
 
 def grid(d):
@@ -120,7 +122,7 @@ def _psi(m, x):
     return norm * eval_hermite(m, x) * np.exp(-0.5 * x * x)
 
 
-def check_compare(d, text, low_orders=6):
+def check_compare(d, text):
     header, rows = parse_csv(text)
     problems = _expect_header(header, ("m", "delta_f", "delta_h", "delta_m", "delta_r"))
     if problems or len(rows) != d:
@@ -134,7 +136,7 @@ def check_compare(d, text, low_orders=6):
     _, n, h = grid(d)
     delta_m = column(header, rows, "delta_m")
     ell = np.arange(-4, 5)[:, None]
-    for m in range(min(low_orders, d)):
+    for m in range(min(LOW_ORDERS, d)):
         target = h**0.5 * _psi(m, n * h)
         phi = _psi(m, (ell * d + n[None, :]) * h).sum(axis=0)
         phi /= np.linalg.norm(phi)
@@ -200,7 +202,7 @@ def centred_dft(x):
     return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(x))) / math.sqrt(len(x))
 
 
-def check_kernel_laws(finosc, basis, rng, pairs=4):
+def check_kernel_laws(finosc, basis, rng):
     """K(1) is the centred DFT, K(2) reverses the grid, K(α)K(β) = K(α+β)."""
     lat = basis.lattice
     x = rng.standard_normal(lat.d) + 1j * rng.standard_normal(lat.d)
@@ -214,7 +216,7 @@ def check_kernel_laws(finosc, basis, rng, pairs=4):
         problems.append("K(1)x is not the centred DFT")
     if np.linalg.norm(k(2.0, x) - x[::-1]) > tol:
         problems.append("K(2)x is not x reversed")
-    for a, b in rng.uniform(-2.0, 2.0, size=(pairs, 2)):
+    for a, b in rng.uniform(-2.0, 2.0, size=(LAW_PAIRS, 2)):
         if np.linalg.norm(k(a, k(b, x)) - k(a + b, x)) > tol:
             problems.append(f"K({a:.4f})K({b:.4f}) != K({a + b:.4f})")
     return problems

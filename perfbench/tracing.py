@@ -6,6 +6,8 @@ itself, the defining module, and each module that imported the name with
 ``from ... import``) gets the wrapper in its place, so calls between modules
 are seen as well as calls from the benchmark.  Nothing under ``src/`` is
 edited.  A target name that the package no longer has is reported as absent.
+``install`` returns a patch that can put the original functions back, so a
+run can alternate traced and untraced rounds and measure what tracing costs.
 
 Spans stay in memory (one row per span in flat arrays) and are written out
 when the run ends.  Per-layer figures come from the spans: a layer's total is
@@ -28,6 +30,18 @@ from contextlib import contextmanager
 import numpy as np
 
 C16 = 16  # bytes per complex128 entry
+
+
+class Tally:
+    """Span and counter totals at one moment.  The difference of two tallies
+    holds the totals of the spans that closed between them."""
+
+    def __init__(self, count, total, self_time, counters):
+        self.count, self.total, self.self_time, self.counters = count, total, self_time, counters
+
+    def __sub__(self, other: "Tally") -> "Tally":
+        return Tally(self.count - other.count, self.total - other.total,
+                     self.self_time - other.self_time, self.counters - other.counters)
 
 
 class Tracer:
@@ -110,6 +124,10 @@ class Tracer:
     def span_count(self) -> int:
         return len(self.start)
 
+    def tally(self) -> Tally:
+        return Tally(Counter(self.count), Counter(self.total), Counter(self.self_time),
+                     Counter(self.counters) + Counter({"trace.spans": self.span_count()}))
+
     def save(self, path: str) -> None:
         np.savez_compressed(
             path,
@@ -190,10 +208,27 @@ TARGETS = [
 ]
 
 
-def install(tracer: Tracer) -> None:
+class Patch:
+    """The wrapper sites of one install; ``disable`` puts every original
+    function back and ``enable`` the wrappers again."""
+
+    def __init__(self):
+        self.sites = []  # (module, attribute, original, wrapper)
+
+    def enable(self) -> None:
+        for mod, attr, _, wrapper in self.sites:
+            setattr(mod, attr, wrapper)
+
+    def disable(self) -> None:
+        for mod, attr, original, _ in self.sites:
+            setattr(mod, attr, original)
+
+
+def install(tracer: Tracer) -> Patch:
     """Put a wrapper in every finosc namespace that binds a target function."""
     modules = [m for n, m in list(sys.modules.items())
                if m is not None and (n == "finosc" or n.startswith("finosc."))]
+    patch = Patch()
     for owner, name, span, hook_factory in TARGETS:
         fn = getattr(sys.modules.get(owner), name, None)
         if not callable(fn):
@@ -203,62 +238,51 @@ def install(tracer: Tracer) -> None:
         for mod in modules:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
-                    setattr(mod, attr, wrapper)
+                    patch.sites.append((mod, attr, fn, wrapper))
+    patch.enable()
+    return patch
 
 
-def span_cost() -> float:
-    """Seconds one wrapped call adds over a bare call, measured here."""
-    tr = Tracer()
+def layer_metrics(t: Tally, rounds: int, maxima: dict) -> dict:
+    """Per-layer figures, as {name: (value, unit)}, from the tally ``t`` of
+    ``rounds`` rounds: counts and times per round, a mean time per call, and
+    the largest values the hooks noted."""
 
-    def bare():
-        return None
+    def ms(span):
+        return 1e3 * t.total[span] / rounds
 
-    wrapped = tr.wrap("calibration", bare)
-    n = 20000
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        for _ in range(n):
-            bare()
-        t1 = time.perf_counter()
-        for _ in range(n):
-            wrapped()
-        t2 = time.perf_counter()
-        best = min(best, ((t2 - t1) - (t1 - t0)) / n)
-        tr = Tracer()
-        wrapped = tr.wrap("calibration", bare)
-    return max(best, 0.0)
+    def per_round(n):
+        return n / rounds
+
+    applies = t.count["frft.apply_frft"]
+    return {
+        "spectral.eigh_ms": (ms("spectral.eigh"), "ms"),
+        "spectral.label_ms": (1e3 * t.self_time["spectral.oscillator_basis"] / rounds, "ms"),
+        "spectral.residual_max": (maxima.get("spectral.residual_max", 0.0), "ratio"),
+        "spectral.orth_defect": (maxima.get("spectral.orth_defect", 0.0), "ratio"),
+        "reference.hermite_calls": (per_round(t.count["reference.hermite_gaussian"]), "count"),
+        "reference.hermite_rows": (per_round(t.counters["reference.hermite_rows"]), "count"),
+        "reference.hermite_ms": (ms("reference.hermite_gaussian"), "ms"),
+        "reference.mehta_calls": (per_round(t.count["reference.mehta_function"]), "count"),
+        "reference.deviation_report_ms": (ms("reference.deviation_report"), "ms"),
+        "reference.oracle_ms": (ms("reference.oracle"), "ms"),
+        "phasespace.coherent_frame_ms": (ms("phasespace.coherent_frame"), "ms"),
+        "phasespace.frame_mb": (maxima.get("phasespace.frame_mb", 0.0), "MB"),
+        "quantize.frame_hamiltonian_ms": (ms("quantize.frame_hamiltonian"), "ms"),
+        "quantize.ladder_ms": (ms("quantize.ladder_states"), "ms"),
+        "fourier.dft_calls": (per_round(t.count["fourier.dft_operator"]), "count"),
+        "fourier.dft_ms": (ms("fourier.dft_operator"), "ms"),
+        "thetagauss.ground_state_calls": (per_round(t.count["thetagauss.ground_state"]), "count"),
+        "frft.kernel_builds": (per_round(t.counters["frft.kernel_builds"]), "count"),
+        "frft.kernel_hits": (per_round(t.counters["frft.kernel_hits"]), "count"),
+        "frft.kernel_ms": (ms("frft.frft_kernel"), "ms"),
+        "frft.apply_us": (1e6 * t.total["frft.apply_frft"] / max(1, applies), "us"),
+        "frft.cache_mb": (maxima.get("frft.cache_mb", 0.0), "MB"),
+        "verify.suite_ms": (ms("verify.run_suite"), "ms"),
+        "cli.self_ms": (1e3 * t.self_time["cli.main"] / rounds, "ms"),
+        "trace.spans": (per_round(t.counters["trace.spans"]), "count"),
+    }
 
 
-# per-layer metric: (name, unit, function of tracer)
-def _ms(span):
-    return lambda tr: 1e3 * tr.total[span]
-
-
-LAYER_METRICS = [
-    ("spectral.eigh_ms", "ms", _ms("spectral.eigh")),
-    ("spectral.label_ms", "ms", lambda tr: 1e3 * tr.self_time["spectral.oscillator_basis"]),
-    ("spectral.residual_max", "ratio", lambda tr: tr.maxima.get("spectral.residual_max", 0.0)),
-    ("spectral.orth_defect", "ratio", lambda tr: tr.maxima.get("spectral.orth_defect", 0.0)),
-    ("reference.hermite_calls", "count", lambda tr: tr.count["reference.hermite_gaussian"]),
-    ("reference.hermite_rows", "count", lambda tr: tr.counters["reference.hermite_rows"]),
-    ("reference.hermite_ms", "ms", _ms("reference.hermite_gaussian")),
-    ("reference.mehta_calls", "count", lambda tr: tr.count["reference.mehta_function"]),
-    ("reference.deviation_report_ms", "ms", _ms("reference.deviation_report")),
-    ("reference.oracle_ms", "ms", _ms("reference.oracle")),
-    ("phasespace.coherent_frame_ms", "ms", _ms("phasespace.coherent_frame")),
-    ("phasespace.frame_mb", "MB", lambda tr: tr.maxima.get("phasespace.frame_mb", 0.0)),
-    ("quantize.frame_hamiltonian_ms", "ms", _ms("quantize.frame_hamiltonian")),
-    ("quantize.ladder_ms", "ms", _ms("quantize.ladder_states")),
-    ("fourier.dft_calls", "count", lambda tr: tr.count["fourier.dft_operator"]),
-    ("fourier.dft_ms", "ms", _ms("fourier.dft_operator")),
-    ("thetagauss.ground_state_calls", "count", lambda tr: tr.count["thetagauss.ground_state"]),
-    ("frft.kernel_builds", "count", lambda tr: tr.counters["frft.kernel_builds"]),
-    ("frft.kernel_hits", "count", lambda tr: tr.counters["frft.kernel_hits"]),
-    ("frft.kernel_ms", "ms", _ms("frft.frft_kernel")),
-    ("frft.apply_us", "us", lambda tr: 1e6 * tr.total["frft.apply_frft"]
-     / max(1, tr.count["frft.apply_frft"])),
-    ("frft.cache_mb", "MB", lambda tr: tr.maxima.get("frft.cache_mb", 0.0)),
-    ("verify.suite_ms", "ms", _ms("verify.run_suite")),
-    ("cli.self_ms", "ms", lambda tr: 1e3 * tr.self_time["cli.main"]),
-]
+# the layers that set up a frft workload, reported per set-up build
+SETUP_LAYERS = ("spectral.eigh_ms", "spectral.label_ms", "quantize.frame_hamiltonian_ms")

@@ -13,6 +13,9 @@ A workload object provides
     round(r)         the requests of round r (untimed),
     run(req)         one timed request, returning its output,
     accept(req, out) record or check one output (untimed),
+    key(req)         the kind of request, for ``summarize``,
+    summarize(samples)  (requests, busy seconds, p50, tail) of a window of
+                     (key, seconds) samples,
     end_round()      drop per-round state (untimed),
     final_checks()   checks made after the timed loop, returning problems.
 
@@ -26,56 +29,53 @@ import contextlib
 import copy
 import gc
 import io
+import math
 import os
+import statistics
 
 import numpy as np
 
 import checks
 
 FRFT_D = 151
-# fixed grid over one period; its 8 kernels (2.8 MiB at d = 151) stay within
-# a 4 MiB L2, so a request times the hit path rather than the shared L3
+# fixed grid over one period; its 8 kernels hold 2.8 MiB at d = 151, more
+# than the 2 MiB L2 of one core of the 2-vCPU Xeon this was built on, so a
+# request reads its kernel from the shared L3
 SWEEP_ORDERS = tuple(k / 2.0 for k in range(8))
 SWEEP_SIGNALS = 16
 FRESH_ORDERS_PER_ROUND = 40
 
-# (subcommand, d, extra args): one round of the cli workload, listed from
-# the cheapest request to the dearest.  The make-up is fixed, so every seed
-# asks for the same work; the seed sets the order of the requests and the
-# continuous parameters (frft order and Gaussian width).  Three requests of
-# like cost sit at ranks 9-11 and 15-17, around the per-round p50 (rank 10)
-# and p80 (rank 16), so neither percentile sits on a gap between two classes
-# of request, where noise would flip it from one class to the other.
+# (subcommand, d, extra args): one round of the cli workload.  The first
+# four are the commands and sizes of the baseline that ROADMAP open item 1
+# asks later changes to reproduce (verify --d 21, compare --d 101, spectrum
+# --d 201, frft --d 101 --oracle); table1 (which always computes its grid at
+# d = 21) and the Harper spectrum at the same d complete the five
+# subcommands.  Each appears once per round: no record of how often users
+# run each command exists, so none is weighted above another.  The make-up
+# is fixed, so every seed asks for the same work; the seed sets the order of
+# the requests and the frft order and Gaussian width.
 CLI_ROUND = (
-    ("table1", 21, ()),
-    ("table1", 51, ()),
-    ("table1", 101, ()),
-    ("spectrum", 21, ("--method", "frame")),
-    ("spectrum", 21, ("--method", "harper")),
-    ("compare", 21, ()),
-    ("compare", 21, ("--normalize-ladder",)),
-    ("frft", 21, ("--method", "both")),
-    ("frft", 31, ("--method", "frame")),
-    ("frft", 31, ("--method", "harper")),
-    ("frft", 31, ("--method", "frame")),
-    ("compare", 31, ()),
-    ("spectrum", 51, ("--method", "frame")),
-    ("spectrum", 51, ("--method", "harper")),
-    ("compare", 51, ()),
-    ("compare", 51, ("--normalize-ladder",)),
-    ("frft", 51, ("--method", "both")),
     ("verify", 21, ()),
-    ("compare", 71, ()),
-    ("spectrum", 101, ("--method", "frame")),
+    ("compare", 101, ()),
+    ("spectrum", 201, ("--method", "frame")),
+    ("frft", 101, ("--method", "both")),
+    ("table1", 21, ()),
+    ("spectrum", 201, ("--method", "harper")),
 )
+
+
+def nearest_rank(sorted_values, q: float) -> float:
+    """The q-th percentile of a sorted sample, by nearest rank."""
+    n = len(sorted_values)
+    return float(sorted_values[max(0, math.ceil(q / 100.0 * n) - 1)])
 
 
 class Cli:
     """All five subcommands in process through ``finosc.cli.main``."""
 
-    tail_percentile = 80.0
     window_rounds = None  # one window: the whole run
-    min_rounds = 3  # 3 rounds x 4 requests beyond p80
+    min_rounds = 2
+    tail = "the dearest request of the mean round"
 
     def __init__(self, finosc, rng, out_dir):
         self.finosc = finosc
@@ -90,6 +90,7 @@ class Cli:
     def round(self, r):
         reqs = []
         for k in self.rng.permutation(len(CLI_ROUND)):
+            k = int(k)
             cmd, d, extra = CLI_ROUND[k]
             argv = [cmd, "--d", str(d), *extra]
             params = {}
@@ -98,15 +99,29 @@ class Cli:
                           "kappa": float(np.exp(self.rng.uniform(np.log(0.6), np.log(1.7))))}
                 argv += [f"--alpha={params['alpha']!r}",
                          f"--signal=gauss:{params['kappa']!r}", "--oracle"]
-            reqs.append((cmd, d, extra, params, argv + ["--out", self.out]))
+            reqs.append((k, cmd, d, extra, params, argv + ["--out", self.out]))
         return reqs
+
+    def key(self, req):
+        return req[0]
+
+    @staticmethod
+    def summarize(samples):
+        """(requests, busy seconds, p50, tail) of a run: each request of the
+        round takes its mean time over the run's rounds, the p50 is the
+        median of those six times and the tail is the largest."""
+        times = {}
+        for key, t in samples:
+            times.setdefault(key, []).append(t)
+        mean = sorted(statistics.fmean(ts) for ts in times.values())
+        return len(samples), sum(t for _, t in samples), statistics.median(mean), mean[-1]
 
     def run(self, req):
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = self.finosc.cli.main(req[4])
+            code = self.finosc.cli.main(req[5])
         if code != 0:
-            raise RuntimeError(f"finosc {' '.join(req[4])} exited {code}: {sink.getvalue()[-300:]}")
+            raise RuntimeError(f"finosc {' '.join(req[5])} exited {code}: {sink.getvalue()[-300:]}")
         return code
 
     def accept(self, req, out):
@@ -122,7 +137,7 @@ class Cli:
 
     def final_checks(self):
         problems = []
-        for (cmd, d, extra, params, argv), text in self.outputs:
+        for (_, cmd, d, extra, params, argv), text in self.outputs:
             if cmd == "spectrum":
                 found = checks.check_spectrum(d, extra[1], text)
             elif cmd == "table1":
@@ -140,7 +155,7 @@ class Cli:
 class _Frft:
     """Shared part of the two FRFT workloads: the frame basis at d = 151."""
 
-    tail_percentile = 99.0
+    tail = "p99 of a window"
 
     def __init__(self, finosc, rng, out_dir):
         self.finosc = finosc
@@ -156,6 +171,15 @@ class _Frft:
             amp = self.rng.standard_normal((SWEEP_SIGNALS, FRFT_D)) \
                 + 1j * self.rng.standard_normal((SWEEP_SIGNALS, FRFT_D))
             self.signals = [f.Signal(lat, a / np.linalg.norm(a)) for a in amp]
+
+    def key(self, req):
+        return None
+
+    @staticmethod
+    def summarize(samples):
+        """(requests, busy seconds, p50, p99) of one window."""
+        lat = sorted(t for _, t in samples)
+        return len(lat), sum(lat), nearest_rank(lat, 50.0), nearest_rank(lat, 99.0)
 
     def run(self, req):
         basis, alpha, sig = req
