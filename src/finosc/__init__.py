@@ -67,7 +67,6 @@ from .reference import (
     rectangular_profile,
 )
 from .spectral import (
-    JACOBI_BACKEND,
     ConvergenceError,
     SpectralBasis,
     eigh,
@@ -95,7 +94,6 @@ __all__ = [
     "FrameHamiltonian",
     "FrftKernel",
     "GroundState",
-    "JACOBI_BACKEND",
     "Lattice",
     "Operator",
     "PhasePoint",

@@ -18,6 +18,7 @@ verification finds a failing check, 2 on a bad configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -35,7 +36,7 @@ from .reference import (
     gaussian_profile,
     rectangular_profile,
 )
-from .spectral import harper_hamiltonian, oscillator_basis
+from .spectral import check_basis_size, harper_hamiltonian, oscillator_basis
 from .thetagauss import theta_gaussian
 from .verify import run_suite
 
@@ -155,8 +156,8 @@ def _parse_signal(lat, spec: str):
             kappa = float(spec[6:])
         except ValueError:
             raise ValueError(f"bad width in signal {spec!r}") from None
-        if not kappa > 0:
-            raise ValueError(f"signal width must be positive, got {kappa}")
+        if not 0 < kappa < math.inf:
+            raise ValueError(f"signal width must be positive and finite, got {kappa}")
         return Signal(lat, theta_gaussian(lat, kappa).amp), gaussian_profile(kappa)
     raise ValueError(f"unknown signal {spec!r}; use rect or gauss:<width>")
 
@@ -197,6 +198,7 @@ def cmd_table1(cfg) -> int:
 
 def cmd_spectrum(cfg) -> int:
     lat = make_lattice(cfg.d)
+    check_basis_size(lat.d)
     basis = _labeled_basis(lat, cfg.method)
     rows = [
         (
@@ -214,6 +216,7 @@ def cmd_spectrum(cfg) -> int:
 
 def cmd_compare(cfg) -> int:
     lat = make_lattice(cfg.d)
+    check_basis_size(lat.d)
     frame = coherent_frame(lat)
     frame_basis = oscillator_basis(frame_hamiltonian(lat).op, lat, "frame")
     harper_basis = oscillator_basis(harper_hamiltonian(lat), lat, "harper")
@@ -230,6 +233,9 @@ def cmd_compare(cfg) -> int:
 
 def cmd_frft(cfg) -> int:
     lat = make_lattice(cfg.d)
+    check_basis_size(lat.d)
+    if not math.isfinite(cfg.alpha):
+        raise ValueError(f"transform order must be finite, got {cfg.alpha}")
     sig, profile = _parse_signal(lat, cfg.signal)
     methods = ("frame", "harper") if cfg.method == "both" else (cfg.method,)
     outs = {}

@@ -15,6 +15,7 @@ at the same order reuse the matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,16 @@ class FrftKernel:
 
 
 def frft_kernel(basis: SpectralBasis, alpha: float) -> FrftKernel:
-    """Order-α kernel for the given eigenbasis, cached per (basis, α)."""
+    """Order-α kernel for the given eigenbasis, cached per (basis, α).
+
+    A NaN or infinite order is refused, so no such key enters the cache.
+    """
     key = float(alpha)
     cached = basis._kernel_cache.get(key)
     if cached is not None:
         return cached
+    if not math.isfinite(key):
+        raise ValueError(f"transform order must be finite, got {alpha}")
     d = basis.lattice.d
     phases = np.exp(-0.5j * np.pi * key * np.arange(d))
     vecs = basis.vectors

@@ -46,10 +46,14 @@ def _hermite_all(mmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermite_gaussian(m: int, x):
-    """Ψ_m(x), vectorized over x; orders up to 300 are supported."""
+def _check_order(m: int) -> None:
     if not 0 <= m <= MAX_HERMITE_ORDER:
         raise ValueError(f"order must be in 0..{MAX_HERMITE_ORDER}, got {m}")
+
+
+def hermite_gaussian(m: int, x):
+    """Ψ_m(x), vectorized over x; orders up to 300 are supported."""
+    _check_order(m)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     vals = _hermite_all(m, np.atleast_1d(x))[m]
@@ -68,6 +72,13 @@ class HermiteSample:
 def hermite_sample(lat: Lattice, m: int) -> HermiteSample:
     amp = lat.delta**0.25 * hermite_gaussian(m, lat.points)
     return HermiteSample(lattice=lat, m=m, amp=amp)
+
+
+def _sample_table(lat: Lattice) -> np.ndarray:
+    """Row m is ``hermite_sample(lat, m).amp``, for m = 0..d-1, from one
+    pass of the recurrence."""
+    _check_order(lat.d - 1)
+    return lat.delta**0.25 * _hermite_all(lat.d - 1, lat.points)
 
 
 def displaced_ground_sample(lat: Lattice, p: PhasePoint) -> Signal:
@@ -104,23 +115,32 @@ def coherent_deviation_table(
     return out
 
 
-def mehta_function(lat: Lattice, m: int, tol: float = 1e-18) -> Signal:
-    """Periodized Hermite-Gaussian Φ_m(n) = Σ_ℓ Ψ_m((ℓd+n)√δ), unnormalized.
+def _periodized_table(lat: Lattice, mmax: int, tol: float = 1e-18) -> np.ndarray:
+    """Rows Φ_0..Φ_mmax of the periodized Hermite-Gaussians, shape (mmax+1, d).
 
     Terms beyond the classical turning point √(2m+1) decay like a Gaussian in
     the excess distance; the wrap sum keeps every ℓ whose argument stays
-    within a generous margin past the turning point, which puts the omitted
-    terms far below ``tol``.
+    within a generous margin past the turning point of the highest order,
+    which puts the omitted terms of every row far below ``tol``.
     """
-    if not 0 <= m <= MAX_HERMITE_ORDER:
-        raise ValueError(f"order must be in 0..{MAX_HERMITE_ORDER}, got {m}")
+    _check_order(mmax)
     margin = np.sqrt(2.0 * np.log(1.0 / tol)) + 2.0
-    x_cut = np.sqrt(2.0 * m + 1.0) + margin
+    x_cut = np.sqrt(2.0 * mmax + 1.0) + margin
     lmax = int(np.ceil((x_cut / lat.sqrt_delta + lat.s) / lat.d)) + 1
     ell = np.arange(-lmax, lmax + 1)
     args = (ell[:, None] * lat.d + lat.indices[None, :]) * lat.sqrt_delta
-    vals = _hermite_all(m, args.ravel())[m].reshape(args.shape)
-    return Signal(lat, vals.sum(axis=0))
+    vals = _hermite_all(mmax, args.ravel()).reshape((mmax + 1,) + args.shape)
+    return vals.sum(axis=1)
+
+
+def mehta_function(lat: Lattice, m: int, tol: float = 1e-18) -> Signal:
+    """Periodized Hermite-Gaussian Φ_m(n) = Σ_ℓ Ψ_m((ℓd+n)√δ), unnormalized.
+
+    The wrap sum is truncated so that the omitted terms stay far below
+    ``tol`` (see ``_periodized_table``).
+    """
+    _check_order(m)
+    return Signal(lat, _periodized_table(lat, m, tol)[m])
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,21 +165,18 @@ def deviation_report(lat: Lattice, frame_basis, harper_basis, ladder) -> Deviati
     d = lat.d
     if len(ladder) != d:
         raise ValueError(f"expected {d} ladder states, got {len(ladder)}")
-    targets = np.stack([hermite_sample(lat, m).amp for m in range(d)])
-    delta_f = np.empty(d)
-    delta_h = np.empty(d)
-    delta_m = np.empty(d)
-    delta_r = np.empty(d)
-    for m in range(d):
-        t = targets[m]
-        delta_f[m] = np.max(np.abs(frame_basis.vectors[:, m] - t))
-        delta_h[m] = np.max(np.abs(harper_basis.vectors[:, m] - t))
-        phi = mehta_function(lat, m).amp
-        phi = phi / np.linalg.norm(phi)
-        if float(phi @ t) < 0.0:
-            phi = -phi
-        delta_m[m] = np.max(np.abs(phi - t))
-        delta_r[m] = np.max(np.abs(ladder[m].amp - t))
+    targets = _sample_table(lat)
+    phi = _periodized_table(lat, d - 1)
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    phi[np.sum(phi * targets, axis=1) < 0.0] *= -1.0
+
+    def sup_dev(rows):
+        return np.max(np.abs(rows - targets), axis=1)
+
+    delta_f = sup_dev(frame_basis.vectors.T)
+    delta_h = sup_dev(harper_basis.vectors.T)
+    delta_m = sup_dev(phi)
+    delta_r = sup_dev(np.stack([state.amp for state in ladder]))
     return DeviationReport(
         lattice=lat, delta_f=delta_f, delta_h=delta_h, delta_m=delta_m, delta_r=delta_r
     )

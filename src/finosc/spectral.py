@@ -1,16 +1,18 @@
-"""Symmetric eigensolver wrapper and labeled oscillator eigenbases.
+"""Audited symmetric eigensolver and labeled oscillator eigenbases.
 
-Eigendecomposition runs through a cyclic Jacobi sweep routine rather than a
-library call: rotations preserve symmetry exactly, converge quadratically,
-and deliver orthonormal vectors to machine precision, which the basis
-labeling below then audits.  A compiled version of the sweep kernel is used
-when the build produced it, with a pure NumPy twin as fallback; both execute
-the identical rotation sequence, so results agree to the last bit.
+Eigendecomposition goes through LAPACK (``np.linalg.eigh``).  Input must be
+real symmetric, and every result is audited: each eigenpair residual and the
+orthogonality defect ‖VᵀV - I‖_F must stay small, or ``ConvergenceError``
+is raised.
 
-A basis is accepted only after three independent labelings agree for every
-vector: the parity under n → -n, the Fourier eigenvalue (-i)^m, and the
-sign alternation count wherever float precision can resolve it.  Any
-mismatch raises; there is no quiet fallback.
+An oscillator Hamiltonian commutes with the Fourier operator F, hence with
+the parity flip F², so it splits exactly into an even block on the s+1
+vectors δ_0, (δ_n + δ_{-n})/√2 and an odd block on the s vectors
+(δ_n - δ_{-n})/√2.  Each block is diagonalized on its own and the two are
+interleaved into the label order.  A basis is accepted only after three
+independent labelings agree for every vector: the parity under n → -n, the
+Fourier eigenvalue (-i)^m, and the sign alternation count wherever float
+precision can resolve it.  Any mismatch raises; there is no quiet fallback.
 """
 
 from __future__ import annotations
@@ -21,41 +23,25 @@ from .lattice import Lattice, Operator, Signal
 from .fourier import dft_operator
 from . import reference
 
-try:
-    from ._jacobi import cyclic_jacobi
-
-    JACOBI_BACKEND = "compiled"
-except ImportError:
-    from ._jacobi_py import cyclic_jacobi
-
-    JACOBI_BACKEND = "python"
-
-OFF_DIAGONAL_TOL = 1e-14
-MAX_SWEEPS = 100
 SYMMETRY_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
+ORTHOGONALITY_TOL = 1e-10
 GAP_TOL = 1e-10
-PARITY_TOL = 1e-10
 FOURIER_AMBIGUITY = 0.1
 ZERO_SKIP = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal mass fell below tol."""
+    """An eigendecomposition failed its residual or orthogonality audit."""
 
 
-def eigh(op) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a real symmetric operator.
-
-    Accepts an Operator or a square ndarray whose entries are real symmetric
-    up to 1e-10 relative; anything farther from symmetric is rejected rather
-    than silently symmetrized.  Returns (values ascending, vectors in
-    matching columns).  The result is audited: each residual column of
-    A·v - λ·v must stay below 1e-10 times the Frobenius norm of A.
-    """
+def _real_symmetric(op) -> np.ndarray:
+    """The validated real symmetric matrix behind ``op``, symmetrized."""
     mat = op.mat if isinstance(op, Operator) else np.asarray(op)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(mat))))
     if np.iscomplexobj(mat):
         if float(np.max(np.abs(mat.imag))) > SYMMETRY_TOL * scale:
@@ -64,29 +50,49 @@ def eigh(op) -> tuple[np.ndarray, np.ndarray]:
     asym = float(np.max(np.abs(mat - mat.T)))
     if asym > SYMMETRY_TOL * scale:
         raise ValueError(f"matrix is not symmetric: max|A - Aᵀ| = {asym:.3e}")
+    return 0.5 * (mat + mat.T)
 
-    a = np.ascontiguousarray(0.5 * (mat + mat.T), dtype=np.float64)
-    norm_f = float(np.linalg.norm(a))
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.float64)
-    if norm_f > 0.0:
-        tol_off = OFF_DIAGONAL_TOL * norm_f
-        sweeps, off = cyclic_jacobi(a, v, tol_off, MAX_SWEEPS)
-        if off > tol_off:
-            raise ConvergenceError(
-                f"off-diagonal norm {off:.3e} above {tol_off:.3e} "
-                f"after {sweeps} sweeps"
-            )
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = np.ascontiguousarray(v[:, order])
 
-    sym = 0.5 * (mat + mat.T)
+def _audit(sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise unless (vals, vecs) are orthonormal eigenpairs of ``sym``."""
+    scale = max(float(np.linalg.norm(sym)), 1.0)
     resid = float(np.max(np.linalg.norm(sym @ vecs - vecs * vals, axis=0)))
-    if resid > RESIDUAL_TOL * max(norm_f, 1.0):
+    if not resid <= RESIDUAL_TOL * scale:
         raise ConvergenceError(f"eigenpair residual {resid:.3e} too large")
+    defect = float(np.linalg.norm(vecs.T @ vecs - np.eye(len(vals))))
+    if not defect <= ORTHOGONALITY_TOL:
+        raise ConvergenceError(f"orthogonality defect ‖VᵀV - I‖_F = {defect:.3e}")
+
+
+def eigh(op) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a real symmetric operator.
+
+    Accepts an Operator or a square ndarray whose entries are finite and
+    real symmetric up to 1e-10 relative; anything farther from symmetric is
+    rejected rather than silently symmetrized.  Returns (values ascending,
+    vectors in matching columns).  The result is audited: each residual
+    column of A·v - λ·v must stay below 1e-10 times the Frobenius norm of
+    A, and ‖VᵀV - I‖_F below 1e-10.
+    """
+    sym = _real_symmetric(op)
+    vals, vecs = np.linalg.eigh(sym)
+    vecs = np.ascontiguousarray(vecs)
+    _audit(sym, vals, vecs)
     return vals, vecs
+
+
+def check_basis_size(d: int) -> None:
+    """Refuse a grid too large to label.
+
+    Labels are sign-fixed against the sampled Hermite functions Ψ_0..Ψ_{d-1},
+    and those are supported only up to ``reference.MAX_HERMITE_ORDER``.
+    """
+    limit = reference.MAX_HERMITE_ORDER + 1
+    if d > limit:
+        raise ValueError(
+            f"labeled bases need d <= {limit} (Hermite orders up to "
+            f"{reference.MAX_HERMITE_ORDER}), got d = {d}"
+        )
 
 
 def harper_hamiltonian(lat: Lattice) -> Operator:
@@ -165,13 +171,30 @@ class SpectralBasis:
         return Signal(self.lattice, self.vectors[:, m].copy())
 
 
-def _fix_sign(vec: np.ndarray, target: np.ndarray) -> np.ndarray:
-    overlap = float(vec @ target)
-    if abs(overlap) > ZERO_SKIP:
-        return -vec if overlap < 0.0 else vec
-    # reference sample vanished numerically; pin the largest entry positive
-    k = int(np.argmax(np.abs(vec)))
-    return -vec if vec[k] < 0.0 else vec
+def _parity_frame(s: int) -> np.ndarray:
+    """Orthogonal Q = [E | O] on the grid of d = 2s+1 points.
+
+    Columns 0..s are the even vectors δ_0 and (δ_n + δ_{-n})/√2, columns
+    s+1..2s the odd vectors (δ_n - δ_{-n})/√2, for n = 1..s.  Each row holds
+    at most one nonzero entry per block, so a block's Q·x mirrors its entries
+    exactly.
+    """
+    d = 2 * s + 1
+    q = np.zeros((d, d))
+    n = np.arange(1, s + 1)
+    r = np.sqrt(0.5)
+    q[s, 0] = 1.0
+    q[s + n, n] = r
+    q[s - n, n] = r
+    q[s + n, s + n] = r
+    q[s - n, s + n] = -r
+    return q
+
+
+def _first(mask) -> int | None:
+    """Index of the first true entry, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
@@ -186,26 +209,32 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
 
     Counting alternations directly is ill-posed for the most oscillatory
     vectors at large d (their faintest genuine lobes sink below the counting
-    floor), so the labels are assigned from two robust facts instead: every
-    vector is exactly even or odd under n -> -n, and within each parity
-    class the eigenvalues are strictly monotone in m.  Interleaving the two
-    classes from the nodeless end gives the alternation ordering wherever
-    the count is resolvable, and extends it where it is not.  Each label is
-    then audited three ways: parity must equal m mod 2, the Fourier
-    eigenvalue must equal (-i)^m (this pins m mod 4 and catches any
-    within-class misordering), and the measured alternation count must equal
-    m wherever resolvable.  A resolution-limited count can only fall short
-    of m by an even amount (a suppressed lobe hides two sign changes);
-    anything else raises.
+    floor), so the labels are assigned from two robust facts instead: the
+    Hamiltonian splits into an even and an odd block, and within each block
+    the eigenvalues are strictly monotone in m (ascending for 'frame',
+    descending for 'harper'; the first even vector must be nodeless).
+    Interleaving the two blocks gives the alternation ordering wherever the
+    count is resolvable, and extends it where it is not.  Each vector's sign
+    makes its overlap with ⁴√δ·Ψ_m positive.  Each label is then audited
+    three ways: parity must equal m mod 2, the Fourier eigenvalue must equal
+    (-i)^m (this pins m mod 4 and catches any within-block misordering), and
+    the measured alternation count must equal m wherever resolvable.  A
+    resolution-limited count can only fall short of m by an even amount (a
+    suppressed lobe hides two sign changes); anything else raises.
 
-    Eigenvalues must be simple (adjacent gap above 1e-10).  Any label
+    Eigenvalues must be simple within each block (adjacent gap above 1e-10),
+    and d may not exceed ``reference.MAX_HERMITE_ORDER + 1``.  Any label
     inconsistency raises instead of degrading.
     """
     if kind not in ("frame", "harper"):
         raise ValueError(f"kind must be 'frame' or 'harper', got {kind!r}")
     if isinstance(op, Operator) and op.lattice != lat:
         raise ValueError("operator belongs to a different lattice")
-    hmat = op.mat if isinstance(op, Operator) else np.asarray(op)
+    check_basis_size(lat.d)
+    d, s = lat.d, lat.s
+    hmat = _real_symmetric(op)
+    if hmat.shape != (d, d):
+        raise ValueError("matrix size does not match the lattice")
     fmat = dft_operator(lat).mat
     comm = float(np.linalg.norm(fmat @ hmat - hmat @ fmat))
     if comm > 1e-9 * max(1.0, float(np.linalg.norm(hmat))):
@@ -213,79 +242,63 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
             f"matrix does not commute with the Fourier operator "
             f"(‖FH - HF‖_F = {comm:.3e}); labels need Fourier invariance"
         )
-    vals, vecs = eigh(op)
-    d = lat.d
-    if len(vals) != d:
-        raise ValueError("matrix size does not match the lattice")
-    gaps = np.diff(vals)
-    if float(np.min(gaps)) < GAP_TOL:
-        raise RuntimeError(
-            f"eigenvalue gap {np.min(gaps):.3e} below {GAP_TOL:.0e}; "
-            "labels would be meaningless"
-        )
-    rev = vecs[::-1, :]
-    even_dev = np.max(np.abs(vecs - rev), axis=0)
-    odd_dev = np.max(np.abs(vecs + rev), axis=0)
-    par = np.where(even_dev <= PARITY_TOL, 0,
-                   np.where(odd_dev <= PARITY_TOL, 1, -1))
-    if np.any(par < 0):
-        k = int(np.nonzero(par < 0)[0][0])
-        raise RuntimeError(
-            f"eigenvector {k} is neither even nor odd "
-            f"(deviations {even_dev[k]:.3e}, {odd_dev[k]:.3e})"
-        )
-    n_even = int(np.sum(par == 0))
-    if n_even != lat.s + 1:
-        raise RuntimeError(
-            f"{n_even} even eigenvectors, expected {lat.s + 1}"
-        )
-    # the nodeless ground sits at one spectral edge; it decides whether
-    # label order runs up or down the eigenvalues
-    alt_lo = sign_alternations(vecs[:, 0])
-    alt_hi = sign_alternations(vecs[:, -1])
-    if (alt_lo == 0) == (alt_hi == 0):
-        raise RuntimeError(
-            "cannot place the nodeless vector at a spectral edge "
-            f"(edge alternation counts {alt_lo}, {alt_hi})"
-        )
-    cols = np.arange(d) if alt_lo == 0 else np.arange(d - 1, -1, -1)
-    order = np.empty(d, dtype=int)
-    order[0::2] = cols[par[cols] == 0]
-    order[1::2] = cols[par[cols] == 1]
-    vals = vals[order].copy()
-    vecs = np.ascontiguousarray(vecs[:, order])
-    par = par[order]
 
-    alternations = np.empty(d, dtype=int)
-    fourier_indices = np.empty(d, dtype=int)
-    for m in range(d):
-        target = reference.hermite_sample(lat, m).amp
-        vec = _fix_sign(vecs[:, m], target)
-        vecs[:, m] = vec
+    q = _parity_frame(s)
+    hq = q.T @ hmat @ q
+    vals = np.empty(d)
+    vecs = np.empty((d, d))
+    for first, cols in ((0, slice(0, s + 1)), (1, slice(s + 1, d))):
+        block_vals, block_vecs = eigh(hq[cols, cols])
+        if kind == "harper":
+            block_vals, block_vecs = block_vals[::-1], block_vecs[:, ::-1]
+        gap = float(np.min(np.abs(np.diff(block_vals))))
+        if gap < GAP_TOL:
+            raise RuntimeError(
+                f"eigenvalue gap {gap:.3e} below {GAP_TOL:.0e} in the "
+                f"{'odd' if first else 'even'} block; labels would be meaningless"
+            )
+        vals[first::2] = block_vals
+        vecs[:, first::2] = q[:, cols] @ block_vecs
+    nodes = sign_alternations(vecs[:, 0])
+    if nodes != 0:
+        raise RuntimeError(
+            f"the first even {kind} eigenvector is not nodeless "
+            f"({nodes} sign alternations)"
+        )
 
-        if par[m] != m % 2:
-            raise RuntimeError(
-                f"vector {m} has parity {par[m]}, expected {m % 2}"
-            )
-        z = complex(vec @ (fmat @ vec))
-        dists = np.abs(z - _FOURIER_ROOTS)
-        k = int(np.argmin(dists))
-        if float(dists[k]) > FOURIER_AMBIGUITY:
-            raise RuntimeError(
-                f"Fourier eigenvalue of vector {m} is ambiguous: "
-                f"⟨v, Fv⟩ = {z:.6f}"
-            )
-        if k != m % 4:
-            raise RuntimeError(
-                f"vector {m} has Fourier index {k}, expected {m % 4}"
-            )
-        alt = sign_alternations(vec)
-        if alt != m and (alt > m or (m - alt) % 2 != 0):
-            raise RuntimeError(
-                f"vector at position {m} has {alt} sign alternations"
-            )
-        alternations[m] = alt
-        fourier_indices[m] = k
+    labels = np.arange(d)
+    # sign-fix against the sampled Hermite functions; where the reference
+    # overlap vanishes numerically, pin the largest entry positive instead
+    overlaps = np.einsum("mn,nm->m", reference._sample_table(lat), vecs)
+    peaks = vecs[np.argmax(np.abs(vecs), axis=0), labels]
+    vecs *= np.where(np.abs(overlaps) > ZERO_SKIP, np.sign(overlaps), np.sign(peaks))
+    _audit(hmat, vals, vecs)
+
+    parities = labels % 2
+    # the block assembly mirrors entries exactly, so parity holds bit for bit
+    m = _first(np.any(vecs[::-1] != vecs * (1 - 2 * parities), axis=0))
+    if m is not None:
+        raise RuntimeError(f"vector {m} is not of parity {m % 2}")
+    z = np.einsum("nm,nm->m", vecs, fmat @ vecs)
+    dists = np.abs(z[:, None] - _FOURIER_ROOTS[None, :])
+    fourier_indices = np.argmin(dists, axis=1)
+    m = _first(np.min(dists, axis=1) > FOURIER_AMBIGUITY)
+    if m is not None:
+        raise RuntimeError(
+            f"Fourier eigenvalue of vector {m} is ambiguous: ⟨v, Fv⟩ = {z[m]:.6f}"
+        )
+    m = _first(fourier_indices != labels % 4)
+    if m is not None:
+        raise RuntimeError(
+            f"vector {m} has Fourier index {fourier_indices[m]}, expected {m % 4}"
+        )
+    alternations = np.array([sign_alternations(vecs[:, m]) for m in labels])
+    deficit = labels - alternations
+    m = _first((deficit < 0) | (deficit % 2 != 0))
+    if m is not None:
+        raise RuntimeError(
+            f"vector at position {m} has {alternations[m]} sign alternations"
+        )
 
     return SpectralBasis(
         lattice=lat,
@@ -293,6 +306,6 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
         values=vals,
         vectors=vecs,
         alternations=alternations,
-        parities=par,
+        parities=parities,
         fourier_indices=fourier_indices,
     )

@@ -99,13 +99,13 @@ def theta_gaussian(lat: Lattice, kappa: float, tol: float = 1e-18) -> ThetaGauss
     ----------
     lat : Lattice
     kappa : float
-        Width parameter, must be positive.
+        Width parameter, must be positive and finite.
     tol : float
         Target size of the first omitted series term; the truncation order is
         the smallest L achieving it at the worst grid index.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if kappa * lat.d >= 1.0:

@@ -2,8 +2,8 @@
 
 Every check is a small function that recomputes one contract from scratch,
 many of them pitting a fast construction against a brute-force oracle (the
-quantizer against the projector average, the sweep eigensolver against the
-library solver, the discrete transforms against quadrature).  The CLI's
+quantizer against the projector average, the eigensolver against closed-form
+spectra, the discrete transforms against quadrature).  The CLI's
 ``verify`` command runs the applicable checks at the requested size plus the
 two smallest grids and reports one line per check.
 
@@ -699,19 +699,40 @@ def _chk_ladder_recurrence(ctx):
 
 # ---------------------------------------------------------------- spectral
 
-def _chk_eigh_random(ctx):
+def _char_poly(mat):
+    """Coefficients of det(λI - A) by the trace recursion, no eigensolver."""
+    n = mat.shape[0]
+    coeffs = np.ones(n + 1)
+    acc = np.eye(n)
+    for k in range(1, n + 1):
+        acc = mat @ acc
+        coeffs[k] = -np.trace(acc) / k
+        acc += coeffs[k] * np.eye(n)
+    return coeffs
+
+
+def _chk_eigh_oracles(ctx):
     n = ctx.d
     a = ctx.rng.standard_normal((n, n))
     a = 0.5 * (a + a.T)
     vals, vecs = spectral.eigh(a)
     resid = float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)))
     gram = float(np.linalg.norm(vecs.T @ vecs - np.eye(n)))
-    lib = np.linalg.eigvalsh(a)
-    drift = float(np.max(np.abs(vals - lib)))
     _require(resid < 1e-10 * np.linalg.norm(a), f"residual {resid:.2e}")
     _require(gram < 1e-12, f"orthonormality {gram:.2e}")
-    _require(drift < 1e-10 * max(1.0, np.max(np.abs(lib))), f"drift {drift:.2e}")
-    return f"sweep solver matches library values ({drift:.1e})"
+    # (C + Cᵀ)/2 for the cyclic shift C has the eigenvalues cos(2πk/d)
+    shift = np.roll(np.eye(n), 1, axis=0)
+    vals, _ = spectral.eigh(0.5 * (shift + shift.T))
+    want = np.sort(np.cos(2.0 * np.pi * np.arange(n) / n))
+    drift = float(np.max(np.abs(vals - want)))
+    _require(drift < 1e-12, f"cosine spectrum off by {drift:.2e}")
+    # the d = 5 Harper matrix against the roots of its characteristic polynomial
+    harper5 = spectral.harper_hamiltonian(make_lattice(5)).mat
+    vals, _ = spectral.eigh(harper5)
+    roots = np.sort(np.roots(_char_poly(harper5)).real)
+    drift5 = float(np.max(np.abs(vals - roots)))
+    _require(drift5 < 1e-11, f"Harper-5 roots off by {drift5:.2e}")
+    return f"closed-form spectra reproduced ({max(drift, drift5):.1e})"
 
 
 def _chk_eigh_rejects(ctx):
@@ -874,14 +895,27 @@ def _chk_deviation_report(ctx):
     _require(rep.delta_f[0] < bound, f"Δ(0) = {rep.delta_f[0]:.2e}")
     _require(rep.delta_m[0] < bound, f"Δ_M(0) = {rep.delta_m[0]:.2e}")
     _require(rep.delta_r[0] < bound, f"Δ_R(0) = {rep.delta_r[0]:.2e}")
-    wins = int(np.sum(rep.delta_f < rep.delta_h))
+    # Both order-m vectors lie in the Fourier class m mod 4 (the label audit
+    # pins it) and share the sign convention.  Where that class is one-
+    # dimensional (tr π_k = 1: orders 1, 2, 3 at d = 5, order 3 at d = 7) they
+    # are the same vector, so δ_f and δ_h agree up to rounding and which one
+    # is smaller is not a property of either basis.
+    dims = np.array([round(float(np.trace(p.mat).real))
+                     for p in fourier_projectors(ctx.lat).pi])
+    tied = dims[np.arange(ctx.d) % 4] == 1
+    spread = float(np.max(np.abs(rep.delta_f - rep.delta_h)[tied], initial=0.0))
+    _require(spread < 1e-12, f"one-dimensional classes differ by {spread:.2e}")
+    contested = ~tied
+    won = rep.delta_f < rep.delta_h
+    wins = int(np.sum(won[contested]))
     # near the top of the spectrum both bases sit far from the continuum
     # and the contest is noise; the frame advantage is a bulk statement
-    bulk = rep.delta_f[: max(0, ctx.d - 8)] < rep.delta_h[: max(0, ctx.d - 8)]
+    bulk = won[: max(0, ctx.d - 8)] | tied[: max(0, ctx.d - 8)]
     _require(bool(np.all(bulk)), f"frame loses below order d-8 (wins {wins})")
+    total = int(np.sum(contested))
     if ctx.d <= 21:
-        _require(wins >= ctx.d - 1, f"frame beats Harper on only {wins} orders")
-    return f"frame basis closest on {wins}/{ctx.d} orders"
+        _require(wins >= total - 1, f"frame beats Harper on only {wins} of {total} orders")
+    return f"frame basis closest on {wins}/{total} contested orders"
 
 
 def _chk_frft_oracle_identity(ctx):
@@ -1039,7 +1073,7 @@ _CHECKS = [
     ("quantize: eigenvalue drift bound", _chk_wielandt_hoffman, _FRAME),
     ("quantize: raising operator", _chk_raising_operator, _BRUTE),
     ("quantize: ladder recurrence", _chk_ladder_recurrence, _FRAME),
-    ("spectral: sweep solver on random input", _chk_eigh_random, _ALL),
+    ("spectral: eigensolver vs closed forms", _chk_eigh_oracles, _ALL),
     ("spectral: asymmetric input rejected", _chk_eigh_rejects, _ALL),
     ("spectral: finite-difference oscillator", _chk_harper_matrix, _BASES),
     ("spectral: frame eigenbasis labels", _chk_frame_basis, _BASES),

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from finosc import cli
 from finosc.cli import main
 
 
@@ -168,6 +169,29 @@ def test_frft_rejects_bad_width(capsys):
     code, out, err = run_cli(capsys, "frft", "--signal", "gauss:-2")
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("--alpha", "nan"), ("--alpha", "inf"), ("--signal", "gauss:inf")]
+)
+def test_frft_rejects_non_finite_input(capsys, argv):
+    code, out, err = run_cli(capsys, "frft", *argv)
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare"])
+def test_unsupported_grid_is_refused_before_any_work(capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    for name in ("frame_hamiltonian", "harper_hamiltonian", "coherent_frame"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, command, "--d", "303")
+    assert code == 2
+    assert "labeled bases need d <= 301" in err
+    assert out == ""
 
 
 def test_svg_output_shape(capsys):

@@ -8,6 +8,8 @@ from finosc import (
     apply_frft,
     dft_operator,
     frft_kernel,
+    harper_hamiltonian,
+    oscillator_basis,
     rectangular_signal,
 )
 
@@ -80,6 +82,14 @@ def test_apply_checks_the_lattice(lat5, frame_basis21):
     k = frft_kernel(frame_basis21, 0.5)
     with pytest.raises(ValueError):
         apply_frft(k, Signal(lat5, np.ones(5)))
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_kernel_refuses_non_finite_orders(lat5, alpha):
+    basis = oscillator_basis(harper_hamiltonian(lat5), lat5, "harper")
+    with pytest.raises(ValueError, match="finite"):
+        frft_kernel(basis, alpha)
+    assert basis._kernel_cache == {}
 
 
 def test_rectangular_signal_support(lat21):

@@ -138,6 +138,29 @@ def test_deviation_report_anchors(lat21, frame_basis21, harper_basis21):
     assert np.all(rep.delta_f[:13] < rep.delta_h[:13])
 
 
+@pytest.mark.parametrize("d", [21, 51])
+def test_deviation_report_equals_the_per_order_loop(d):
+    lat = make_lattice(d)
+    fb = oscillator_basis(frame_hamiltonian(lat).op, lat, "frame")
+    hb = oscillator_basis(harper_hamiltonian(lat), lat, "harper")
+    ladder = ladder_states(coherent_frame(lat), d)
+    rep = deviation_report(lat, fb, hb, ladder)
+    for m in range(d):
+        t = hermite_sample(lat, m).amp
+        phi = mehta_function(lat, m).amp
+        phi = phi / np.linalg.norm(phi)
+        if float(phi @ t) < 0.0:
+            phi = -phi
+        want = [
+            np.max(np.abs(fb.vectors[:, m] - t)),
+            np.max(np.abs(hb.vectors[:, m] - t)),
+            np.max(np.abs(phi - t)),
+            np.max(np.abs(ladder[m].amp - t)),
+        ]
+        got = [rep.delta_f[m], rep.delta_h[m], rep.delta_m[m], rep.delta_r[m]]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
+
 def test_deviation_report_rejects_short_ladder(lat21, frame_basis21, harper_basis21):
     ladder = ladder_states(coherent_frame(lat21), 5)
     with pytest.raises(ValueError):

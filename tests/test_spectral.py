@@ -1,4 +1,4 @@
-"""Jacobi eigensolver, the finite-difference oscillator, and label audits."""
+"""Audited LAPACK eigensolver, the finite-difference oscillator, and label audits."""
 
 import numpy as np
 import pytest
@@ -163,6 +163,48 @@ def test_basis_label_audit(d, kind):
     for j in range(d):
         v = basis.vectors[:, j]
         assert np.max(np.abs(F @ v - roots[j % 4] * v)) < 1e-10
+
+
+def full_solve_labels(op, lat, kind):
+    """The labeled basis rebuilt from one full-matrix LAPACK solve.
+
+    Each vector's parity is read off its mirror image; the spectrum is walked
+    from the nodeless end (bottom for 'frame', top for 'harper'), the two
+    parity classes are interleaved, and signs are left as LAPACK gives them.
+    """
+    h = np.asarray(getattr(op, "mat", op)).real
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
+    if kind == "harper":
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+    even = np.max(np.abs(vecs - vecs[::-1]), axis=0) < 1e-8
+    order = np.empty(lat.d, dtype=int)
+    order[0::2] = np.nonzero(even)[0]
+    order[1::2] = np.nonzero(~even)[0]
+    return vals[order], vecs[:, order], (~even[order]).astype(int)
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+@pytest.mark.parametrize("d", [21, 101])
+def test_blocks_match_a_full_matrix_solve(d, kind):
+    lat = make_lattice(d)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    basis = oscillator_basis(op, lat, kind)
+    vals, vecs, parities = full_solve_labels(op, lat, kind)
+    vecs = vecs * np.sign(np.sum(vecs * basis.vectors, axis=0))
+    assert np.max(np.abs(vecs - basis.vectors)) < 1e-12
+    assert np.max(np.abs(vals - basis.values)) < 1e-11
+    assert np.array_equal(parities, basis.parities)
+    assert np.array_equal([sign_alternations(v) for v in vecs.T], basis.alternations)
+    z = np.einsum("nm,nm->m", vecs, dft_operator(lat).mat @ vecs)
+    roots = np.array([1.0, -1.0j, -1.0, 1.0j])
+    fourier = np.argmin(np.abs(z[:, None] - roots[None, :]), axis=1)
+    assert np.array_equal(fourier, basis.fourier_indices)
+
+
+def test_unsupported_grid_is_refused_before_the_solve():
+    # the size check comes first, so even an unusable operator is not read
+    with pytest.raises(ValueError, match="d <= 301"):
+        oscillator_basis(None, make_lattice(303), "frame")
 
 
 def test_frame_labels_start_at_the_bottom(frame_basis21):

@@ -63,6 +63,12 @@ def test_rejects_bad_parameters(lat5):
         theta_gaussian(lat5, 1.0, tol=0.0)
 
 
+@pytest.mark.parametrize("kappa", [np.inf, np.nan])
+def test_rejects_non_finite_width(lat5, kappa):
+    with pytest.raises(ValueError, match="finite"):
+        theta_gaussian(lat5, kappa)
+
+
 @pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0, 2.0, 10.0])
 def test_fourier_maps_width_to_reciprocal(lat21, kappa):
     F = dft_operator(lat21).mat

@@ -1,11 +1,6 @@
-"""The invariant suite runner and the two eigensolver backends."""
+"""The invariant suite runner."""
 
-import numpy as np
-import pytest
-
-import finosc.spectral as spectral
 from finosc import run_suite
-from finosc._jacobi_py import cyclic_jacobi as jacobi_py
 
 
 def test_suite_is_green_on_small_grids():
@@ -31,37 +26,10 @@ def test_suite_gates_checks_by_size():
     assert any("comparative accuracy" in line for line in lines21)
 
 
-def test_backend_selection_is_reported():
-    assert spectral.JACOBI_BACKEND in ("compiled", "python")
-
-
-def _run_backend(kernel, mat):
-    a = mat.copy()
-    v = np.eye(mat.shape[0])
-    sweeps, off = kernel(a, v, 1e-14 * np.linalg.norm(mat), 100)
-    return a, v, sweeps, off
-
-
-def test_backends_agree_exactly():
-    compiled = pytest.importorskip("finosc._jacobi")
-    rng = np.random.default_rng(23)
-    mat = rng.standard_normal((17, 17))
-    mat = mat + mat.T
-    a1, v1, s1, off1 = _run_backend(compiled.cyclic_jacobi, mat)
-    a2, v2, s2, off2 = _run_backend(jacobi_py, mat)
-    assert s1 == s2
-    assert off1 == off2
-    assert np.array_equal(a1, a2)
-    assert np.array_equal(v1, v2)
-
-
-def test_python_backend_diagonalizes():
-    rng = np.random.default_rng(7)
-    mat = rng.standard_normal((9, 9))
-    mat = mat + mat.T
-    a, v, sweeps, off = _run_backend(jacobi_py, mat)
-    assert sweeps < 100
-    assert off < 1e-13 * np.linalg.norm(mat)
-    # v diagonalizes the original matrix
-    assert np.max(np.abs(v.T @ mat @ v - np.diag(np.diag(a)))) < 1e-12
-    assert np.max(np.abs(v.T @ v - np.eye(9))) < 1e-13
+def test_suite_is_green_at_51():
+    # pytest turns RuntimeWarning into an error (pyproject.toml), so an
+    # overflow or invalid operation inside any check counts as a failure
+    lines = []
+    passed, failed = run_suite([51], emit=lines.append)
+    assert failed == 0, [line for line in lines if line.startswith("FAIL")]
+    assert passed == len(lines)
