@@ -139,7 +139,6 @@ def mehta_function(lat: Lattice, m: int, tol: float = 1e-18) -> Signal:
     The wrap sum is truncated so that the omitted terms stay far below
     ``tol`` (see ``_periodized_table``).
     """
-    _check_order(m)
     return Signal(lat, _periodized_table(lat, m, tol)[m])
 
 

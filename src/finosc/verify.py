@@ -910,7 +910,7 @@ def _chk_deviation_report(ctx):
     wins = int(np.sum(won[contested]))
     # near the top of the spectrum both bases sit far from the continuum
     # and the contest is noise; the frame advantage is a bulk statement
-    bulk = won[: max(0, ctx.d - 8)] | tied[: max(0, ctx.d - 8)]
+    bulk = won[: max(0, ctx.d - 8)]
     _require(bool(np.all(bulk)), f"frame loses below order d-8 (wins {wins})")
     total = int(np.sum(contested))
     if ctx.d <= 21:
