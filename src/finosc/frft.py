@@ -9,52 +9,79 @@ operator at α = 1, additive in α, and 4-periodic.  Two bases (frame and
 Harper) give two inequivalent families; both are exactly unitary since the
 eigenvectors are orthonormal.
 
-Kernels are cached on the basis object keyed by α, so repeated transforms
-at the same order reuse the matrix.
+A kernel holds only its d phases until its dense matrix is read.  A fresh
+order is applied in factored form, V·(e^{-iπmα/2} ⊙ Vᵀx), in O(d²); a
+repeated order gets the dense d×d kernel, built once in O(d³), whose apply
+is faster.  Each basis keeps at most ``CACHE_SIZE`` kernels, keyed by α and
+evicted least recently used first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .lattice import Operator, Signal
 from .spectral import SpectralBasis
 
+CACHE_SIZE = 8
+
 
 @dataclass(frozen=True, eq=False)
 class FrftKernel:
     basis: SpectralBasis
     alpha: float
-    op: Operator
+    phases: np.ndarray  # e^{-iπmα/2} for m = 0..d-1
+
+    @cached_property
+    def op(self) -> Operator:
+        """The dense kernel V·diag(phases)·Vᵀ, built on first read."""
+        vecs = self.basis.vectors
+        mat = (vecs * self.phases[None, :]) @ vecs.T
+        return Operator(self.basis.lattice, mat)
 
 
 def frft_kernel(basis: SpectralBasis, alpha: float) -> FrftKernel:
     """Order-α kernel for the given eigenbasis, cached per (basis, α).
 
-    A NaN or infinite order is refused, so no such key enters the cache.
+    A first request returns a kernel without its dense matrix; a repeated
+    request returns the same object with the matrix built.  A NaN or
+    infinite order is refused, so no such key enters the cache.
     """
     key = float(alpha)
-    cached = basis._kernel_cache.get(key)
-    if cached is not None:
-        return cached
+    cache = basis._kernel_cache
+    kern = cache.get(key)
+    if kern is not None:
+        cache.move_to_end(key)
+        kern.op  # a repeated order pays for the dense build once
+        return kern
     if not math.isfinite(key):
         raise ValueError(f"transform order must be finite, got {alpha}")
-    d = basis.lattice.d
-    phases = np.exp(-0.5j * np.pi * key * np.arange(d))
-    vecs = basis.vectors
-    mat = (vecs * phases[None, :]) @ vecs.T
-    kern = FrftKernel(basis=basis, alpha=key, op=Operator(basis.lattice, mat))
-    basis._kernel_cache[key] = kern
+    phases = np.exp(-0.5j * np.pi * key * np.arange(basis.lattice.d))
+    kern = FrftKernel(basis=basis, alpha=key, phases=phases)
+    cache[key] = kern
+    if len(cache) > CACHE_SIZE:
+        cache.popitem(last=False)
     return kern
 
 
 def apply_frft(kernel: FrftKernel, sig: Signal) -> Signal:
-    if sig.lattice != kernel.basis.lattice:
+    lat = kernel.basis.lattice
+    if sig.lattice != lat:
         raise ValueError("signal belongs to a different lattice")
-    return kernel.op.apply(sig)
+    op = kernel.__dict__.get("op")
+    if op is not None:
+        return Signal(lat, op.mat @ sig.amp)
+    # Two real products on the (d, 2) float view of the complex signal: a
+    # complex matmul would upcast V to a complex copy on every call.
+    vecs = kernel.basis.vectors
+    x = np.ascontiguousarray(sig.amp, dtype=complex).view(np.float64).reshape(-1, 2)
+    coef = (vecs.T @ x).view(complex).ravel() * kernel.phases
+    out = vecs @ coef.view(np.float64).reshape(-1, 2)
+    return Signal(lat, out.view(complex).ravel())
 
 
 def rectangular_signal(lat) -> Signal:

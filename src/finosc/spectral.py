@@ -17,6 +17,8 @@ precision can resolve it.  Any mismatch raises; there is no quiet fallback.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from .lattice import Lattice, Operator, Signal
@@ -163,7 +165,7 @@ class SpectralBasis:
         self.alternations = alternations
         self.parities = parities
         self.fourier_indices = fourier_indices
-        self._kernel_cache = {}
+        self._kernel_cache = OrderedDict()  # LRU of FRFT kernels, see frft.py
 
     def vector(self, m: int) -> Signal:
         if not 0 <= m < self.lattice.d:

@@ -974,6 +974,28 @@ def _chk_kernel_laws(ctx):
     return f"unitary, additive, 4-periodic ({max(worst_u, worst_a):.1e})"
 
 
+def _chk_factored_apply(ctx):
+    # a copy of each basis with an empty cache, so every first request
+    # takes the factored path that a shared basis may already have passed
+    sig = ctx.random_signal()
+    signals = (sig, Signal(ctx.lat, sig.amp.real.copy()))
+    worst = 0.0
+    for b in (ctx.frame_basis, ctx.harper_basis):
+        fresh = spectral.SpectralBasis(
+            b.lattice, b.kind, b.values, b.vectors, b.alternations,
+            b.parities, b.fourier_indices,
+        )
+        for alpha in (-1.3, 0.37, 2.5, 5.1):
+            kern = frft.frft_kernel(fresh, alpha)
+            _require("op" not in kern.__dict__, f"order {alpha} built a dense kernel")
+            outs = [frft.apply_frft(kern, x).amp for x in signals]
+            for x, out in zip(signals, outs):
+                dev = float(np.linalg.norm(out - kern.op.mat @ x.amp))
+                worst = max(worst, dev / x.norm())
+    _require(worst < 1e-13, f"factored apply off by {worst:.2e} relative")
+    return f"V·(phases ⊙ Vᵀx) equals K·x on a cache miss ({worst:.1e})"
+
+
 def _chk_kernel_on_gaussian(ctx):
     tg = theta_gaussian(ctx.lat, 10.0)
     sig = Signal(ctx.lat, tg.amp.astype(complex))
@@ -1031,6 +1053,7 @@ _BASES = (5, 51)
 _FRAME = (5, 101)
 _BRUTE = (5, 33)
 _HEADLINE = (11, 51)
+_KERNEL = (5, reference.MAX_HERMITE_ORDER + 1)  # every size a basis exists at
 
 _CHECKS = [
     ("lattice: size validation", _chk_lattice_reject, _ALL),
@@ -1087,6 +1110,7 @@ _CHECKS = [
     ("reference: oracle at order 0", _chk_frft_oracle_identity, _ALL),
     ("reference: oracle Fourier laws", _chk_frft_oracle_fourier, _ALL),
     ("frft: kernel group laws", _chk_kernel_laws, _BASES),
+    ("frft: factored apply matches the kernel", _chk_factored_apply, _KERNEL),
     ("frft: kernel Gaussian action", _chk_kernel_on_gaussian, _BASES),
     ("frft: rectangular test signal", _chk_rectangular_signal, _ALL),
     ("frft: comparative accuracy", _chk_comparative_accuracy, _HEADLINE),

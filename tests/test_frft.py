@@ -5,13 +5,17 @@ import pytest
 
 from finosc import (
     Signal,
+    SpectralBasis,
     apply_frft,
     dft_operator,
+    frame_hamiltonian,
     frft_kernel,
     harper_hamiltonian,
+    make_lattice,
     oscillator_basis,
     rectangular_signal,
 )
+from finosc.frft import CACHE_SIZE
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.7, 2.9])
@@ -114,3 +118,87 @@ def test_half_turn_energy_is_preserved(frame_basis21, harper_basis21, lat21):
         assert np.linalg.norm(out.amp) == pytest.approx(
             np.linalg.norm(sig.amp), abs=1e-12
         )
+
+
+# ---------------------------------------------------------------- cache and factored apply
+
+def _fresh_harper_basis(lat):
+    return oscillator_basis(harper_hamiltonian(lat), lat, "harper")
+
+
+def test_first_request_builds_no_dense_matrix(lat21):
+    kern = frft_kernel(_fresh_harper_basis(lat21), 0.3)
+    assert "op" not in kern.__dict__
+
+
+def test_second_request_returns_the_same_kernel_with_its_matrix(lat21):
+    basis = _fresh_harper_basis(lat21)
+    first = frft_kernel(basis, 0.3)
+    second = frft_kernel(basis, 0.3)
+    assert second is first
+    assert "op" in first.__dict__
+
+
+def test_cache_keeps_the_last_eight_orders(lat21):
+    basis = _fresh_harper_basis(lat21)
+    orders = [0.1 * k - 2.0 for k in range(50)]
+    for alpha in orders:
+        frft_kernel(basis, alpha)
+    assert CACHE_SIZE == 8
+    assert list(basis._kernel_cache) == orders[-CACHE_SIZE:]
+
+
+def test_a_hit_keeps_its_order_from_eviction(lat21):
+    basis = _fresh_harper_basis(lat21)
+    for k in range(CACHE_SIZE):
+        frft_kernel(basis, 0.1 * k)
+    frft_kernel(basis, 0.0)  # now the most recently used
+    frft_kernel(basis, 5.0)  # evicts order 0.1, the least recently used
+    assert 0.0 in basis._kernel_cache
+    assert 0.1 not in basis._kernel_cache
+    assert len(basis._kernel_cache) == CACHE_SIZE
+
+
+def test_an_evicted_order_comes_back_equal(lat21):
+    basis = _fresh_harper_basis(lat21)
+    first = frft_kernel(basis, 0.37)
+    mat = first.op.mat
+    for k in range(CACHE_SIZE):
+        frft_kernel(basis, 1.0 + 0.1 * k)
+    assert 0.37 not in basis._kernel_cache
+    again = frft_kernel(basis, 0.37)
+    assert again is not first
+    assert np.max(np.abs(again.op.mat - mat)) < 1e-13
+
+
+@pytest.fixture(scope="module")
+def bases_by_size():
+    out = {}
+    for d in (5, 21, 151, 301):
+        lat = make_lattice(d)
+        out[d] = {
+            "frame": oscillator_basis(frame_hamiltonian(lat).op, lat, "frame"),
+            "harper": oscillator_basis(harper_hamiltonian(lat), lat, "harper"),
+        }
+    return out
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+@pytest.mark.parametrize("d", [5, 21, 151, 301])
+def test_factored_apply_matches_the_dense_kernel(bases_by_size, d, kind):
+    shared = bases_by_size[d][kind]
+    rng = np.random.default_rng(d)
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    signals = [Signal(shared.lattice, z), Signal(shared.lattice, z.real.copy())]
+    for alpha in (-1.3, 0.0, 0.37, 1.0, 2.5, 5.1):
+        # a basis with an empty cache, so the first request is a miss
+        basis = SpectralBasis(
+            shared.lattice, shared.kind, shared.values, shared.vectors,
+            shared.alternations, shared.parities, shared.fourier_indices,
+        )
+        kern = frft_kernel(basis, alpha)
+        outs = [apply_frft(kern, x).amp for x in signals]
+        assert "op" not in kern.__dict__
+        for x, out in zip(signals, outs):
+            want = kern.op.mat @ x.amp
+            assert np.linalg.norm(out - want) < 1e-13 * np.linalg.norm(x.amp)
