@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from finosc import (
+    SpectralBasis,
     coherent_frame,
     frame_hamiltonian,
     harper_hamiltonian,
@@ -55,3 +56,9 @@ def naive_dft(d):
     s = (d - 1) // 2
     idx = np.arange(-s, s + 1)
     return np.exp(-2.0j * np.pi * np.outer(idx, idx) / d) / np.sqrt(d)
+
+
+def empty_cache_copy(basis):
+    """The same basis with no cached transform kernels."""
+    return SpectralBasis(basis.lattice, basis.kind, basis.values, basis.vectors,
+                         basis.alternations, basis.parities, basis.fourier_indices)

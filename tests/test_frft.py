@@ -5,7 +5,6 @@ import pytest
 
 from finosc import (
     Signal,
-    SpectralBasis,
     apply_frft,
     dft_operator,
     frame_hamiltonian,
@@ -16,6 +15,8 @@ from finosc import (
     rectangular_signal,
 )
 from finosc.frft import CACHE_SIZE
+
+from conftest import empty_cache_copy
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.7, 2.9])
@@ -191,11 +192,7 @@ def test_factored_apply_matches_the_dense_kernel(bases_by_size, d, kind):
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     signals = [Signal(shared.lattice, z), Signal(shared.lattice, z.real.copy())]
     for alpha in (-1.3, 0.0, 0.37, 1.0, 2.5, 5.1):
-        # a basis with an empty cache, so the first request is a miss
-        basis = SpectralBasis(
-            shared.lattice, shared.kind, shared.values, shared.vectors,
-            shared.alternations, shared.parities, shared.fourier_indices,
-        )
+        basis = empty_cache_copy(shared)  # so the first request is a miss
         kern = frft_kernel(basis, alpha)
         outs = [apply_frft(kern, x).amp for x in signals]
         assert "op" not in kern.__dict__

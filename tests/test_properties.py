@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from finosc import (  # noqa: E402
     Signal,
-    SpectralBasis,
     apply_frft,
     dft_operator,
     frame_hamiltonian,
@@ -23,6 +22,8 @@ from finosc import (  # noqa: E402
     make_lattice,
     oscillator_basis,
 )
+
+from conftest import empty_cache_copy  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -44,13 +45,6 @@ def _basis(d, kind):
     return oscillator_basis(h, lat, kind)
 
 
-def _fresh_basis(d, kind):
-    """The cached basis with an empty kernel cache."""
-    b = _basis(d, kind)
-    return SpectralBasis(b.lattice, b.kind, b.values, b.vectors,
-                         b.alternations, b.parities, b.fourier_indices)
-
-
 def _signal(lat, seed):
     rng = np.random.default_rng(seed)
     return Signal(lat, rng.standard_normal(lat.d) + 1j * rng.standard_normal(lat.d))
@@ -63,7 +57,7 @@ def _frft(basis, alpha, sig):
 @SETTINGS
 @given(d=sizes, kind=kinds, a=orders, b=orders, seed=seeds)
 def test_orders_add(d, kind, a, b, seed):
-    basis = _fresh_basis(d, kind)
+    basis = empty_cache_copy(_basis(d, kind))
     x = _signal(basis.lattice, seed)
     lhs = _frft(basis, a, _frft(basis, b, x)).amp
     rhs = _frft(basis, a + b, x).amp
@@ -73,7 +67,7 @@ def test_orders_add(d, kind, a, b, seed):
 @SETTINGS
 @given(d=sizes, kind=kinds, a=orders, seed=seeds)
 def test_norm_is_preserved(d, kind, a, seed):
-    basis = _fresh_basis(d, kind)
+    basis = empty_cache_copy(_basis(d, kind))
     x = _signal(basis.lattice, seed)
     assert abs(_frft(basis, a, x).norm() - x.norm()) < 1e-13 * x.norm()
 
@@ -81,7 +75,7 @@ def test_norm_is_preserved(d, kind, a, seed):
 @SETTINGS
 @given(d=sizes, kind=kinds, seed=seeds)
 def test_order_one_is_the_centred_dft(d, kind, seed):
-    basis = _fresh_basis(d, kind)
+    basis = empty_cache_copy(_basis(d, kind))
     x = _signal(basis.lattice, seed)
     want = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(x.amp))) / np.sqrt(d)
     assert np.linalg.norm(_frft(basis, 1.0, x).amp - want) < 1e-12 * x.norm()
@@ -90,7 +84,7 @@ def test_order_one_is_the_centred_dft(d, kind, seed):
 @SETTINGS
 @given(d=sizes, kind=kinds, a=orders, seed=seeds)
 def test_factored_apply_equals_dense_apply(d, kind, a, seed):
-    basis = _fresh_basis(d, kind)
+    basis = empty_cache_copy(_basis(d, kind))
     x = _signal(basis.lattice, seed)
     kern = frft_kernel(basis, a)
     factored = apply_frft(kern, x).amp
