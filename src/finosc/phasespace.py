@@ -13,12 +13,15 @@ products, never reduced.  They compose up to a phase,
 exactly as written whenever the index sums stay in range (wrapping the sum
 costs an extra sign, recorded in the tests).  Applying all d² displacements to
 the ground state g yields the coherent family |α,β⟩ = D(α,β)·g, a tight frame:
-(1/d)·Σ |α,β⟩⟨α,β| = 1, with the Fourier covariance F|α,β⟩ = |β,-α⟩.
+(1/d)·Σ |α,β⟩⟨α,β| = 1, with the Fourier covariance F|α,β⟩ = |β,-α⟩.  The
+family is stored as g alone: each state has a closed form computed in O(d),
+and the dense d²×d array is built only when a brute-force oracle reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,27 +84,54 @@ def displacement(lat: Lattice, p: PhasePoint) -> Operator:
     return Operator(lat, mat)
 
 
-class CoherentFrame:
-    """All d² coherent states |α,β⟩ = D(α,β)·g, cached as one dense array.
+def _coherent_amplitudes(lat: Lattice, g: np.ndarray, a, b) -> np.ndarray:
+    """|a,b⟩[n] = e^{-iπab/d}·e^{2πi·b·n/d}·g(n - a), broadcast over (a, b).
 
-    ``states[p]`` holds the amplitude vector of the state at flat index
-    p = (a + s)·d + (b + s); the row order is the deterministic row-major
-    sweep used by every quantization sum.
+    ``a`` and ``b`` are integer index arrays (or scalars) that broadcast
+    together; the grid index n runs along a new last axis.  The integer
+    products a·b and b·n are formed before any float arithmetic, so a single
+    state and a row of the dense sweep come out bit for bit the same.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    n = lat.indices
+    half = np.exp(-1j * np.pi * (a * b) / lat.d)  # e^{-iαβ/2} = e^{-iπab/d}
+    mod = np.exp(2j * np.pi * (b[..., None] * n) / lat.d)  # e^{2πi b n/d}
+    shifted = g[lat.pos(n - a[..., None])]  # g((n - a)√δ)
+    return half[..., None] * mod * shifted
+
+
+class CoherentFrame:
+    """The d² coherent states |α,β⟩ = D(α,β)·g, held as their ground state.
+
+    ``state(p)`` computes one state in O(d) from the closed form.  The dense
+    ``states`` array is built on first read and kept: row p holds the state
+    at flat index p = (a + s)·d + (b + s), the deterministic row-major sweep
+    used by every quantization sum.  It costs d³ complex numbers, so only
+    the brute-force oracles (``frame_quantize``, ``frame_operator``) and
+    small-grid checks read it.
     """
 
-    __slots__ = ("lattice", "ground", "states")
-
-    def __init__(self, lattice: Lattice, ground: GroundState, states: np.ndarray):
+    def __init__(self, lattice: Lattice, ground: GroundState):
         self.lattice = lattice
         self.ground = ground
-        self.states = states
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        idx = self.lattice.indices
+        amps = _coherent_amplitudes(
+            self.lattice, self.ground.amp, idx[:, None], idx[None, :]
+        )
+        return amps.reshape(self.lattice.d**2, self.lattice.d)
 
     def flat_index(self, p: PhasePoint) -> int:
         s = self.lattice.s
         return (p.a_idx + s) * self.lattice.d + (p.b_idx + s)
 
     def state(self, p: PhasePoint) -> Signal:
-        return Signal(self.lattice, self.states[self.flat_index(p)])
+        if p.lattice != self.lattice:
+            raise ValueError("phase point belongs to a different lattice")
+        amp = _coherent_amplitudes(self.lattice, self.ground.amp, p.a_idx, p.b_idx)
+        return Signal(self.lattice, amp)
 
     def iter_points(self):
         s = self.lattice.s
@@ -110,27 +140,17 @@ class CoherentFrame:
                 yield PhasePoint(lattice=self.lattice, a_idx=a, b_idx=b)
 
     def frame_operator(self) -> Operator:
-        """S = (1/d)·Σ_p |p⟩⟨p|; equals the identity for a tight frame."""
+        """S = (1/d)·Σ_p |p⟩⟨p|; equals the identity for a tight frame.
+
+        A brute-force oracle: it reads the dense ``states`` array.
+        """
         S = np.einsum("pn,pm->nm", self.states, self.states.conj())
         return Operator(self.lattice, S / self.lattice.d)
 
 
 def coherent_frame(lat: Lattice) -> CoherentFrame:
-    """Build the full coherent family from the ground state.
-
-    |α,β⟩[n] = e^{-iαβ/2}·e^{2πi·b·n/d}·g((n-a)√δ), built in one vectorized
-    sweep over (a, b).
-    """
-    g = ground_state(lat)
-    d, s = lat.d, lat.s
-    idx = lat.indices
-    # shifted[a, n] = g((n - a)√δ)
-    shifted = g.amp[lat.pos(idx[None, :] - idx[:, None])]
-    # half-phase e^{-iαβ/2} = e^{-iπab/d}; modulation e^{2πi b n/d}
-    half = np.exp(-1j * np.pi * np.outer(idx, idx) / d)  # [a, b]
-    mod = np.exp(2j * np.pi * np.outer(idx, idx) / d)  # [b, n]
-    states = half[:, :, None] * mod[None, :, :] * shifted[:, None, :]
-    return CoherentFrame(lat, g, states.reshape(d * d, d))
+    """The coherent family of ``lat``, stored as its ground state."""
+    return CoherentFrame(lat, ground_state(lat))
 
 
 def overlap(frame: CoherentFrame, p1: PhasePoint, p2: PhasePoint) -> complex:

@@ -12,10 +12,13 @@ That Hamiltonian never needs the d² projectors: it reduces exactly to
 
     H = -(1/2)·I + diag(w/2) + F⁺·diag(w/2)·F,  w = q² ∗ g²  (cyclic),
 
-a diagonal well plus a circulant hop matrix, computable in O(d²).  The same
-reduction yields the hop coefficients τ_k and well samples ω_k, which are
-compared against the circulant with exactly equidistant spectrum to bound
-how far the oscillator eigenvalues can drift from 1..d (Wielandt-Hoffman).
+a diagonal well plus a circulant hop matrix.  The hop matrix is fixed by
+the d numbers τ_k = (F·w)_k / (2√d), the well by ω_k = τ_0 + w(k)/2, so H is
+assembled from them directly in O(d²), entry (n, m) being τ at the cyclic
+distance of n and m off the diagonal and ω_{|n|} - 1/2 on it.  The same
+coefficients are compared against the circulant with exactly equidistant
+spectrum to bound how far the oscillator eigenvalues can drift from 1..d
+(Wielandt-Hoffman).
 
 The raising operator quantizes (α - iβ)/√2; iterating it from the ground
 state builds the ladder family of approximate eigenvectors.
@@ -53,8 +56,9 @@ def raising_symbol() -> PhaseSymbol:
 def frame_quantize(frame: CoherentFrame, symbol: PhaseSymbol) -> Operator:
     """A_f = (1/d) Σ_p f(α_p, β_p) |p⟩⟨p|, by direct projector average.
 
-    Deliberately brute force, O(d³) in memory traffic: this is the
-    reference definition the fast constructions are checked against.
+    Deliberately brute force, O(d³) in memory and work: it reads the dense
+    ``frame.states``.  This is the reference definition the fast
+    constructions are checked against.
     """
     lat = frame.lattice
     weights = np.empty(lat.d * lat.d, dtype=complex)
@@ -70,9 +74,10 @@ class FrameHamiltonian:
     """Discrete oscillator with its circulant-plus-diagonal decomposition.
 
     ``conv`` is the cyclic convolution w = q² ∗ g²; ``tau[k]`` (k = 0..s)
-    are the hop coefficients, entry (n, m) of the hop part being
+    are the hop coefficients, entry (n, m) of H off the diagonal being
     τ_{min(|n-m|, d-|n-m|)}; ``omega[k]`` = τ_0 + w(k)/2 samples the well,
-    the diagonal of H being ω_{|n|} - 1/2.
+    the diagonal of H being ω_{|n|} - 1/2.  ``op`` is that real matrix,
+    exactly symmetric and centro-symmetric.
     """
 
     lattice: Lattice
@@ -93,19 +98,22 @@ def frame_hamiltonian(lat: Lattice) -> FrameHamiltonian:
     diff = lat.indices[:, None] - lat.indices[None, :]
     conv = (g2[(diff + lat.s) % d] * q2[None, :]).sum(axis=1)
 
-    fmat = dft_operator(lat).mat
-    half = Signal(lat, 0.5 * conv)
-    hop = fmat.conj().T @ np.diag(half.amp) @ fmat
-    mat = np.diag(half.amp - 0.5) + hop
-    op = Operator(lat, mat)
-
-    tau_full = (fmat @ conv) / (2.0 * np.sqrt(d))
+    tau_full = (dft_operator(lat).mat @ conv) / (2.0 * np.sqrt(d))
     if float(np.max(np.abs(tau_full.imag))) > 1e-10 * max(
         1.0, float(np.max(np.abs(tau_full.real)))
     ):
         raise ArithmeticError("hop coefficients should be real for an even well")
-    tau = tau_full.real[lat.pos(np.arange(lat.s + 1))].copy()
-    omega = tau[0] + 0.5 * conv[lat.pos(np.arange(lat.s + 1))]
+    k = np.arange(lat.s + 1)
+    tau = tau_full.real[lat.pos(k)]
+    omega = tau[0] + 0.5 * conv[lat.pos(k)]
+
+    # entry (n, m) is τ at the cyclic distance of n and m, and ω_{|n|} - 1/2
+    # on the diagonal; both depend on |n - m| and |n| only, so the matrix is
+    # exactly symmetric and centro-symmetric
+    dist = np.abs(diff)
+    mat = tau[np.minimum(dist, d - dist)]
+    np.fill_diagonal(mat, omega[np.abs(lat.indices)] - 0.5)
+    op = Operator(lat, mat)
     return FrameHamiltonian(
         lattice=lat, op=op, conv=Signal(lat, conv), tau=tau, omega=omega
     )

@@ -238,7 +238,9 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     if hmat.shape != (d, d):
         raise ValueError("matrix size does not match the lattice")
     fmat = dft_operator(lat).mat
-    comm = float(np.linalg.norm(fmat @ hmat - hmat @ fmat))
+    # F and H are both symmetric, so HF = (FH)ᵀ and FH - HF = X - Xᵀ
+    x = fmat @ hmat
+    comm = float(np.linalg.norm(x - x.T))
     if comm > 1e-9 * max(1.0, float(np.linalg.norm(hmat))):
         raise ValueError(
             f"matrix does not commute with the Fourier operator "

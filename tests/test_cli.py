@@ -194,6 +194,31 @@ def test_unsupported_grid_is_refused_before_any_work(capsys, monkeypatch, comman
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [("table1",), ("compare", "--d", "21")])
+def test_commands_never_build_the_dense_frame(capsys, monkeypatch, argv):
+    frames = []
+    build = cli.coherent_frame
+
+    def recording(lat):
+        frames.append(build(lat))
+        return frames[-1]
+
+    monkeypatch.setattr(cli, "coherent_frame", recording)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(frames) == 1
+    assert "states" not in frames[0].__dict__
+
+
+def test_table1_runs_far_past_the_basis_limit(capsys):
+    # 16 states of a d = 1001 frame; the dense family would be 16 GB
+    code, out, err = run_cli(capsys, "table1", "--d", "1001")
+    assert code == 0
+    header, rows = csv_rows(out)
+    assert header == ["alpha_idx", "beta_idx", "deviation"]
+    assert len(rows) == 16
+
+
 def test_svg_output_shape(capsys):
     code, out, err = run_cli(capsys, "frft", "--format", "svg")
     assert code == 0

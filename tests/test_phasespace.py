@@ -105,6 +105,26 @@ def test_frame_states_and_indexing(lat21):
             break
 
 
+@pytest.mark.parametrize("d", [5, 21])
+def test_single_state_is_bit_identical_to_the_dense_row(d):
+    fr = coherent_frame(make_lattice(d))
+    for p in fr.iter_points():
+        assert np.array_equal(fr.state(p).amp, fr.states[fr.flat_index(p)])
+
+
+def test_dense_states_are_built_on_first_read_and_kept(lat7):
+    fr = coherent_frame(lat7)
+    assert "states" not in fr.__dict__
+    first = fr.states
+    assert "states" in fr.__dict__
+    assert fr.states is first
+
+
+def test_state_rejects_foreign_points(lat5, lat7):
+    with pytest.raises(ValueError):
+        coherent_frame(lat7).state(phase_point(lat5, 0, 0))
+
+
 def test_states_match_displacement_matrices(lat7):
     fr = coherent_frame(lat7)
     g = ground_state(lat7).amp

@@ -7,13 +7,17 @@ from finosc import (
     Signal,
     coherent_expectation,
     coherent_frame,
+    coordinate_signal,
+    dft_operator,
     eigh,
     frame_hamiltonian,
     frame_quantize,
+    ground_state,
     harmonic_symbol,
     ladder_states,
     make_lattice,
     oscillator_basis,
+    overlap,
     phase_point,
     raising_operator,
     raising_symbol,
@@ -37,9 +41,12 @@ def test_fast_hamiltonian_matches_projector_average(d):
 
 
 def test_hamiltonian_is_real_symmetric(frame21):
+    # H is assembled from τ and ω, which depend on |n - m| and |n| only, so
+    # symmetry and centro-symmetry hold exactly
     H = frame21.op.mat
-    assert np.max(np.abs(H.imag)) < 1e-13
-    assert np.max(np.abs(H - H.T)) < 1e-13
+    assert H.dtype == np.float64
+    assert np.array_equal(H, H.T)
+    assert np.array_equal(H, H[::-1, ::-1])
 
 
 def test_hop_and_well_decomposition_rebuilds_the_matrix(frame21):
@@ -55,6 +62,21 @@ def test_hop_and_well_decomposition_rebuilds_the_matrix(frame21):
             else:
                 rebuilt[lat.pos(n), lat.pos(m)] = frame21.tau[dist]
     assert np.max(np.abs(rebuilt - frame21.op.mat.real)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [5, 21, 101, 301])
+def test_frame_hamiltonian_equals_the_fourier_form(d):
+    # oracle: H = -I/2 + diag(w/2) + F⁺·diag(w/2)·F with the cyclic
+    # convolution w = q² ∗ g² recomputed here from its definition
+    lat = make_lattice(d)
+    g2 = ground_state(lat).amp ** 2
+    q2 = coordinate_signal(lat).amp ** 2
+    idx = lat.indices
+    w = np.array([np.dot(q2, g2[lat.pos(k - idx)]) for k in idx])
+    F = dft_operator(lat).mat
+    oracle = -0.5 * np.eye(d) + np.diag(w / 2) + F.conj().T @ np.diag(w / 2) @ F
+    H = frame_hamiltonian(lat).op.mat
+    assert np.linalg.norm(H - oracle) <= 1e-12 * np.linalg.norm(H)
 
 
 def test_central_hop_coefficient_closed_form():
@@ -149,6 +171,17 @@ def test_ladder_starts_at_the_ground_and_recurses(lat21):
     for n in range(5):
         want = ap @ states[n].amp / np.sqrt(n + 1.0)
         assert np.max(np.abs(states[n + 1].amp - want)) < 1e-14
+
+
+def test_ground_state_readers_never_build_the_dense_frame(lat21):
+    frame = coherent_frame(lat21)
+    fh = frame_hamiltonian(lat21)
+    p1, p2 = phase_point(lat21, 3, -2), phase_point(lat21, -7, 5)
+    ladder_states(frame, lat21.d)
+    overlap(frame, p1, p2)
+    coherent_expectation(fh, frame, p1)
+    frame.state(p2)
+    assert "states" not in frame.__dict__
 
 
 def test_ladder_count_bounds(lat5):

@@ -33,3 +33,12 @@ def test_suite_is_green_at_51():
     passed, failed = run_suite([51], emit=lines.append)
     assert failed == 0, [line for line in lines if line.startswith("FAIL")]
     assert passed == len(lines)
+
+
+def test_suite_is_green_at_151_and_301():
+    # the Fourier and displacement bounds grow with d by a rounding model;
+    # with fixed bounds, 2 checks failed at d = 151 and 3 at d = 301
+    lines = []
+    passed, failed = run_suite([151, 301], emit=lines.append)
+    assert failed == 0, [line for line in lines if line.startswith("FAIL")]
+    assert passed == len(lines)
