@@ -50,7 +50,9 @@ def test_hamiltonian_is_real_symmetric(frame21):
 
 
 def test_hop_and_well_decomposition_rebuilds_the_matrix(frame21):
-    # entry (n, m) = τ_{cyclic distance} off the diagonal, ω_{|n|} - 1/2 on it
+    # entry (n, m) = τ_{cyclic distance} off the diagonal, ω_{|n|} - 1/2 on it;
+    # frame_hamiltonian assembles H this way, so this guards the assembly and
+    # test_frame_hamiltonian_equals_the_fourier_form is the independent check
     lat = frame21.lattice
     d = lat.d
     rebuilt = np.empty((d, d))
