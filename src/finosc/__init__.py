@@ -5,8 +5,9 @@ transform, periodized Gaussians and the coherent tight frame they generate,
 the frame-quantized oscillator Hamiltonian with its circulant structure, the
 Harper finite-difference oscillator, labeled eigenbases for both, and the
 fractional Fourier transforms those bases define, together with continuous
-references (Hermite functions, a quadrature fractional transform) used to
-measure how close the discrete constructions come to the line.
+references (Hermite functions, a fractional transform from exact Hermite
+coefficients) used to measure how close the discrete constructions come to
+the line.
 """
 
 from .fourier import (
@@ -56,6 +57,8 @@ from .quantize import (
 )
 from .reference import (
     DeviationReport,
+    GaussianProfile,
+    RectangularProfile,
     coherent_deviation_table,
     continuous_frft_oracle,
     deviation_report,
@@ -93,11 +96,13 @@ __all__ = [
     "FourierProjectors",
     "FrameHamiltonian",
     "FrftKernel",
+    "GaussianProfile",
     "GroundState",
     "Lattice",
     "Operator",
     "PhasePoint",
     "PhaseSymbol",
+    "RectangularProfile",
     "Signal",
     "SpectralBasis",
     "ThetaGaussian",

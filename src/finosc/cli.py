@@ -7,7 +7,7 @@ Five subcommands cover everything the library computes:
     spectrum  labeled eigenvalues of one oscillator (frame or Harper)
     compare   per-level deviations of the four discrete eigenfunction families
     frft      fractional transform of a test signal, optionally with the
-              continuous quadrature reference alongside
+              continuous reference alongside
 
 Tables are emitted as CSV (17 significant digits, header row) or as a minimal
 800×500 SVG polyline plot.  Output goes to stdout unless --out is given, in
@@ -252,7 +252,7 @@ def cmd_frft(cfg) -> int:
         header += ["out_re", "out_im"]
         cols += [outs[methods[0]].real, outs[methods[0]].imag]
     if cfg.oracle:
-        # the quadrature reference carries the sampling factor ⁴√δ; divide it
+        # the continuous reference carries the sampling factor ⁴√δ; divide it
         # out so the columns are directly comparable with the transform
         ref = continuous_frft_oracle(profile, cfg.alpha, lat).amp / lat.delta**0.25
         header += ["oracle_re", "oracle_im"]
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="append continuous quadrature reference columns",
+        help="append continuous reference columns (Hermite expansion to order 63)",
     )
     p.set_defaults(fn=cmd_frft)
     return parser

@@ -1,5 +1,5 @@
 """Continuous-line references: Hermite-Gaussians, their periodizations, and
-a quadrature fractional Fourier oracle.
+a fractional Fourier oracle from exact Hermite coefficients.
 
 The continuous eigenfunctions are the Hermite-Gaussians Ψ_m, generated by the
 normalized three-term recurrence
@@ -14,12 +14,14 @@ unit L²(ℝ) norm to approximately unit ℓ² norm on the grid.
 The periodized samples Φ_m(n) = Σ_ℓ Ψ_m((ℓd+n)√δ) give the classical
 approximate Fourier eigenvectors; Φ_0 equals π^(-1/4)·𝐠₁ term by term.
 
-The fractional transform oracle expands a line function in the Ψ_m basis by
-trapezoid quadrature and applies the continuous eigenphases e^{-iπmα/2}.
+The fractional transform oracle expands a line profile in the Ψ_m basis,
+with coefficients ⟨Ψ_m, ψ⟩ the profile gives in closed form, and applies the
+continuous eigenphases e^{-iπmα/2}.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +30,6 @@ from .lattice import Lattice, Signal
 from .phasespace import CoherentFrame, PhasePoint
 
 MAX_HERMITE_ORDER = 300
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _hermite_all(mmax: int, x: np.ndarray) -> np.ndarray:
@@ -181,55 +181,95 @@ def deviation_report(lat: Lattice, frame_basis, harper_basis, ladder) -> Deviati
     )
 
 
-def gaussian_profile(kappa: float):
+@dataclass(frozen=True)
+class GaussianProfile:
+    """The line Gaussian e^{-κx²/2}; calling it samples the profile.
+
+    Its Hermite coefficients vanish at odd order and, with r = (1-κ)/(1+κ),
+
+        c_0 = π^{1/4}·√(2/(1+κ)),      c_m = c_{m-2}·r·√((m-1)/m).
+    """
+
+    kappa: float
+
+    def __call__(self, x):
+        return np.exp(-0.5 * self.kappa * np.asarray(x, dtype=float) ** 2)
+
+    def coefficients(self, M: int) -> np.ndarray:
+        """⟨Ψ_m, ψ⟩ for m = 0..M-1."""
+        c = np.zeros(M)
+        c[0] = np.pi**0.25 * math.sqrt(2.0 / (1.0 + self.kappa))
+        r = (1.0 - self.kappa) / (1.0 + self.kappa)
+        for m in range(2, M, 2):
+            c[m] = c[m - 2] * r * math.sqrt((m - 1) / m)
+        return c
+
+
+@dataclass(frozen=True)
+class RectangularProfile:
+    """Indicator of [-h, h]; calling it samples the profile.
+
+    Its Hermite coefficients I_m = ∫_{-h}^{h} Ψ_m vanish at odd order.
+    Integrating Ψ_m' = √(m/2)·Ψ_{m-1} - √((m+1)/2)·Ψ_{m+1} over [-h, h] gives,
+    for odd m,
+
+        I_0     = π^{-1/4}·√(2π)·erf(h/√2),
+        I_{m+1} = √(m/(m+1))·I_{m-1} - √(2/(m+1))·2Ψ_m(h).
+    """
+
+    half_width: float
+
+    def __call__(self, x):
+        return np.where(np.abs(np.asarray(x, dtype=float)) <= self.half_width, 1.0, 0.0)
+
+    def coefficients(self, M: int) -> np.ndarray:
+        """⟨Ψ_m, ψ⟩ for m = 0..M-1."""
+        h = self.half_width
+        edge = _hermite_all(M - 1, np.array([h]))[:, 0]
+        c = np.zeros(M)
+        c[0] = np.pi**-0.25 * math.sqrt(2.0 * np.pi) * math.erf(h / math.sqrt(2.0))
+        for m in range(1, M - 1, 2):
+            c[m + 1] = (
+                math.sqrt(m / (m + 1)) * c[m - 1] - math.sqrt(2.0 / (m + 1)) * 2.0 * edge[m]
+            )
+        return c
+
+
+def gaussian_profile(kappa: float) -> GaussianProfile:
     """The line Gaussian e^{-κx²/2}, the continuous twin of the width-κ
     periodic Gaussian (which is exactly its wrap sum)."""
     if kappa <= 0.0:
         raise ValueError(f"width parameter must be positive, got {kappa}")
-    return lambda x: np.exp(-0.5 * kappa * np.asarray(x, dtype=float) ** 2)
+    return GaussianProfile(float(kappa))
 
 
-def rectangular_profile(lat: Lattice):
+def rectangular_profile(lat: Lattice) -> RectangularProfile:
     """Indicator of [-3√δ/2, 3√δ/2]: samples to 1 exactly on n ∈ {-1,0,1},
     the continuous twin of the three-point rectangular grid signal."""
-    half_width = 1.5 * lat.sqrt_delta
-    return lambda x: np.where(
-        np.abs(np.asarray(x, dtype=float)) <= half_width, 1.0, 0.0
-    )
+    return RectangularProfile(1.5 * lat.sqrt_delta)
 
 
-def continuous_frft_oracle(
-    psi,
-    alpha: float,
-    lat: Lattice,
-    M: int = 64,
-    x_max: float = 12.0,
-    step: float = 1e-3,
-) -> Signal:
-    """Continuous fractional Fourier transform of ``psi``, sampled and scaled.
+def continuous_frft_oracle(psi, alpha: float, lat: Lattice, M: int = 64) -> Signal:
+    """Continuous fractional Fourier transform of the profile ``psi``, sampled
+    and scaled.
 
-    Expands psi over Ψ_0..Ψ_{M-1} by trapezoid quadrature on [-x_max, x_max]
-    and applies the eigenphases:
+    Expands psi over Ψ_0..Ψ_{M-1} with its exact coefficients
+    ``psi.coefficients(M)`` and applies the eigenphases:
 
         (𝓕^α ψ)(x) ≈ Σ_{m<M} e^{-iπmα/2}·Ψ_m(x)·⟨Ψ_m, ψ⟩.
 
     Returns the grid samples scaled by ⁴√δ.  Accuracy is limited by the
-    Hermite truncation M, not by the quadrature.
+    Hermite truncation M alone.  A Gaussian's coefficients fall off like
+    |r|^{m/2}, r = (1-κ)/(1+κ), so its columns are exact to rounding unless
+    κ is far from 1.  The box's jumps make its coefficients decay slowly, so
+    box columns are truncation-limited: at d = 101 and α = 0.5, M = 64 and
+    M = 300 differ by 24%.
     """
     if M < 1:
         raise ValueError(f"need at least one Hermite order, got M={M}")
     if M - 1 > MAX_HERMITE_ORDER:
         raise ValueError(f"M exceeds supported order {MAX_HERMITE_ORDER + 1}")
-    npts = int(round(2.0 * x_max / step)) + 1
-    xs = np.linspace(-x_max, x_max, npts)
-    basis = _hermite_all(M - 1, xs)
-    try:
-        psi_vals = np.asarray(psi(xs), dtype=complex)
-        if psi_vals.shape != xs.shape:
-            raise TypeError
-    except TypeError:
-        psi_vals = np.asarray([psi(float(x)) for x in xs], dtype=complex)
-    coeffs = _trapezoid(basis * psi_vals[None, :], xs, axis=1)
+    coeffs = psi.coefficients(M)
     phases = np.exp(-0.5j * np.pi * alpha * np.arange(M))
     grid_basis = _hermite_all(M - 1, lat.points)
     amp = lat.delta**0.25 * (phases * coeffs) @ grid_basis

@@ -3,7 +3,7 @@
 Every check is a small function that recomputes one contract from scratch,
 many of them pitting a fast construction against a brute-force oracle (the
 quantizer against the projector average, the eigensolver against closed-form
-spectra, the discrete transforms against quadrature).  The CLI's
+spectra, the discrete transforms against the continuous oracle).  The CLI's
 ``verify`` command runs the applicable checks at the requested size plus the
 two smallest grids and reports one line per check.
 
@@ -57,17 +57,20 @@ def _require(cond: bool, detail: str) -> None:
         raise _CheckFailure(detail)
 
 
-# Size-aware bounds.  The Fourier matrix and the displacements carry phases
-# e^{iθ} whose arguments θ = 2π·n·m/d are formed from the unreduced product
-# n·m, so θ reaches πd/2 and rounding it costs up to about ε·|θ|: each such
-# entry is off by ~ε·d, a figure that grows with the grid.  Up to d = 101
-# the checks below keep their fixed bounds.  Above it a check takes
-# max(fixed, C·ε·f(d)): f(d) carries the per-entry error through the check's
-# arithmetic (the model is noted at each check), and C is an empirical fit,
-# about three times the largest deviation seen at every odd d from 103 to
-# 301 and d = 351..1001 in steps of 50; each check notes its margin at
-# d = 301 and the smallest one over that range.  Reducing n·m mod d where
-# the phases are formed would stop this growth (see ROADMAP).
+# Size-aware bounds.  The displacements carry phases e^{iθ} whose arguments
+# are formed from the unreduced products b·n and a·b, so θ reaches πd/2 and
+# rounding it costs up to about ε·|θ|: each such entry is off by ~ε·d, a
+# figure that grows with the grid.  F reduces n·m mod d before forming its
+# phases, yet F[q²] and the circulant rebuild still grow with the size of
+# what they transform.  Up to d = 101 the checks below keep their fixed
+# bounds.  Above it a check takes max(fixed, C·ε·f(d)): f(d) carries the
+# per-entry error through the check's arithmetic (the model is noted at each
+# check; the Fourier ones describe F built from the unreduced n·m), and C is
+# an empirical fit made with that F, about three times the largest deviation
+# seen at every odd d from 103 to 301 and d = 351..1001 in steps of 50; each
+# check notes its margin at d = 301 and the smallest one over that range.
+# Bounds relative to ‖q²‖ and ‖C‖ would let the Fourier models go (see
+# ROADMAP).
 _EPS = float(np.finfo(float).eps)
 
 
@@ -286,8 +289,6 @@ def _chk_coordinate_transforms(ctx):
     # cancelling they give ε·d² for x = q (|q_m| ≤ √(πd/2)) and ε·d^{5/2}
     # for x = q² (≤ πd/2).  C = 0.25 for F[q]: margin 7.6 at d = 301, at
     # least 2.9; C = 0.3 for F[q²]: margin 6.3 at d = 301, at least 3.2.
-    # Rounding already exceeds the fixed 1e-12 for F[q²] at d = 81, 91, 97
-    # and 99.
     bound1 = _size_bound(ctx.d, 1e-12, 0.25 * _EPS * ctx.d**2)
     bound2 = _size_bound(ctx.d, 1e-12, 0.3 * _EPS * ctx.d**2.5)
     _require(dev1 < bound1, f"F[q] closed form off by {dev1:.2e} (bound {bound1:.1e})")
@@ -314,8 +315,7 @@ def _chk_circulant_diagonalization(ctx):
     dev = np.linalg.norm(rebuilt - mat)
     # ev_k ~ √d for a random column, so an entry of F⁺·diag(ev)·F sums d
     # terms of ε·d·√d/d at random signs, ε·d; over d² entries, ε·d².
-    # C = 2.5: margin 6.5 at d = 301, at least 3.0.  Rounding already
-    # exceeds the fixed 1e-12 at d = 95, 97 and 99.
+    # C = 2.5: margin 6.5 at d = 301, at least 3.0.
     bound = _size_bound(ctx.d, 1e-12, 2.5 * _EPS * ctx.d**2)
     _require(dev < bound, f"F⁺·diag·F off by {dev:.2e} (bound {bound:.1e})")
     return f"F⁺·diag(ev)·F rebuilds the matrix ({dev:.1e})"
@@ -908,9 +908,11 @@ def _chk_hermite_values(ctx):
     for m in (5, 50, 300):
         mx = float(np.max(np.abs(reference.hermite_gaussian(m, xs))))
         _require(mx < 1.0, f"Ψ_{m} exceeds 1: {mx}")
-    xs = np.linspace(-10.0, 10.0, 20001)
+    # the integrand decays like a Gaussian, so the rectangle rule is spectrally
+    # accurate on a grid that reaches past its tails
+    xs, dx = np.linspace(-10.0, 10.0, 20001, retstep=True)
     v2 = reference.hermite_gaussian(2, xs)
-    norm = float(reference._trapezoid(v2 * v2, xs))
+    norm = float(np.sum(v2 * v2) * dx)
     _require(abs(norm - 1.0) < 1e-8, f"‖Ψ₂‖² = {norm}")
     return "recurrence bounded and normalized"
 
