@@ -16,6 +16,7 @@ from .fourier import (
     circulant,
     closed_form_coordinate_transforms,
     dft_operator,
+    dft_parity_blocks,
     equidistant_circulant,
     fourier_projectors,
     transform_of_coordinate_at,
@@ -117,6 +118,7 @@ __all__ = [
     "coordinate_signal",
     "deviation_report",
     "dft_operator",
+    "dft_parity_blocks",
     "displaced_ground_sample",
     "displacement",
     "eigh",

@@ -4,9 +4,12 @@ The transform is the unitary with entries
 
     F[n, m] = d^(-1/2) · exp(-2πi·n·m/d),      n, m = -s..s,
 
-so F⁴ = 1 and F² is the parity flip φ(u) ↦ φ(-u).  Its eigenvalues are the
-fourth roots of unity i^m; the corresponding spectral projectors come from
-the finite geometric sum
+so F⁴ = 1 and F² is the parity flip φ(u) ↦ φ(-u).  Every entry is one of
+the d roots e^{-2πik/d}/√d, gathered at k = n·m mod d.  F commutes with the
+flip, so on the even vectors it is a real cosine block and on the odd ones
+-i times a real sine block.  Its eigenvalues are the fourth roots of unity
+i^m; the corresponding spectral projectors come from the finite geometric
+sum
 
     π_m = (1/4) Σ_{k=0}^{3} i^{m k} F^k,       F = Σ_m (-i)^m π_m.
 
@@ -30,13 +33,35 @@ import numpy as np
 from .lattice import Lattice, Operator, Signal
 
 
+def _roots(d: int, sign: float) -> np.ndarray:
+    """The d entries e^{±2πik/d}/√d, k = 0..d-1, that F is gathered from."""
+    return np.exp(sign * 2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+
+
 def dft_operator(lat: Lattice, inverse: bool = False) -> Operator:
     """The finite Fourier matrix; ``inverse=True`` gives its adjoint (sign +)."""
-    sign = 1.0 if inverse else -1.0
     n = lat.indices
     # reduce n·m mod d first: rounding a phase costs about ε times its size
-    phase = np.exp(sign * 2j * np.pi * (np.outer(n, n) % lat.d) / lat.d)
-    return Operator(lat, phase / np.sqrt(lat.d))
+    roots = _roots(lat.d, 1.0 if inverse else -1.0)
+    return Operator(lat, roots[np.outer(n, n) % lat.d])
+
+
+def dft_parity_blocks(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """F in the parity frame: the real blocks (C, S) with QᵀFQ = diag(C, -i·S).
+
+    Q has the s+1 even columns δ_0, (δ_j + δ_{-j})/√2 and the s odd columns
+    (δ_j - δ_{-j})/√2, j = 1..s.  On them F is the cosine block
+    C[j, k] = 2·cos(2πjk/d)/√d (row and column 0 scaled by √½) and -i times
+    the sine block S[j, k] = 2·sin(2πjk/d)/√d, j, k = 1..s; F couples no even
+    vector to an odd one.  Both blocks are real symmetric and gathered from
+    the same root table as ``dft_operator``.
+    """
+    j = np.arange(lat.s + 1)
+    roots = _roots(lat.d, -1.0)[np.outer(j, j) % lat.d]
+    cos = 2.0 * roots.real
+    cos[0] *= np.sqrt(0.5)
+    cos[:, 0] *= np.sqrt(0.5)
+    return cos, -2.0 * roots.imag[1:, 1:]
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,11 +8,17 @@ is raised.
 An oscillator Hamiltonian commutes with the Fourier operator F, hence with
 the parity flip F², so it splits exactly into an even block on the s+1
 vectors δ_0, (δ_n + δ_{-n})/√2 and an odd block on the s vectors
-(δ_n - δ_{-n})/√2.  Each block is diagonalized on its own and the two are
-interleaved into the label order.  A basis is accepted only after three
-independent labelings agree for every vector: the parity under n → -n, the
-Fourier eigenvalue (-i)^m, and the sign alternation count wherever float
-precision can resolve it.  Any mismatch raises; there is no quiet fallback.
+(δ_n - δ_{-n})/√2.  In this parity frame both blocks are slices of H (top
+row plus or minus its mirror), and F is the real cosine block C on the even
+vectors and -i times the real sine block S on the odd ones.  So every audit
+runs at half size in real arithmetic: the commutator ‖FH - HF‖_F comes
+exactly from the blocks, and ⟨v, Fv⟩ is bᵀCb or -i·bᵀSb for the block
+vector b; no dense F is formed.  Each block is diagonalized on its own, its
+vectors are mirrored onto the grid, and the two are interleaved into the
+label order.  A basis is accepted only after three independent labelings
+agree for every vector: the parity under n → -n, the Fourier eigenvalue
+(-i)^m, and the sign alternation count wherever float precision can resolve
+it.  Any mismatch raises; there is no quiet fallback.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .lattice import Lattice, Operator, Signal
-from .fourier import dft_operator
+from .fourier import dft_parity_blocks
 from . import reference
 
 SYMMETRY_TOL = 1e-10
@@ -133,6 +139,24 @@ def sign_alternations(v) -> int:
     return int(np.sum(kept[:-1] * kept[1:] < 0.0))
 
 
+def _alternation_counts(vecs: np.ndarray) -> np.ndarray:
+    """``sign_alternations`` of every column of a real matrix, in one pass.
+
+    Same floor and rule: entries below 1e-12 of the column's max magnitude
+    are skipped, and a change is counted where an entry and the previous
+    kept entry of its column have a negative product.
+    """
+    mags = np.abs(vecs)
+    kept = mags >= ZERO_SKIP * np.max(mags, axis=0)
+    rows = np.arange(len(vecs))[:, None]
+    # row of the last kept entry strictly above each row (-1: none yet)
+    last = np.maximum.accumulate(np.where(kept, rows, -1), axis=0)
+    prev = np.vstack([np.full((1, vecs.shape[1]), -1), last[:-1]])
+    cols = np.arange(vecs.shape[1])
+    flips = kept & (prev >= 0) & (vecs * vecs[np.maximum(prev, 0), cols] < 0.0)
+    return np.sum(flips, axis=0)
+
+
 _FOURIER_ROOTS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
@@ -173,24 +197,75 @@ class SpectralBasis:
         return Signal(self.lattice, self.vectors[:, m].copy())
 
 
-def _parity_frame(s: int) -> np.ndarray:
-    """Orthogonal Q = [E | O] on the grid of d = 2s+1 points.
+def _parity_blocks(
+    hmat: np.ndarray, s: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks E, O and X of QᵀHQ in the parity frame, taken by slicing.
 
-    Columns 0..s are the even vectors δ_0 and (δ_n + δ_{-n})/√2, columns
-    s+1..2s the odd vectors (δ_n - δ_{-n})/√2, for n = 1..s.  Each row holds
-    at most one nonzero entry per block, so a block's Q·x mirrors its entries
-    exactly.
+    Q is the frame of ``fourier.dft_parity_blocks``.  The centro-symmetric
+    half of H, ½(H + JHJ) with J the flip n → -n, gives the diagonal blocks
+    from its top rows j = 0..s: E[j, k] = H[j, k] + H[j, -k] (row and column
+    0 scaled by √½) and O[j, k] = H[j, k] - H[j, -k], j, k = 1..s.  Its other
+    half ½(H - JHJ) gives the even-odd coupling X the same way, so X is
+    exactly zero when H commutes with the flip, and H is then its own
+    centro-symmetric half.
     """
+    top, mirror = hmat[s:], hmat[s::-1, ::-1]  # rows j = 0..s of H and JHJ
+    sym, anti = 0.5 * (top + mirror), 0.5 * (top - mirror)
+    even = sym[:, s:] + sym[:, s::-1]
+    even[0] *= np.sqrt(0.5)
+    even[:, 0] *= np.sqrt(0.5)
+    odd = sym[1:, s + 1:] - sym[1:, s - 1::-1]
+    coupling = anti[:, s + 1:] - anti[:, s - 1::-1]
+    coupling[0] *= np.sqrt(0.5)
+    return even, odd, coupling
+
+
+def _fourier_commutator(cos, sin, even, odd, coupling) -> float:
+    """‖FH - HF‖_F from the parity-frame blocks of F and H.
+
+    With F = diag(C, -iS) and H = [[E, X], [Xᵀ, O]] in the parity frame,
+    and C, S, X real,
+
+        ‖FH - HF‖²_F = ‖CE - EC‖² + ‖SO - OS‖² + 2‖CX‖² + 2‖XS‖²
+
+    exactly: the off-diagonal blocks are CX + iXS and its transpose, whose
+    real and imaginary parts add in square.  Every block is symmetric but X,
+    so EC = (CE)ᵀ and OS = (SO)ᵀ.
+    """
+    ce, so = cos @ even, sin @ odd
+    return float(np.sqrt(
+        np.linalg.norm(ce - ce.T) ** 2 + np.linalg.norm(so - so.T) ** 2
+        + 2.0 * np.linalg.norm(cos @ coupling) ** 2
+        + 2.0 * np.linalg.norm(coupling @ sin) ** 2
+    ))
+
+
+def _mirror(even_vecs: np.ndarray, odd_vecs: np.ndarray) -> np.ndarray:
+    """The grid vectors of the block vectors, even and odd interleaved.
+
+    Each block vector is mirrored into the entries at n and -n (negated
+    there for the odd ones); copying the entries makes parity hold bit for
+    bit.
+    """
+    s = len(odd_vecs)
     d = 2 * s + 1
-    q = np.zeros((d, d))
-    n = np.arange(1, s + 1)
-    r = np.sqrt(0.5)
-    q[s, 0] = 1.0
-    q[s + n, n] = r
-    q[s - n, n] = r
-    q[s + n, s + n] = r
-    q[s - n, s + n] = -r
-    return q
+    vecs = np.empty((d, d))
+    vecs[s, 0::2] = even_vecs[0]
+    vecs[s, 1::2] = 0.0
+    vecs[s + 1:, 0::2] = np.sqrt(0.5) * even_vecs[1:]
+    vecs[s + 1:, 1::2] = np.sqrt(0.5) * odd_vecs
+    vecs[s - 1::-1, 0::2] = vecs[s + 1:, 0::2]
+    vecs[s - 1::-1, 1::2] = -vecs[s + 1:, 1::2]
+    return vecs
+
+
+def _fourier_expectations(cos, sin, even_vecs, odd_vecs) -> np.ndarray:
+    """⟨v, Fv⟩ per label: bᵀCb for an even block vector b, -i·bᵀSb for an odd one."""
+    z = np.empty(len(even_vecs) + len(odd_vecs), dtype=complex)
+    z[0::2] = np.einsum("jm,jm->m", even_vecs, cos @ even_vecs)
+    z[1::2] = -1j * np.einsum("jm,jm->m", odd_vecs, sin @ odd_vecs)
+    return z
 
 
 def _first(mask) -> int | None:
@@ -224,6 +299,14 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     resolution-limited count can only fall short of m by an even amount (a
     suppressed lobe hides two sign changes); anything else raises.
 
+    Everything runs in the parity frame.  The blocks E and O are sliced
+    from H, and the Fourier invariance H needs is audited there: with C and
+    S the cosine and sine blocks of F and X the even-odd coupling of H,
+    ‖FH - HF‖²_F = ‖CE - EC‖² + ‖SO - OS‖² + 2‖CX‖² + 2‖XS‖² exactly, and
+    it must stay below 1e-9·max(1, ‖H‖_F).  X is zero for a centro-symmetric
+    H, so the same number audits the split.  ⟨v, Fv⟩ is bᵀCb for an even
+    block vector b and -i·bᵀSb for an odd one.
+
     Eigenvalues must be simple within each block (adjacent gap above 1e-10),
     and d may not exceed ``reference.MAX_HERMITE_ORDER + 1``.  Any label
     inconsistency raises instead of degrading.
@@ -237,37 +320,36 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     hmat = _real_symmetric(op)
     if hmat.shape != (d, d):
         raise ValueError("matrix size does not match the lattice")
-    fmat = dft_operator(lat).mat
-    # F and H are both symmetric, so HF = (FH)ᵀ and FH - HF = X - Xᵀ
-    x = fmat @ hmat
-    comm = float(np.linalg.norm(x - x.T))
+    even, odd, coupling = _parity_blocks(hmat, s)
+    cos, sin = dft_parity_blocks(lat)
+    comm = _fourier_commutator(cos, sin, even, odd, coupling)
     if comm > 1e-9 * max(1.0, float(np.linalg.norm(hmat))):
         raise ValueError(
             f"matrix does not commute with the Fourier operator "
             f"(‖FH - HF‖_F = {comm:.3e}); labels need Fourier invariance"
         )
 
-    q = _parity_frame(s)
-    hq = q.T @ hmat @ q
     vals = np.empty(d)
-    vecs = np.empty((d, d))
-    for first, cols in ((0, slice(0, s + 1)), (1, slice(s + 1, d))):
-        block_vals, block_vecs = eigh(hq[cols, cols])
+    block_vecs = []
+    for first, block in ((0, even), (1, odd)):
+        bvals, bvecs = eigh(block)
         if kind == "harper":
-            block_vals, block_vecs = block_vals[::-1], block_vecs[:, ::-1]
-        gap = float(np.min(np.abs(np.diff(block_vals))))
+            bvals, bvecs = bvals[::-1], bvecs[:, ::-1]
+        gap = float(np.min(np.abs(np.diff(bvals))))
         if gap < GAP_TOL:
             raise RuntimeError(
                 f"eigenvalue gap {gap:.3e} below {GAP_TOL:.0e} in the "
                 f"{'odd' if first else 'even'} block; labels would be meaningless"
             )
-        vals[first::2] = block_vals
-        vecs[:, first::2] = q[:, cols] @ block_vecs
-    nodes = sign_alternations(vecs[:, 0])
-    if nodes != 0:
+        vals[first::2] = bvals
+        block_vecs.append(bvecs)
+    even_vecs, odd_vecs = block_vecs
+    vecs = _mirror(even_vecs, odd_vecs)
+    alternations = _alternation_counts(vecs)
+    if alternations[0] != 0:
         raise RuntimeError(
             f"the first even {kind} eigenvector is not nodeless "
-            f"({nodes} sign alternations)"
+            f"({alternations[0]} sign alternations)"
         )
 
     labels = np.arange(d)
@@ -279,11 +361,11 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     _audit(hmat, vals, vecs)
 
     parities = labels % 2
-    # the block assembly mirrors entries exactly, so parity holds bit for bit
     m = _first(np.any(vecs[::-1] != vecs * (1 - 2 * parities), axis=0))
     if m is not None:
         raise RuntimeError(f"vector {m} is not of parity {m % 2}")
-    z = np.einsum("nm,nm->m", vecs, fmat @ vecs)
+    # the sign fix leaves ⟨v, Fv⟩ unchanged, so the block vectors serve
+    z = _fourier_expectations(cos, sin, even_vecs, odd_vecs)
     dists = np.abs(z[:, None] - _FOURIER_ROOTS[None, :])
     fourier_indices = np.argmin(dists, axis=1)
     m = _first(np.min(dists, axis=1) > FOURIER_AMBIGUITY)
@@ -296,7 +378,6 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
         raise RuntimeError(
             f"vector {m} has Fourier index {fourier_indices[m]}, expected {m % 4}"
         )
-    alternations = np.array([sign_alternations(vecs[:, m]) for m in labels])
     deficit = labels - alternations
     m = _first((deficit < 0) | (deficit % 2 != 0))
     if m is not None:

@@ -66,8 +66,9 @@ def spatial_series(lat: Lattice, kappa: float, tol: float):
     terms = np.exp(-rate * (ell[None, :] * d + n[:, None]) ** 2)
     half = terms.sum(axis=1)
     t1 = np.exp(-rate * ((L + 1) * d - s) ** 2)
-    ratio = min(np.exp(-2.0 * kappa * np.pi * d * (L + 1)), 0.5)
-    tail = 2.0 * t1 / (1.0 - ratio) + 16.0 * _EPS * float(terms.sum(axis=1).max())
+    # omitted terms fall off at least geometrically, by e^{-2κπd(L+1)}
+    geometric = -np.expm1(-2.0 * kappa * np.pi * d * (L + 1))  # 1 - ratio
+    tail = 2.0 * t1 / geometric + 16.0 * _EPS * float(terms.sum(axis=1).max())
     return _mirror(half), L, tail
 
 
@@ -87,8 +88,9 @@ def frequency_series(lat: Lattice, kappa: float, tol: float):
         half = half + 2.0 * w * np.cos(2.0 * np.pi * ell * n / d)
         abs_sum += 2.0 * w
     t1 = scale * np.exp(-rate * (L + 1) ** 2)
-    ratio = min(np.exp(-rate * (2 * L + 3)), 0.5)
-    tail = 2.0 * t1 / (1.0 - ratio) + 16.0 * _EPS * scale * abs_sum
+    # omitted terms fall off at least geometrically, by e^{-π(2L+3)/(κd)}
+    geometric = -np.expm1(-rate * (2 * L + 3))  # 1 - ratio
+    tail = 2.0 * t1 / geometric + 16.0 * _EPS * scale * abs_sum
     return scale * _mirror(half), L, tail
 
 

@@ -564,24 +564,20 @@ def _chk_frame_fourier_rotation(ctx):
 
     With the e^{-i} transform kernel the forward rotation is
     F|α,β⟩ = |β,-α⟩; the inverse transform gives F⁺|α,β⟩ = |-β,α⟩.  Both
-    directions are checked over every state.
+    directions are checked over every state, as the two products F·Sᵀ and
+    F⁺·Sᵀ against the rotated rows of the state array S.
     """
     lat = ctx.lat
     frame = ctx.frame
     states = frame.states
-    worst = 0.0
-    for p in frame.iter_points():
-        amp = states[frame.flat_index(p)]
-        fwd = states[frame.flat_index(
-            PhasePoint(lattice=lat, a_idx=p.b_idx, b_idx=int(lat.wrap(-p.a_idx)))
-        )]
-        inv = states[frame.flat_index(
-            PhasePoint(lattice=lat, a_idx=int(lat.wrap(-p.b_idx)), b_idx=p.a_idx)
-        )]
-        worst = max(worst, float(np.max(np.abs(ctx.fmat @ amp - fwd))))
-        worst = max(worst, float(np.max(np.abs(ctx.fmat.conj().T @ amp - inv))))
-        if worst > 1e-11:
-            break
+    a, b = np.meshgrid(lat.indices, lat.indices, indexing="ij")
+    a, b = a.ravel(), b.ravel()  # the flat sweep: row p holds |a[p], b[p]⟩
+    fwd = lat.pos(b) * lat.d + lat.pos(-a)
+    inv = lat.pos(-b) * lat.d + lat.pos(a)
+    worst = max(
+        float(np.max(np.abs(ctx.fmat @ states.T - states[fwd].T))),
+        float(np.max(np.abs(ctx.fmat.conj().T @ states.T - states[inv].T))),
+    )
     _require(worst < 1e-11, f"rotation law off by {worst:.2e}")
     return f"F: (α,β) → (β,-α) and F⁺: (α,β) → (-β,α) ({worst:.1e})"
 
@@ -954,14 +950,47 @@ def _chk_mehta_near_eigenvectors(ctx):
     return f"Φ_m almost Fourier-eigen ({worst:.1e})"
 
 
+def _ground_vector_bound(ctx) -> float:
+    """A posteriori bound on Δ_f(0), the frame ground vector's sup deviation.
+
+    Let g be the unit theta ground state, sign-aligned with the frame ground
+    vector v₀, and let ρ = gᵀHg, r = Hg - ρg and γ = min_{j≠0} |λ_j - ρ| over
+    the other eigenvalues of the frame Hamiltonian H.  Write
+    g = cos θ·v₀ + sin θ·w with w a unit vector orthogonal to v₀ (cos θ ≥ 0
+    by the alignment).  Then r = (H - ρ)g has the component sin θ·(H - ρ)w
+    orthogonal to v₀, and w lies in the span of the eigenvectors j ≠ 0, so
+    ‖r‖₂ ≥ sin θ·γ (Davis–Kahan).  With θ ≤ π/2,
+    ‖v₀ - g‖_∞ ≤ ‖v₀ - g‖₂ = 2·sin(θ/2) ≤ √2·sin θ, and the triangle
+    inequality gives
+
+        Δ_f(0) ≤ √2·‖r‖₂/γ + ‖g - ⁴√δ·Ψ₀‖_∞.
+
+    The theta Gaussian's periodization envelope bounds only the second term;
+    the first is the frame Hamiltonian's own departure from g.
+    """
+    h = ctx.fh.op.mat
+    basis = ctx.frame_basis
+    g = ctx.ground.amp / np.linalg.norm(ctx.ground.amp)
+    if float(g @ basis.vectors[:, 0]) < 0.0:
+        g = -g
+    hg = h @ g
+    rho = float(g @ hg)
+    resid = float(np.linalg.norm(hg - rho * g))
+    gamma = float(np.min(np.abs(basis.values[1:] - rho)))
+    target = reference.hermite_sample(ctx.lat, 0).amp
+    return np.sqrt(2.0) * resid / gamma + float(np.max(np.abs(g - target)))
+
+
 def _chk_deviation_report(ctx):
     rep = reference.deviation_report(
         ctx.lat, ctx.frame_basis, ctx.harper_basis, ctx.ladder
     )
     for arr in (rep.delta_f, rep.delta_h, rep.delta_m, rep.delta_r):
         _require(bool(np.all(arr >= 0.0)), "negative deviation")
+    ground = _ground_vector_bound(ctx)
+    _require(rep.delta_f[0] < ground, f"Δ(0) = {rep.delta_f[0]:.2e} (bound {ground:.1e})")
+    # the periodized samples and the ladder's first state are theta objects
     bound = max(1e-6, 10.0 * _wrap_error_envelope(ctx.lat))
-    _require(rep.delta_f[0] < bound, f"Δ(0) = {rep.delta_f[0]:.2e}")
     _require(rep.delta_m[0] < bound, f"Δ_M(0) = {rep.delta_m[0]:.2e}")
     _require(rep.delta_r[0] < bound, f"Δ_R(0) = {rep.delta_r[0]:.2e}")
     # Both order-m vectors lie in the Fourier class m mod 4 (the label audit

@@ -58,6 +58,21 @@ def naive_dft(d):
     return np.exp(-2.0j * np.pi * np.outer(idx, idx) / d) / np.sqrt(d)
 
 
+def dense_parity_frame(s):
+    """Q = [E | O] as a dense d×d matrix, d = 2s+1, for cross-checks.
+
+    Columns 0..s are δ_0 and (δ_n + δ_{-n})/√2, columns s+1..2s are
+    (δ_n - δ_{-n})/√2, n = 1..s.
+    """
+    d = 2 * s + 1
+    q = np.zeros((d, d))
+    n = np.arange(1, s + 1)
+    q[s, 0] = 1.0
+    q[s + n, n] = q[s - n, n] = q[s + n, s + n] = np.sqrt(0.5)
+    q[s - n, s + n] = -np.sqrt(0.5)
+    return q
+
+
 def empty_cache_copy(basis):
     """The same basis with no cached transform kernels."""
     return SpectralBasis(basis.lattice, basis.kind, basis.values, basis.vectors,

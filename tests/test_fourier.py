@@ -25,6 +25,18 @@ def test_dft_matches_definition(d):
     assert np.max(np.abs(F - naive_dft(d))) < 1e-15
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("d", [5, 21, 101, 201, 301, 1001])
+def test_dft_is_the_exponential_of_the_reduced_phase(d, inverse):
+    # each entry is gathered from the root of its own n·m mod d, computed by
+    # the same arithmetic as the direct formula, so the two agree bit for bit
+    lat = make_lattice(d)
+    sign = 1.0 if inverse else -1.0
+    n = lat.indices
+    phase = np.exp(sign * 2j * np.pi * (np.outer(n, n) % d) / d)
+    assert np.array_equal(dft_operator(lat, inverse).mat, phase / np.sqrt(d))
+
+
 @pytest.mark.parametrize("d", [5, 21])
 def test_dft_unitary_and_inverse(d):
     lat = make_lattice(d)

@@ -1,7 +1,8 @@
-"""Property tests: transform and Hamiltonian laws on random odd sizes and orders.
+"""Property tests: transform, Hamiltonian and label laws on random odd sizes.
 
-Sizes are drawn from the odd d in [5, 151]; each (d, kind) basis is built
-once per session.  Examples are derandomized, so a run is reproducible.
+Transform sizes are drawn from the odd d in [5, 151]; each (d, kind) basis
+is built once per session.  The label audits and the dense reference run on
+odd d up to 301.  Examples are derandomized, so a run is reproducible.
 """
 
 from functools import lru_cache
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from finosc import (  # noqa: E402
     Signal,
@@ -21,13 +23,17 @@ from finosc import (  # noqa: E402
     harper_hamiltonian,
     make_lattice,
     oscillator_basis,
+    sign_alternations,
+    spectral,
 )
+from finosc.thetagauss import frequency_series, spatial_series  # noqa: E402
 
-from conftest import empty_cache_copy  # noqa: E402
+from conftest import dense_parity_frame, empty_cache_copy  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
 sizes = st.integers(2, 75).map(lambda s: 2 * s + 1)
+label_sizes = st.integers(2, 150).map(lambda s: 2 * s + 1)
 kinds = st.sampled_from(["frame", "harper"])
 orders = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 seeds = st.integers(0, 2**32 - 1)
@@ -100,3 +106,80 @@ def test_frame_hamiltonian_commutes_with_fourier(d):
     h = _frame_hamiltonian(d)
     f = dft_operator(make_lattice(d)).mat
     assert np.linalg.norm(f @ h - h @ f) < 1e-12 * np.linalg.norm(h)
+
+
+def _dense_parity_solve(h, lat, kind):
+    """The labelled eigenpairs from a dense change of frame and LAPACK.
+
+    QᵀHQ is formed with the dense parity frame Q and each of its diagonal
+    blocks goes to ``np.linalg.eigh``; the block vectors are mapped back
+    with Q and interleaved even, odd.
+    """
+    s, d = lat.s, lat.d
+    q = dense_parity_frame(s)
+    hq = q.T @ h @ q
+    vals, vecs = np.empty(d), np.empty((d, d))
+    for first, cols in ((0, slice(0, s + 1)), (1, slice(s + 1, d))):
+        w, v = np.linalg.eigh(hq[cols, cols])
+        if kind == "harper":
+            w, v = w[::-1], v[:, ::-1]
+        vals[first::2], vecs[:, first::2] = w, q[:, cols] @ v
+    return vals, vecs
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(d=label_sizes, kind=kinds)
+@example(d=301, kind="frame")
+@example(d=301, kind="harper")
+def test_labels_pass_their_audits_and_match_a_dense_solve(d, kind):
+    lat = make_lattice(d)
+    h = _frame_hamiltonian(d) if kind == "frame" else harper_hamiltonian(lat).mat
+    basis = oscillator_basis(h, lat, kind)
+    m = np.arange(d)
+    assert np.array_equal(basis.parities, m % 2)
+    assert np.array_equal(basis.fourier_indices, m % 4)
+    short = m - basis.alternations  # only a floor-limited count falls short
+    assert np.all(short >= 0) and np.all(short % 2 == 0)
+    assert np.array_equal(basis.alternations[: d // 2], m[: d // 2])
+    vals, vecs = _dense_parity_solve(h, lat, kind)
+    vecs *= np.sign(np.sum(vecs * basis.vectors, axis=0))
+    assert np.max(np.abs(vecs - basis.vectors)) < 1e-12
+    assert np.max(np.abs(vals - basis.values)) < 1e-12 * np.max(np.abs(vals))
+    assert np.max(np.abs(np.sort(vals) - np.linalg.eigvalsh(h))) < (
+        1e-12 * np.max(np.abs(vals))
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=sizes, kappa=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+       tol=st.sampled_from([1e-18, 1e-12, 1e-8]))
+def test_theta_series_agree_within_their_tails(d, kappa, tol):
+    # each series is within its own tail bound of the theta sum, so the two
+    # are within the sum of the bounds; the factor 2 leaves room for the
+    # rounding of the summation that the bounds' ε floor does not model
+    lat = make_lattice(d)
+    sp, _, tail_sp = spatial_series(lat, kappa, tol)
+    fr, _, tail_fr = frequency_series(lat, kappa, tol)
+    assert np.max(np.abs(sp - fr)) <= 2.0 * (tail_sp + tail_fr)
+
+
+def _seeded_columns(rows, cols):
+    """Random columns with exact zeros and entries just under the 1e-12 floor."""
+    entries = st.one_of(
+        st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+        st.just(0.0),
+        st.sampled_from([-1.0, 1.0]).map(lambda sgn: sgn * 0.999e-12),
+        st.sampled_from([-1.0, 1.0]).map(lambda sgn: sgn * 1e-12),
+    )
+    return hnp.arrays(np.float64, (rows, cols), elements=entries)
+
+
+@SETTINGS
+@given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 6))
+def test_batched_alternation_counts_match_sign_alternations(data, rows, cols):
+    vecs = data.draw(_seeded_columns(rows, cols))
+    if data.draw(st.booleans()):
+        # a unit maximum puts every column's floor at exactly 1e-12
+        vecs[0] = data.draw(st.sampled_from([1.0, -1.0]))
+    want = [sign_alternations(col) for col in vecs.T]
+    assert list(spectral._alternation_counts(vecs)) == want

@@ -8,13 +8,17 @@ from finosc import (
     Operator,
     Signal,
     dft_operator,
+    dft_parity_blocks,
     eigh,
     frame_hamiltonian,
     harper_hamiltonian,
     make_lattice,
     oscillator_basis,
     sign_alternations,
+    spectral,
 )
+
+from conftest import dense_parity_frame
 
 # frozen decimals for the finite-difference oscillator, cross-checked once
 # against the characteristic polynomial (d=5) and kept as regression anchors
@@ -250,3 +254,186 @@ def test_basis_ground_is_nodeless_and_positive(frame_basis21, harper_basis21):
         g = basis.vectors[:, 0]
         assert np.all(g > 0.0)
         assert np.max(np.abs(g - g[::-1])) < 1e-10
+
+
+# ---------------------------------------------------------------- parity-frame audits
+#
+# oscillator_basis computes every audit from the parity-frame blocks: H's
+# even, odd and coupling blocks E, O, X, and F's cosine and sine blocks C, S.
+# The tests below pin each number against its dense d×d counterpart and
+# make each audit raise.
+
+def _block_vectors(basis):
+    """The parity-frame coordinates of the labelled vectors, even and odd."""
+    s = basis.lattice.s
+    v = basis.vectors
+    even = np.vstack([v[s, 0::2], np.sqrt(2.0) * v[s + 1:, 0::2]])
+    return even, np.sqrt(2.0) * v[s + 1:, 1::2]
+
+
+def _commutator(h, lat):
+    cos, sin = dft_parity_blocks(lat)
+    return spectral._fourier_commutator(cos, sin, *spectral._parity_blocks(h, lat.s))
+
+
+def _dense_commutator(h, lat):
+    f = dft_operator(lat).mat
+    return float(np.linalg.norm(f @ h - h @ f))
+
+
+@pytest.mark.parametrize("d", [21, 101])
+@pytest.mark.parametrize("power", [2, 1])
+def test_commutator_audit_refuses_a_non_fourier_hamiltonian(d, power):
+    # power 2: diag(q²) keeps H parity-even but breaks Fourier invariance;
+    # power 1: diag(q) breaks parity too, so the coupling block X is nonzero
+    lat = make_lattice(d)
+    h = frame_hamiltonian(lat).op.mat + 1e-6 * np.diag(lat.points**power)
+    with pytest.raises(ValueError, match="does not commute with the Fourier") as err:
+        oscillator_basis(h, lat, "frame")
+    dense = _dense_commutator(h, lat)
+    assert f"= {dense:.3e})" in str(err.value)
+    # both computations round at the scale of H, not of the commutator
+    assert abs(_commutator(h, lat) - dense) < 1e-14 * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("d", [21, 101])
+@pytest.mark.parametrize("centro", [True, False])
+def test_block_commutator_is_the_dense_one(d, centro):
+    lat = make_lattice(d)
+    rng = np.random.default_rng(d)
+    h = rng.standard_normal((d, d))
+    h = h + h.T
+    if centro:
+        h = h + h[::-1, ::-1]
+    assert np.any(spectral._parity_blocks(h, lat.s)[2]) != centro
+    dense = _dense_commutator(h, lat)
+    assert abs(_commutator(h, lat) - dense) < 1e-12 * dense
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+@pytest.mark.parametrize("d", [21, 101])
+def test_block_fourier_expectations_are_the_dense_ones(d, kind):
+    lat = make_lattice(d)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    basis = oscillator_basis(op, lat, kind)
+    cos, sin = dft_parity_blocks(lat)
+    even, odd = _block_vectors(basis)
+    assert np.max(np.abs(spectral._mirror(even, odd) - basis.vectors)) < 1e-15
+    z = spectral._fourier_expectations(cos, sin, even, odd)
+    v = basis.vectors
+    dense = np.einsum("nm,nm->m", v, dft_operator(lat).mat @ v)
+    assert np.max(np.abs(z - dense)) < 1e-13
+
+
+def test_parity_blocks_are_the_dense_change_of_frame(lat21):
+    # the sliced blocks must be QᵀHQ and QᵀFQ with Q written out densely
+    s, d = lat21.s, lat21.d
+    q = dense_parity_frame(s)
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((d, d))
+    h = h + h.T
+    even, odd, coupling = spectral._parity_blocks(h, s)
+    hq = q.T @ h @ q
+    assert np.max(np.abs(hq[: s + 1, : s + 1] - even)) < 1e-14
+    assert np.max(np.abs(hq[s + 1:, s + 1:] - odd)) < 1e-14
+    assert np.max(np.abs(hq[: s + 1, s + 1:] - coupling)) < 1e-14
+    cos, sin = dft_parity_blocks(lat21)
+    fq = q.T @ dft_operator(lat21).mat @ q
+    assert np.max(np.abs(fq[: s + 1, : s + 1] - cos)) < 1e-15
+    assert np.max(np.abs(fq[s + 1:, s + 1:] + 1j * sin)) < 1e-15
+    assert np.max(np.abs(fq[: s + 1, s + 1:])) < 1e-15
+
+
+def _relabelled(basis, values):
+    """The matrix with the labelled vectors of ``basis`` and new eigenvalues."""
+    v = basis.vectors
+    return (v * np.asarray(values, dtype=float)) @ v.T
+
+
+def test_basis_refuses_bad_arguments(lat5, lat7):
+    h = frame_hamiltonian(lat5).op
+    with pytest.raises(ValueError, match="kind must be"):
+        oscillator_basis(h, lat5, "ladder")
+    with pytest.raises(ValueError, match="different lattice"):
+        oscillator_basis(h, lat7, "frame")
+    with pytest.raises(ValueError, match="does not match the lattice"):
+        oscillator_basis(np.eye(7), lat5, "frame")
+    with pytest.raises(ValueError, match="non-finite"):
+        eigh(np.array([[np.nan]]))
+
+
+def test_degenerate_blocks_are_refused(frame_basis21, lat21):
+    # the identity commutes with F, and its even block is one repeated value
+    with pytest.raises(RuntimeError, match="below 1e-10 in the even block"):
+        oscillator_basis(np.eye(21), lat21, "frame")
+    values = np.arange(21.0)
+    values[3] = 1.0  # the odd labels 1 and 3 collide
+    with pytest.raises(RuntimeError, match="below 1e-10 in the odd block"):
+        oscillator_basis(_relabelled(frame_basis21, values), lat21, "frame")
+
+
+def test_a_nodal_first_vector_is_refused(frame_basis21, lat21):
+    values = np.arange(21.0)
+    values[0] = 100.0  # the even block now starts with the label-2 vector
+    with pytest.raises(RuntimeError, match="not nodeless .2 sign alternations"):
+        oscillator_basis(_relabelled(frame_basis21, values), lat21, "frame")
+
+
+def test_a_broken_mirror_is_refused(monkeypatch, lat21, frame21):
+    mirror = spectral._mirror
+
+    def off_by_one_ulp(even, odd):
+        vecs = mirror(even, odd)
+        vecs[0, 3] = np.nextafter(vecs[0, 3], np.inf)
+        return vecs
+
+    monkeypatch.setattr(spectral, "_mirror", off_by_one_ulp)
+    with pytest.raises(RuntimeError, match="vector 3 is not of parity 1"):
+        oscillator_basis(frame21.op, lat21, "frame")
+
+
+def test_a_mixed_fourier_class_is_refused(frame_basis21, lat21):
+    # labels 2 and 4 (classes 2 and 0) share an eigenvalue, and a coupling of
+    # 1e-9 splits them into (v₂ ± v₄)/√2, whose ⟨v, Fv⟩ is 0.  The coupling
+    # moves ‖FH - HF‖_F by 2√2·1e-9, inside the commutator tolerance
+    values = np.arange(21.0)
+    values[4] = 2.0
+    v = frame_basis21.vectors
+    h = _relabelled(frame_basis21, values)
+    h += 1e-9 * (np.outer(v[:, 2], v[:, 4]) + np.outer(v[:, 4], v[:, 2]))
+    with pytest.raises(RuntimeError, match="Fourier eigenvalue of vector 2 is ambiguous"):
+        oscillator_basis(h, lat21, "frame")
+
+
+def test_a_misordered_fourier_class_is_refused(frame_basis21, lat21):
+    values = np.arange(21.0)
+    values[[2, 4]] = values[[4, 2]]
+    with pytest.raises(RuntimeError, match="vector 2 has Fourier index 0, expected 2"):
+        oscillator_basis(_relabelled(frame_basis21, values), lat21, "frame")
+
+
+def test_a_misordered_alternation_count_is_refused(frame_basis21, lat21):
+    # labels 2 and 6 share parity and Fourier class; only the count differs
+    values = np.arange(21.0)
+    values[[2, 6]] = values[[6, 2]]
+    with pytest.raises(RuntimeError, match="position 2 has 6 sign alternations"):
+        oscillator_basis(_relabelled(frame_basis21, values), lat21, "frame")
+
+
+def test_eigenpair_audit_raises(frame_basis21, frame21):
+    h = frame21.op.mat
+    vals, vecs = frame_basis21.values, frame_basis21.vectors
+    spectral._audit(h, vals, vecs)
+    with pytest.raises(ConvergenceError, match="eigenpair residual"):
+        spectral._audit(h, vals + 1e-6, vecs)
+    with pytest.raises(ConvergenceError, match="orthogonality defect"):
+        spectral._audit(h, vals, vecs * (1.0 + 1e-9))
+
+
+def test_alternation_counts_match_the_one_vector_rule(frame_basis21):
+    v = frame_basis21.vectors
+    want = [sign_alternations(col) for col in v.T]
+    assert np.array_equal(spectral._alternation_counts(v), want)
+    # a floor-limited column: the faint middle lobe is skipped
+    cols = np.array([[1.0, 0.0], [-1e-13, 0.0], [1.0, 0.0]])
+    assert list(spectral._alternation_counts(cols)) == [0, 0]

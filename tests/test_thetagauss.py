@@ -10,6 +10,7 @@ from finosc import (
     make_lattice,
     theta_gaussian,
 )
+from finosc.thetagauss import frequency_series, spatial_series
 
 
 def periodized_gaussian(lat, kappa, terms=80):
@@ -52,6 +53,17 @@ def test_tail_bound_is_honest(lat5):
     ref = periodized_gaussian(lat5, 1.0)
     assert tg.tail_bound > 0
     assert np.max(np.abs(tg.amp - ref)) <= 10.0 * tg.tail_bound
+
+
+@pytest.mark.parametrize("series", [frequency_series, spatial_series])
+@pytest.mark.parametrize("d, kappa", [(123, 73.5), (121, 13.9), (5, 0.01)])
+def test_series_tails_cover_their_truncation(series, d, kappa):
+    # slowly decaying terms: the geometric ratio of the omitted tail is
+    # above 0.5 here, so a ratio capped at 0.5 understated the tail
+    lat = make_lattice(d)
+    amp, _, tail = series(lat, kappa, 1e-8)
+    ref = periodized_gaussian(lat, kappa, terms=400)
+    assert np.max(np.abs(amp - ref)) <= tail
 
 
 def test_rejects_bad_parameters(lat5):

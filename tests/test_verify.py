@@ -2,8 +2,8 @@
 
 import pytest
 
-from finosc import run_suite
-from finosc.verify import _CHECKS, _Ctx
+from finosc import SpectralBasis, deviation_report, run_suite
+from finosc.verify import _CHECKS, _Ctx, _ground_vector_bound
 
 
 def test_suite_is_green_on_small_grids():
@@ -56,3 +56,34 @@ def test_suite_is_green_at_151_and_301():
     passed, failed = run_suite([151, 301], emit=lines.append)
     assert failed == 0, [line for line in lines if line.startswith("FAIL")]
     assert passed == len(lines)
+
+
+def _deviation_check():
+    return {name: fn for name, fn, _ in _CHECKS}["reference: deviation report"]
+
+
+@pytest.mark.parametrize("d", [13, 15, 17, 19])
+def test_deviation_report_passes_where_the_envelope_failed(d):
+    # the theta envelope max(1e-6, 10·e^{-π(s+1)²/d}) undercut the frame
+    # ground vector here; the a posteriori bound covers it
+    ctx = _Ctx(d)
+    _deviation_check()(ctx)
+    ratio = deviation_report(
+        ctx.lat, ctx.frame_basis, ctx.harper_basis, ctx.ladder
+    ).delta_f[0] / _ground_vector_bound(ctx)
+    assert ratio < 0.1
+
+
+@pytest.mark.parametrize("d", [5, 21, 51])
+def test_deviation_report_catches_a_ground_vector_off_by_twice_its_bound(d):
+    ctx = _Ctx(d)
+    bound = _ground_vector_bound(ctx)
+    basis = ctx.frame_basis
+    vecs = basis.vectors.copy()
+    vecs[ctx.lat.s, 0] += 2.0 * bound
+    ctx._cache["frame_basis"] = SpectralBasis(
+        basis.lattice, basis.kind, basis.values, vecs,
+        basis.alternations, basis.parities, basis.fourier_indices,
+    )
+    with pytest.raises(AssertionError, match="Δ\\(0\\)"):
+        _deviation_check()(ctx)
