@@ -16,7 +16,6 @@ from .fourier import (
     circulant,
     closed_form_coordinate_transforms,
     dft_operator,
-    dft_parity_blocks,
     equidistant_circulant,
     fourier_projectors,
     transform_of_coordinate_at,
@@ -118,7 +117,6 @@ __all__ = [
     "coordinate_signal",
     "deviation_report",
     "dft_operator",
-    "dft_parity_blocks",
     "displaced_ground_sample",
     "displacement",
     "eigh",

@@ -124,8 +124,12 @@ class CoherentFrame:
         return amps.reshape(self.lattice.d**2, self.lattice.d)
 
     def flat_index(self, p: PhasePoint) -> int:
-        s = self.lattice.s
-        return (p.a_idx + s) * self.lattice.d + (p.b_idx + s)
+        return self.flat_indices(p.a_idx, p.b_idx)
+
+    def flat_indices(self, a_idx, b_idx):
+        """Rows of ``states`` holding |a, b⟩; integer or array indices, wrapped."""
+        d, s = self.lattice.d, self.lattice.s
+        return (a_idx + s) % d * d + (b_idx + s) % d
 
     def state(self, p: PhasePoint) -> Signal:
         if p.lattice != self.lattice:

@@ -132,19 +132,15 @@ def sign_alternations(v) -> int:
         if mx > 0.0 and float(np.max(np.abs(arr.imag))) > ZERO_SKIP * mx:
             raise ValueError("alternation count needs a real vector")
         arr = arr.real
-    mx = float(np.max(np.abs(arr)))
-    if mx == 0.0:
-        return 0
-    kept = arr[np.abs(arr) >= ZERO_SKIP * mx]
-    return int(np.sum(kept[:-1] * kept[1:] < 0.0))
+    return int(_alternation_counts(arr[:, None])[0])
 
 
 def _alternation_counts(vecs: np.ndarray) -> np.ndarray:
     """``sign_alternations`` of every column of a real matrix, in one pass.
 
-    Same floor and rule: entries below 1e-12 of the column's max magnitude
-    are skipped, and a change is counted where an entry and the previous
-    kept entry of its column have a negative product.
+    Entries below 1e-12 of the column's max magnitude are skipped, and a
+    change is counted where an entry and the previous kept entry of its
+    column have a negative product; an all-zero column counts none.
     """
     mags = np.abs(vecs)
     kept = mags >= ZERO_SKIP * np.max(mags, axis=0)

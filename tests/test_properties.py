@@ -174,12 +174,21 @@ def _seeded_columns(rows, cols):
     return hnp.arrays(np.float64, (rows, cols), elements=entries)
 
 
+def _kept_entry_flips(col):
+    """The node count as stated: drop entries under 1e-12 of the peak, then
+    count sign changes between neighbours of what is left."""
+    peak = np.max(np.abs(col))
+    kept = col[np.abs(col) >= 1e-12 * peak]
+    return int(np.sum(kept[:-1] * kept[1:] < 0.0))
+
+
 @SETTINGS
 @given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 6))
-def test_batched_alternation_counts_match_sign_alternations(data, rows, cols):
+def test_alternation_counts_follow_the_kept_entry_rule(data, rows, cols):
     vecs = data.draw(_seeded_columns(rows, cols))
     if data.draw(st.booleans()):
         # a unit maximum puts every column's floor at exactly 1e-12
         vecs[0] = data.draw(st.sampled_from([1.0, -1.0]))
-    want = [sign_alternations(col) for col in vecs.T]
+    want = [_kept_entry_flips(col) for col in vecs.T]
     assert list(spectral._alternation_counts(vecs)) == want
+    assert [sign_alternations(col) for col in vecs.T] == want

@@ -1,8 +1,11 @@
 """The invariant suite runner."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from finosc import SpectralBasis, deviation_report, run_suite
+from finosc import Operator, SpectralBasis, deviation_report, run_suite
 from finosc.verify import _CHECKS, _Ctx, _ground_vector_bound
 
 
@@ -86,4 +89,23 @@ def test_deviation_report_catches_a_ground_vector_off_by_twice_its_bound(d):
         basis.alternations, basis.parities, basis.fourier_indices,
     )
     with pytest.raises(AssertionError, match="Δ\\(0\\)"):
+        _deviation_check()(ctx)
+
+
+@pytest.mark.parametrize("d", [21, 51])
+def test_deviation_report_catches_a_fourier_invariant_change_of_h(d):
+    # the quartic well q⁴ + F q⁴ F⁺ commutes with F and keeps the parity
+    # split, so the basis audits accept the perturbed H, whose ground vector
+    # moves by about 2e-5; the a posteriori bound follows H, and only the
+    # fixed 1e-6 cap on Δ_f(0) sees the change
+    ctx = _Ctx(d)
+    fh = ctx.fh
+    well = np.diag(ctx.lat.points ** 4)
+    swap = (ctx.fmat @ well @ ctx.fmat.conj().T).real
+    mat = fh.op.mat + 1e-4 * (well + swap)
+    ctx._cache["fh"] = replace(fh, op=Operator(ctx.lat, mat))
+    assert ctx.fh.op is not fh.op
+    rep = deviation_report(ctx.lat, ctx.frame_basis, ctx.harper_basis, ctx.ladder)
+    assert rep.delta_f[0] < _ground_vector_bound(ctx)
+    with pytest.raises(AssertionError, match="above 1e-6"):
         _deviation_check()(ctx)
