@@ -33,17 +33,24 @@ import numpy as np
 from .lattice import Lattice, Operator, Signal
 
 
-def _roots(d: int, sign: float) -> np.ndarray:
-    """The d entries e^{±2πik/d}/√d, k = 0..d-1, that F is gathered from."""
-    return np.exp(sign * 2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+def _root(k, period: int, sign: float = 1.0) -> np.ndarray:
+    """e^{sign·2πi·k/period} for integer k, gathered at k mod period.
+
+    Every lattice phase is a root of unity indexed by an integer: period d
+    for F and the modulations, 2d for the half-phase e^{-iπab/d}.  Rounding
+    the phase of e^{iθ} costs about ε·|θ|, so the integer is reduced before
+    any float arithmetic; equal integers mod the period give equal entries.
+    """
+    table = np.exp(sign * 2j * np.pi * np.arange(period) / period)
+    return table[np.asarray(k) % period]
 
 
 def dft_operator(lat: Lattice, inverse: bool = False) -> Operator:
     """The finite Fourier matrix; ``inverse=True`` gives its adjoint (sign +)."""
     n = lat.indices
-    # reduce n·m mod d first: rounding a phase costs about ε times its size
-    roots = _roots(lat.d, 1.0 if inverse else -1.0)
-    return Operator(lat, roots[np.outer(n, n) % lat.d])
+    roots = _root(np.outer(n, n), lat.d, 1.0 if inverse else -1.0)
+    roots /= np.sqrt(lat.d)  # in place: no second d×d array
+    return Operator(lat, roots)
 
 
 def dft_parity_blocks(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -54,10 +61,11 @@ def dft_parity_blocks(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     C[j, k] = 2·cos(2πjk/d)/√d (row and column 0 scaled by √½) and -i times
     the sine block S[j, k] = 2·sin(2πjk/d)/√d, j, k = 1..s; F couples no even
     vector to an odd one.  Both blocks are real symmetric and gathered from
-    the same root table as ``dft_operator``.
+    the same roots as ``dft_operator``.
     """
     j = np.arange(lat.s + 1)
-    roots = _roots(lat.d, -1.0)[np.outer(j, j) % lat.d]
+    roots = _root(np.outer(j, j), lat.d, -1.0)
+    roots /= np.sqrt(lat.d)
     cos = 2.0 * roots.real
     cos[0] *= np.sqrt(0.5)
     cos[:, 0] *= np.sqrt(0.5)
@@ -88,43 +96,39 @@ def fourier_projectors(lat: Lattice) -> FourierProjectors:
     return FourierProjectors(lattice=lat, pi=tuple(pi))
 
 
-def closed_form_coordinate_transforms(lat: Lattice) -> tuple[Signal, Signal]:
-    """Closed forms of F[q] and F[q²] on the grid.
+def _coordinate_transforms(lat: Lattice, j) -> tuple[np.ndarray, np.ndarray]:
+    """F[q] and F[q²] at integer frequencies j (d-periodic in j).
 
-    F[q](n√δ)  = 0 for n ≡ 0 (mod d), else (-1)^n · i·√π / (√2·sin(πn/d));
-    F[q²](n√δ) = (2π/√d)·s(s+1)/3 for n ≡ 0, else
-                 (-1)^n · π·cos(πn/d) / (√d·sin²(πn/d)).
+    F[q](j)  = 0 for j ≡ 0 (mod d), else (-1)^j · i·√π / (√2·sin(πj/d));
+    F[q²](j) = (2π/√d)·s(s+1)/3 for j ≡ 0, else
+               (-1)^j · π·cos(πj/d) / (√d·sin²(πj/d)).
     """
     d, s = lat.d, lat.s
-    n = lat.indices
-    fq = np.zeros(d, dtype=complex)
-    fq2 = np.zeros(d, dtype=complex)
-    nz = n != 0
-    sn = np.sin(np.pi * n[nz] / d)
-    sgn = (-1.0) ** n[nz]
+    j = np.asarray(j)
+    fq = np.zeros(j.shape, dtype=complex)
+    fq2 = np.full(j.shape, (2.0 * np.pi / np.sqrt(d)) * s * (s + 1) / 3.0)
+    nz = j % d != 0
+    sn = np.sin(np.pi * j[nz] / d)
+    sgn = (-1.0) ** j[nz]
     fq[nz] = sgn * 1j * np.sqrt(np.pi) / (np.sqrt(2.0) * sn)
-    fq2[nz] = sgn * np.pi * np.cos(np.pi * n[nz] / d) / (np.sqrt(d) * sn**2)
-    fq2[n == 0] = (2.0 * np.pi / np.sqrt(d)) * s * (s + 1) / 3.0
-    return Signal(lat, fq), Signal(lat, fq2)
+    fq2[nz] = sgn * np.pi * np.cos(np.pi * j[nz] / d) / (np.sqrt(d) * sn**2)
+    return fq, fq2
+
+
+def closed_form_coordinate_transforms(lat: Lattice) -> tuple[Signal, Signal]:
+    """Closed forms of F[q] and F[q²] on the grid n = -s..s."""
+    fq, fq2 = _coordinate_transforms(lat, lat.indices)
+    return Signal(lat, fq), Signal(lat, fq2.astype(complex))
 
 
 def transform_of_coordinate_at(lat: Lattice, j: int) -> complex:
     """F[q] at an arbitrary integer frequency j (d-periodic in j)."""
-    if j % lat.d == 0:
-        return 0.0 + 0.0j
-    return ((-1.0) ** j) * 1j * np.sqrt(np.pi) / (
-        np.sqrt(2.0) * np.sin(np.pi * j / lat.d)
-    )
+    return complex(_coordinate_transforms(lat, [j])[0][0])
 
 
 def transform_of_coordinate_squared_at(lat: Lattice, j: int) -> float:
     """F[q²] at an arbitrary integer frequency j (d-periodic in j)."""
-    d, s = lat.d, lat.s
-    if j % d == 0:
-        return (2.0 * np.pi / np.sqrt(d)) * s * (s + 1) / 3.0
-    return ((-1.0) ** j) * np.pi * np.cos(np.pi * j / d) / (
-        np.sqrt(d) * np.sin(np.pi * j / d) ** 2
-    )
+    return float(_coordinate_transforms(lat, [j])[1][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +169,8 @@ def equidistant_circulant(lat: Lattice) -> CirculantSpec:
     d = lat.d
     n = lat.indices
     col = np.empty(d, dtype=complex)
+    # n is already centred, |2πn/d| < π; gathered from k = n mod d in 0..d-1
+    # instead, z - 1 would lose the symmetry c_{-k} = conj(c_k)
     z = np.exp(2j * np.pi * n / d)
     nz = n != 0
     col[nz] = z[nz] / (z[nz] - 1.0)

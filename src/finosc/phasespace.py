@@ -5,8 +5,11 @@ displacement unitaries
 
     D(α, β)φ(u) = e^{-iαβ/2}·e^{iβu}·φ(u - α)
 
-shift by whole grid steps (cyclically) and modulate; products αβ are true real
-products, never reduced.  They compose up to a phase,
+shift by whole grid steps (cyclically) and modulate.  On the grid every such
+phase is a root of unity indexed by an integer: e^{iβu} = e^{2πi·b·n/d} and
+e^{-iαβ/2} = e^{-iπab/d}, formed from b·n reduced mod d and a·b reduced mod
+2d, so their rounding stays at ε whatever the grid size.  The displacements
+compose up to a phase,
 
     D(α₁, β₁)·D(α₂, β₂) = e^{-(i/2)(α₁β₂ - α₂β₁)}·D(α₁+α₂, β₁+β₂),
 
@@ -25,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import dft_operator
+from .fourier import _root, dft_operator
 from .lattice import Lattice, Operator, Signal
 from .thetagauss import GroundState, ground_state
 
@@ -76,7 +79,7 @@ def displacement(lat: Lattice, p: PhasePoint) -> Operator:
         raise ValueError("phase point belongs to a different lattice")
     d = lat.d
     n = lat.indices
-    phase = np.exp(-0.5j * p.alpha * p.beta) * np.exp(2j * np.pi * p.b_idx * n / d)
+    phase = _root(p.a_idx * p.b_idx, 2 * d, -1.0) * _root(p.b_idx * n, d)
     mat = np.zeros((d, d), dtype=complex)
     rows = lat.pos(n)
     cols = lat.pos(n - p.a_idx)
@@ -88,14 +91,14 @@ def _coherent_amplitudes(lat: Lattice, g: np.ndarray, a, b) -> np.ndarray:
     """|a,b⟩[n] = e^{-iπab/d}·e^{2πi·b·n/d}·g(n - a), broadcast over (a, b).
 
     ``a`` and ``b`` are integer index arrays (or scalars) that broadcast
-    together; the grid index n runs along a new last axis.  The integer
-    products a·b and b·n are formed before any float arithmetic, so a single
+    together; the grid index n runs along a new last axis.  Both phases come
+    from their integer products, a·b reduced mod 2d and b·n mod d, so a single
     state and a row of the dense sweep come out bit for bit the same.
     """
     a, b = np.asarray(a), np.asarray(b)
     n = lat.indices
-    half = np.exp(-1j * np.pi * (a * b) / lat.d)  # e^{-iαβ/2} = e^{-iπab/d}
-    mod = np.exp(2j * np.pi * (b[..., None] * n) / lat.d)  # e^{2πi b n/d}
+    half = _root(a * b, 2 * lat.d, -1.0)  # e^{-iαβ/2} = e^{-iπab/d}
+    mod = _root(b[..., None] * n, lat.d)  # e^{2πi b n/d}
     shifted = g[lat.pos(n - a[..., None])]  # g((n - a)√δ)
     return half[..., None] * mod * shifted
 
@@ -169,6 +172,6 @@ def overlap(frame: CoherentFrame, p1: PhasePoint, p2: PhasePoint) -> complex:
     n = lat.indices
     g1 = g[lat.pos(n - p1.a_idx)]
     g2 = g[lat.pos(n - p2.a_idx)]
-    mod = np.exp(1j * (p2.beta - p1.beta) * lat.points)
-    front = np.exp(0.5j * (p1.alpha * p1.beta - p2.alpha * p2.beta))
+    mod = _root((p2.b_idx - p1.b_idx) * n, lat.d)
+    front = _root(p1.a_idx * p1.b_idx - p2.a_idx * p2.b_idx, 2 * lat.d)
     return complex(front * np.sum(mod * g1 * g2))

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import frft, quantize, reference, spectral
 from .fourier import (
+    _root,
     circulant,
     closed_form_coordinate_transforms,
     dft_operator,
@@ -55,28 +56,6 @@ class _CheckFailure(AssertionError):
 def _require(cond: bool, detail: str) -> None:
     if not cond:
         raise _CheckFailure(detail)
-
-
-# Size-aware bounds.  The displacements carry phases e^{iθ} whose arguments
-# are formed from the unreduced products b·n and a·b, so θ reaches πd/2 and
-# rounding it costs up to about ε·|θ|: each such entry is off by ~ε·d, a
-# figure that grows with the grid.  F reduces n·m mod d before forming its
-# phases, yet F[q²] and the circulant rebuild still grow with the size of
-# what they transform.  Up to d = 101 the checks below keep their fixed
-# bounds.  Above it a check takes max(fixed, C·ε·f(d)): f(d) carries the
-# per-entry error through the check's arithmetic (the model is noted at each
-# check; the Fourier ones describe F built from the unreduced n·m), and C is
-# an empirical fit made with that F, about three times the largest deviation
-# seen at every odd d from 103 to 301 and d = 351..1001 in steps of 50; each
-# check notes its margin at d = 301 and the smallest one over that range.
-# Bounds relative to ‖q²‖ and ‖C‖ would let the Fourier models go (see
-# ROADMAP).
-_EPS = float(np.finfo(float).eps)
-
-
-def _size_bound(d: int, fixed: float, model: float) -> float:
-    """``fixed`` up to d = 101, max(fixed, model) above it."""
-    return fixed if d <= 101 else max(fixed, model)
 
 
 class _Ctx:
@@ -184,21 +163,14 @@ def _chk_periodic_access(ctx):
 def _chk_fourier_unitary(ctx):
     f = ctx.fmat
     dev = np.linalg.norm(f @ f.conj().T - np.eye(ctx.d))
-    # an entry of FF⁺ sums d phase errors of ε·d/d at random signs, ε·√d;
-    # over d² entries the Frobenius norm is ε·d^{3/2}.  C = 1: margin 4.5 at
-    # d = 301, at least 3.6
-    bound = _size_bound(ctx.d, 1e-13, 1.0 * _EPS * ctx.d**1.5)
-    _require(dev < bound, f"‖FF⁺ - I‖ = {dev:.2e} (bound {bound:.1e})")
+    _require(dev < 1e-13, f"‖FF⁺ - I‖ = {dev:.2e}")
     return f"‖FF⁺ - I‖_F = {dev:.1e}"
 
 
 def _chk_fourier_fourth_power(ctx):
     f = ctx.fmat
     dev = np.linalg.norm(np.linalg.matrix_power(f, 4) - np.eye(ctx.d))
-    # the unitarity model, over three products: ε·d^{3/2}.  C = 2: margin 4.5
-    # at d = 301, at least 3.8
-    bound = _size_bound(ctx.d, 1e-12, 2.0 * _EPS * ctx.d**1.5)
-    _require(dev < bound, f"‖F⁴ - I‖ = {dev:.2e} (bound {bound:.1e})")
+    _require(dev < 1e-12, f"‖F⁴ - I‖ = {dev:.2e}")
     return f"‖F⁴ - I‖_F = {dev:.1e}"
 
 
@@ -207,11 +179,7 @@ def _chk_fourier_parity(ctx):
     twice = ctx.fmat @ (ctx.fmat @ sig.amp)
     flipped = np.array([sig[-n] for n in ctx.lat.indices])
     dev = np.max(np.abs(twice - flipped))
-    # an entry of F·x sums d terms |x|/√d, each off by ε·d·|x|/√d, at random
-    # signs: ε·d for |x| of order one, twice over.  C = 5: margin 6.2 at
-    # d = 301, at least 3.0
-    bound = _size_bound(ctx.d, 1e-13, 5.0 * _EPS * ctx.d)
-    _require(dev < bound, f"F² flip deviation {dev:.2e} (bound {bound:.1e})")
+    _require(dev < 1e-13, f"F² flip deviation {dev:.2e}")
     return f"F² reverses the grid ({dev:.1e})"
 
 
@@ -220,7 +188,7 @@ def _chk_root_of_unity_sum(ctx):
     a = np.arange(-s, s + 1)
     worst = 0.0
     for n in range(-2 * d, 2 * d + 1):
-        total = np.sum(np.exp(2j * np.pi * a * n / d))
+        total = np.sum(_root(a * n, d))
         want = d if n % d == 0 else 0.0
         worst = max(worst, abs(total - want))
     _require(worst < 1e-10, f"geometric sum off by {worst:.2e}")
@@ -283,14 +251,9 @@ def _chk_coordinate_transforms(ctx):
     q = coordinate_signal(ctx.lat).amp
     dev1 = np.max(np.abs(ctx.fmat @ q - fq.amp))
     dev2 = np.max(np.abs(ctx.fmat @ (q * q) - fq2.amp))
-    # (F·x)_n sums d terms x_m/√d, the m-th with a phase error up to
-    # ε·2π|n·m|/d.  Part of that error is proportional to θ (rounding 2π and
-    # the division), so the terms do not cancel at random; added without
-    # cancelling they give ε·d² for x = q (|q_m| ≤ √(πd/2)) and ε·d^{5/2}
-    # for x = q² (≤ πd/2).  C = 0.25 for F[q]: margin 7.6 at d = 301, at
-    # least 2.9; C = 0.3 for F[q²]: margin 6.3 at d = 301, at least 3.2.
-    bound1 = _size_bound(ctx.d, 1e-12, 0.25 * _EPS * ctx.d**2)
-    bound2 = _size_bound(ctx.d, 1e-12, 0.3 * _EPS * ctx.d**2.5)
+    # relative to ‖x‖₁/√d, the largest entry |F·x| can have
+    bound1 = 1e-14 * np.sum(np.abs(q)) / np.sqrt(ctx.d)
+    bound2 = 1e-14 * np.sum(q * q) / np.sqrt(ctx.d)
     _require(dev1 < bound1, f"F[q] closed form off by {dev1:.2e} (bound {bound1:.1e})")
     _require(dev2 < bound2, f"F[q²] closed form off by {dev2:.2e} (bound {bound2:.1e})")
     return f"closed forms match the transform ({max(dev1, dev2):.1e})"
@@ -313,10 +276,7 @@ def _chk_circulant_diagonalization(ctx):
     f = ctx.fmat
     rebuilt = f.conj().T @ np.diag(ev) @ f
     dev = np.linalg.norm(rebuilt - mat)
-    # ev_k ~ √d for a random column, so an entry of F⁺·diag(ev)·F sums d
-    # terms of ε·d·√d/d at random signs, ε·d; over d² entries, ε·d².
-    # C = 2.5: margin 6.5 at d = 301, at least 3.0.
-    bound = _size_bound(ctx.d, 1e-12, 2.5 * _EPS * ctx.d**2)
+    bound = 1e-14 * np.linalg.norm(mat)
     _require(dev < bound, f"F⁺·diag·F off by {dev:.2e} (bound {bound:.1e})")
     return f"F⁺·diag(ev)·F rebuilds the matrix ({dev:.1e})"
 
@@ -330,7 +290,8 @@ def _chk_equidistant_circulant(ctx):
     _require(herm < 1e-12, f"not Hermitian: {herm:.2e}")
     ev = np.sort(spec_c.eigenvalues().real)
     dev = np.max(np.abs(ev - np.arange(1, ctx.d + 1)))
-    _require(dev < 1e-11, f"spectrum deviates from 1..d by {dev:.2e}")
+    # relative to the spectrum's scale d
+    _require(dev < 1e-13 * ctx.d, f"spectrum deviates from 1..d by {dev:.2e}")
     tr = float(np.trace(mat).real)
     _require(abs(tr - ctx.d * (ctx.d + 1) / 2) < 1e-9, f"trace {tr}")
     return f"Hermitian with spectrum 1..{ctx.d} ({dev:.1e})"
@@ -419,7 +380,7 @@ def _chk_momentum_operator(ctx):
     lat = ctx.lat
     p = momentum_operator(lat).mat
     herm = np.linalg.norm(p - p.conj().T)
-    _require(herm < 1e-13, f"not Hermitian: {herm:.2e}")
+    _require(herm < 1e-15 * np.linalg.norm(p), f"not Hermitian: {herm:.2e}")
     qexp = np.diag(np.exp(-1j * lat.sqrt_delta * lat.points))
     # P is Q in the transform picture, so e^{-i√δP} = F⁺·e^{-i√δQ}·F,
     # and that exponential must advance the grid by one site
@@ -436,28 +397,15 @@ def _chk_momentum_operator(ctx):
 def _chk_momentum_convolution_form(ctx):
     lat = ctx.lat
     pmat = momentum_operator(lat).mat
-    kern = np.array(
-        [
-            np.sum(
-                lat.points
-                * np.exp(2j * np.pi * lat.indices * v / lat.d)
-            )
-            / lat.d
-            for v in lat.indices
-        ]
-    )
+    n = lat.indices
+    # kern[v] = (1/d)·Σ_n q_n·e^{2πi·n·v/d}, and (Pφ)_n = Σ_v kern[v]·φ(n - v)
+    kern = _root(np.outer(n, n), lat.d) @ lat.points / lat.d
+    shifts = lat.pos(n[:, None] - n[None, :])
     worst = 0.0
     for _ in range(10):
         sig = ctx.random_signal()
         direct = pmat @ sig.amp
-        convd = np.array(
-            [
-                np.sum(
-                    kern * np.array([sig[n - v] for v in lat.indices])
-                )
-                for n in lat.indices
-            ]
-        )
+        convd = sig.amp[shifts] @ kern
         worst = max(worst, float(np.max(np.abs(direct - convd))))
     _require(worst < 1e-11, f"convolution form off by {worst:.2e}")
     return f"matches the phase-weighted convolution ({worst:.1e})"
@@ -474,6 +422,11 @@ def _chk_displacement_unitary(ctx):
     return f"random displacements unitary ({worst:.1e})"
 
 
+def _symplectic_phase(lat, p1: PhasePoint, p2: PhasePoint) -> complex:
+    """e^{-(i/2)(α₁β₂ - α₂β₁)} = e^{-iπ(a₁b₂ - a₂b₁)/d}, the composition phase."""
+    return _root(p1.a_idx * p2.b_idx - p2.a_idx * p1.b_idx, 2 * lat.d, -1.0)
+
+
 def _chk_displacement_group_law(ctx):
     lat = ctx.lat
     checked = 0
@@ -484,15 +437,12 @@ def _chk_displacement_group_law(ctx):
         if abs(asum) > lat.s or abs(bsum) > lat.s:
             continue
         left = displacement(lat, p1).mat @ displacement(lat, p2).mat
-        phase = np.exp(-0.5j * (p1.alpha * p2.beta - p2.alpha * p1.beta))
+        phase = _symplectic_phase(lat, p1, p2)
         target = PhasePoint(lattice=lat, a_idx=asum, b_idx=bsum)
         right = phase * displacement(lat, target).mat
         worst = max(worst, float(np.linalg.norm(left - right)))
         checked += 1
-    # each of the d nonzero entries carries phase errors of ε·d: ε·d^{3/2}.
-    # C = 8: margin 10.5 at d = 301, at least 3.2
-    bound = _size_bound(lat.d, 1e-12, 8.0 * _EPS * lat.d**1.5)
-    _require(worst < bound, f"group law off by {worst:.2e} (bound {bound:.1e})")
+    _require(worst < 1e-12, f"group law off by {worst:.2e}")
     return f"composition law exact in range ({worst:.1e})"
 
 
@@ -524,15 +474,12 @@ def _chk_displacement_wrap_sign(ctx):
         b_red = int(lat.wrap(b1 + b2))
         sig_a = (a1 + a2 - a_red) // lat.d
         sig_b = (b1 + b2 - b_red) // lat.d
-        phase = np.exp(-0.5j * (p1.alpha * p2.beta - p2.alpha * p1.beta))
+        phase = _symplectic_phase(lat, p1, p2)
         sign = (-1.0) ** (sig_b * a_red + sig_a * b_red + sig_a * sig_b)
         target = PhasePoint(lattice=lat, a_idx=a_red, b_idx=b_red)
         right = sign * phase * displacement(lat, target).mat
         worst = max(worst, float(np.linalg.norm(left - right)))
-    # the group-law model: ε·d^{3/2}.  C = 5: margin 7.7 at d = 301, at
-    # least 3.0
-    bound = _size_bound(lat.d, 1e-12, 5.0 * _EPS * lat.d**1.5)
-    _require(worst < bound, f"wrap sign rule off by {worst:.2e} (bound {bound:.1e})")
+    _require(worst < 1e-12, f"wrap sign rule off by {worst:.2e}")
     return f"index reduction costs one explicit sign ({worst:.1e})"
 
 

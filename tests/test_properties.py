@@ -2,7 +2,7 @@
 
 Transform sizes are drawn from the odd d in [5, 151]; each (d, kind) basis
 is built once per session.  The label audits and the dense reference run on
-odd d up to 301.  Examples are derandomized, so a run is reproducible.
+odd d up to 301, the displacement phases on odd d up to 1001.  Examples are derandomized, so a run is reproducible.
 """
 
 from functools import lru_cache
@@ -17,12 +17,15 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from finosc import (  # noqa: E402
     Signal,
     apply_frft,
+    coherent_frame,
     dft_operator,
+    displacement,
     frame_hamiltonian,
     frft_kernel,
     harper_hamiltonian,
     make_lattice,
     oscillator_basis,
+    phase_point,
     sign_alternations,
     spectral,
 )
@@ -37,6 +40,7 @@ label_sizes = st.integers(2, 150).map(lambda s: 2 * s + 1)
 kinds = st.sampled_from(["frame", "harper"])
 orders = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 seeds = st.integers(0, 2**32 - 1)
+phase_sizes = st.integers(2, 500).map(lambda s: 2 * s + 1)
 
 
 @lru_cache(maxsize=None)
@@ -192,3 +196,33 @@ def test_alternation_counts_follow_the_kept_entry_rule(data, rows, cols):
     want = [_kept_entry_flips(col) for col in vecs.T]
     assert list(spectral._alternation_counts(vecs)) == want
     assert [sign_alternations(col) for col in vecs.T] == want
+
+
+@SETTINGS
+@given(d=phase_sizes, seed=seeds)
+def test_displacement_phases_depend_only_on_the_reduced_integers(d, seed):
+    # row n of D(a, b) holds e^{-iπab/d}·e^{2πi·b·n/d}: two entries whose
+    # products agree, a·b mod 2d and b·n mod d, are the same bits
+    lat = make_lattice(d)
+    rng = np.random.default_rng(seed)
+    a, b = (int(x) for x in rng.integers(-lat.s, lat.s + 1, size=2))
+    A, B = np.meshgrid(lat.indices, lat.indices, indexing="ij")
+    same = (A * B - a * b) % (2 * d) == 0
+    k = rng.integers(np.count_nonzero(same))
+    a2, b2 = int(A[same][k]), int(B[same][k])
+    n = lat.indices
+    e1 = displacement(lat, phase_point(lat, a, b)).mat[lat.pos(n), lat.pos(n - a)]
+    e2 = displacement(lat, phase_point(lat, a2, b2)).mat[lat.pos(n), lat.pos(n - a2)]
+    i, j = np.nonzero((b * n[:, None] - b2 * n[None, :]) % d == 0)
+    assert len(i) > 0  # n = 0 always pairs with n = 0
+    assert np.array_equal(e1[i], e2[j])
+
+
+@SETTINGS
+@given(d=st.integers(2, 50).map(lambda s: 2 * s + 1), seed=seeds)
+def test_single_state_is_its_dense_row(d, seed):
+    frame = coherent_frame(make_lattice(d))
+    rng = np.random.default_rng(seed)
+    for a, b in rng.integers(-frame.lattice.s, frame.lattice.s + 1, size=(10, 2)):
+        p = phase_point(frame.lattice, a, b)
+        assert np.array_equal(frame.state(p).amp, frame.states[frame.flat_index(p)])
