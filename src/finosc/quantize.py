@@ -61,11 +61,11 @@ def frame_quantize(frame: CoherentFrame, symbol: PhaseSymbol) -> Operator:
     constructions are checked against.
     """
     lat = frame.lattice
-    weights = np.empty(lat.d * lat.d, dtype=complex)
-    for p in frame.iter_points():
-        weights[frame.flat_index(p)] = symbol.fn(p.alpha, p.beta)
+    # the row-major sweep of ``states``: α outer, β inner
+    pts = lat.points.tolist()
+    weights = np.array([symbol.fn(a, b) for a in pts for b in pts], dtype=complex)
     states = frame.states
-    mat = np.einsum("p,pn,pm->nm", weights, states, states.conj()) / lat.d
+    mat = (states.T * weights) @ states.conj() / lat.d
     return Operator(lat, mat)
 
 

@@ -56,8 +56,18 @@ def hermite_gaussian(m: int, x):
     _check_order(m)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    vals = _hermite_all(m, np.atleast_1d(x))[m]
-    return float(vals[0]) if scalar else vals
+    x = np.atleast_1d(x)
+    # the recurrence of ``_hermite_all``, operation for operation, keeping
+    # two rows and updating them in place
+    cur = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    prev = np.zeros_like(x)
+    for k in range(m):
+        nxt = x * np.sqrt(2.0 / (k + 1))
+        nxt *= cur
+        prev *= np.sqrt(k / (k + 1.0))
+        nxt -= prev
+        prev, cur = cur, nxt
+    return float(cur[0]) if scalar else cur
 
 
 @dataclass(frozen=True, eq=False)

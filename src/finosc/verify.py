@@ -77,6 +77,10 @@ class _Ctx:
         return self._get("fmat", lambda: dft_operator(self.lat).mat)
 
     @property
+    def projectors(self):
+        return self._get("projectors", lambda: fourier_projectors(self.lat))
+
+    @property
     def ground(self):
         return self._get("ground", lambda: ground_state(self.lat))
 
@@ -118,9 +122,9 @@ class _Ctx:
         )
         return Signal(self.lat, amp)
 
-    def random_point(self) -> PhasePoint:
-        a, b = self.rng.integers(-self.lat.s, self.lat.s + 1, size=2)
-        return PhasePoint(lattice=self.lat, a_idx=int(a), b_idx=int(b))
+    def random_indices(self, k: int) -> np.ndarray:
+        """k phase-space index pairs (a, b), uniform over -s..s, one draw."""
+        return self.rng.integers(-self.lat.s, self.lat.s + 1, size=(k, 2))
 
 
 # ---------------------------------------------------------------- lattice
@@ -177,7 +181,7 @@ def _chk_fourier_fourth_power(ctx):
 def _chk_fourier_parity(ctx):
     sig = ctx.random_signal()
     twice = ctx.fmat @ (ctx.fmat @ sig.amp)
-    flipped = np.array([sig[-n] for n in ctx.lat.indices])
+    flipped = sig.amp[ctx.lat.pos(-ctx.lat.indices)]
     dev = np.max(np.abs(twice - flipped))
     _require(dev < 1e-13, f"F² flip deviation {dev:.2e}")
     return f"F² reverses the grid ({dev:.1e})"
@@ -186,17 +190,16 @@ def _chk_fourier_parity(ctx):
 def _chk_root_of_unity_sum(ctx):
     d, s = ctx.d, ctx.lat.s
     a = np.arange(-s, s + 1)
-    worst = 0.0
-    for n in range(-2 * d, 2 * d + 1):
-        total = np.sum(_root(a * n, d))
-        want = d if n % d == 0 else 0.0
-        worst = max(worst, abs(total - want))
+    n = np.arange(-2 * d, 2 * d + 1)
+    total = _root(np.outer(n, a), d).sum(axis=1)
+    want = np.where(n % d == 0, d, 0.0)
+    worst = float(np.max(np.abs(total - want)))
     _require(worst < 1e-10, f"geometric sum off by {worst:.2e}")
     return f"Σ e^{{2πian/d}} = d·[d|n] ({worst:.1e})"
 
 
 def _chk_projectors(ctx):
-    pr = fourier_projectors(ctx.lat)
+    pr = ctx.projectors
     eye = np.eye(ctx.d)
     total = sum(p.mat for p in pr.pi)
     dev_sum = np.linalg.norm(total - eye)
@@ -217,7 +220,7 @@ def _chk_projectors(ctx):
 
 
 def _chk_projector_ranks(ctx):
-    pr = fourier_projectors(ctx.lat)
+    pr = ctx.projectors
     traces = [float(np.trace(p.mat).real) for p in pr.pi]
     counts = [int(round(t)) for t in traces]
     worst = max(abs(t - c) for t, c in zip(traces, counts))
@@ -230,7 +233,7 @@ def _chk_projector_ranks(ctx):
 
 
 def _chk_projector_vs_eigensolver(ctx):
-    pr = fourier_projectors(ctx.lat)
+    pr = ctx.projectors
     f = ctx.fmat
     re = 0.5 * (f + f.conj().T)
     im = (f - f.conj().T) / 2j
@@ -342,11 +345,10 @@ def _chk_theta_product_identity(ctx):
     gh = theta_gaussian(lat, 0.5)
     a = 2.0 * g2.value_at(0) - gh.value_at(0)
     b = g2.value_at(0) - gh.value_at(0)
-    worst = 0.0
-    for n in lat.indices:
-        lhs = g1.value_at(n) ** 2
-        rhs = a * g2.value_at(n) - b * gh.value_at(2 * n)
-        worst = max(worst, abs(lhs - rhs))
+    # storage order is index order, so g(n) is amp itself and g(2n) a gather
+    lhs = g1.amp ** 2
+    rhs = a * g2.amp - b * gh.amp[lat.pos(2 * lat.indices)]
+    worst = float(np.max(np.abs(lhs - rhs)))
     _require(worst < 1e-13, f"square identity off by {worst:.2e}")
     return f"𝐠₁² expands over widths 2 and 1/2 ({worst:.1e})"
 
@@ -366,10 +368,10 @@ def _chk_ground_autocorrelation(ctx):
     lat = ctx.lat
     g = ctx.ground.amp
     fg2 = ctx.fmat @ (g * g)
-    worst = 0.0
-    for j in range(lat.d):
-        acf = float(np.dot(g, np.roll(g, -j))) / np.sqrt(lat.d)
-        worst = max(worst, abs(acf - fg2[lat.pos(j)]))
+    # row j of the gather is g rolled back by j, so acf[j] = Σ_a g(a)·g(a + j)
+    j = np.arange(lat.d)
+    acf = g[(j[:, None] + j[None, :]) % lat.d] @ g / np.sqrt(lat.d)
+    worst = float(np.max(np.abs(acf - fg2[lat.pos(j)])))
     _require(worst < 1e-12, f"autocorrelation law off by {worst:.2e}")
     return f"autocorrelation equals F[g²] ({worst:.1e})"
 
@@ -411,37 +413,76 @@ def _chk_momentum_convolution_form(ctx):
     return f"matches the phase-weighted convolution ({worst:.1e})"
 
 
+def _monomial(lat, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix of D(a, b) as (cols, vals): row n holds vals[n] at cols[n].
+
+    A displacement is a permutation times a diagonal of roots of unity, so
+    each row and each column of its matrix holds exactly one nonzero; that
+    is asserted here, and the products below rest on it.
+    """
+    mat = displacement(lat, PhasePoint(lattice=lat, a_idx=int(a), b_idx=int(b))).mat
+    nz = mat != 0
+    # d nonzeros that reach every row and every column: one in each
+    monomial = np.count_nonzero(nz) == lat.d and nz.any(axis=0).all() and nz.any(axis=1).all()
+    _require(bool(monomial), f"displacement ({a}, {b}) is not monomial")
+    cols = np.argmax(nz, axis=1)
+    return cols, mat[np.arange(lat.d), cols]
+
+
 def _chk_displacement_unitary(ctx):
-    eye = np.eye(ctx.d)
     worst = 0.0
-    for _ in range(20):
-        p = ctx.random_point()
-        dmat = displacement(ctx.lat, p).mat
-        worst = max(worst, float(np.linalg.norm(dmat @ dmat.conj().T - eye)))
+    for a, b in ctx.random_indices(20):
+        _, vals = _monomial(ctx.lat, a, b)
+        # every entry of DD⁺ is a sum with at most one nonzero term, and with
+        # the columns a permutation only the diagonal |vals|² has one
+        worst = max(worst, float(np.linalg.norm(np.abs(vals) ** 2 - 1.0)))
     _require(worst < 1e-13, f"unitarity off by {worst:.2e}")
     return f"random displacements unitary ({worst:.1e})"
 
 
-def _symplectic_phase(lat, p1: PhasePoint, p2: PhasePoint) -> complex:
+def _symplectic_phase(lat, a1, b1, a2, b2) -> complex:
     """e^{-(i/2)(α₁β₂ - α₂β₁)} = e^{-iπ(a₁b₂ - a₂b₁)/d}, the composition phase."""
-    return _root(p1.a_idx * p2.b_idx - p2.a_idx * p1.b_idx, 2 * lat.d, -1.0)
+    return _root(a1 * b2 - a2 * b1, 2 * lat.d, -1.0)
+
+
+def _composition_error(lat, a1, b1, a2, b2, factor, a, b) -> float:
+    """‖D(a₁,b₁)·D(a₂,b₂) - factor·D(a,b)‖_F over the monomial factors.
+
+    Row n of the product is D₁[n, c₁(n)]·D₂[c₁(n)], a single nonzero at
+    column c₂(c₁(n)), the same value the dense product sums to.  Two
+    monomial rows differ by |x - y|² where their columns agree and by
+    |x|² + |y|² where they do not.
+    """
+    c1, v1 = _monomial(lat, a1, b1)
+    c2, v2 = _monomial(lat, a2, b2)
+    cols, vals = c2[c1], v1 * v2[c1]
+    want_cols, want = _monomial(lat, a, b)
+    want = factor * want
+    sq = np.where(
+        cols == want_cols,
+        np.abs(vals - want) ** 2,
+        np.abs(vals) ** 2 + np.abs(want) ** 2,
+    )
+    return float(np.sqrt(np.sum(sq)))
+
+
+# pairs drawn for the group law: at least 9/16 of them (the large-d limit)
+# keep both index sums in range, so fewer than the 20 needed lies more than
+# nine standard deviations below the mean
+_GROUP_LAW_DRAWS = 128
 
 
 def _chk_displacement_group_law(ctx):
     lat = ctx.lat
-    checked = 0
+    a1, b1, a2, b2 = ctx.random_indices(2 * _GROUP_LAW_DRAWS).reshape(-1, 4).T
+    asum, bsum = a1 + a2, b1 + b2
+    keep = np.flatnonzero((np.abs(asum) <= lat.s) & (np.abs(bsum) <= lat.s))[:20]
+    _require(len(keep) == 20, f"only {len(keep)} in-range pairs drawn")
     worst = 0.0
-    while checked < 20:
-        p1, p2 = ctx.random_point(), ctx.random_point()
-        asum, bsum = p1.a_idx + p2.a_idx, p1.b_idx + p2.b_idx
-        if abs(asum) > lat.s or abs(bsum) > lat.s:
-            continue
-        left = displacement(lat, p1).mat @ displacement(lat, p2).mat
-        phase = _symplectic_phase(lat, p1, p2)
-        target = PhasePoint(lattice=lat, a_idx=asum, b_idx=bsum)
-        right = phase * displacement(lat, target).mat
-        worst = max(worst, float(np.linalg.norm(left - right)))
-        checked += 1
+    for i in keep:
+        phase = _symplectic_phase(lat, a1[i], b1[i], a2[i], b2[i])
+        err = _composition_error(lat, a1[i], b1[i], a2[i], b2[i], phase, asum[i], bsum[i])
+        worst = max(worst, err)
     _require(worst < 1e-12, f"group law off by {worst:.2e}")
     return f"composition law exact in range ({worst:.1e})"
 
@@ -467,18 +508,14 @@ def _chk_displacement_wrap_sign(ctx):
         ((-s, -s), (-1, -1)),
     ]
     for (a1, b1), (a2, b2) in pairs:
-        p1 = PhasePoint(lattice=lat, a_idx=a1, b_idx=b1)
-        p2 = PhasePoint(lattice=lat, a_idx=a2, b_idx=b2)
-        left = displacement(lat, p1).mat @ displacement(lat, p2).mat
         a_red = int(lat.wrap(a1 + a2))
         b_red = int(lat.wrap(b1 + b2))
         sig_a = (a1 + a2 - a_red) // lat.d
         sig_b = (b1 + b2 - b_red) // lat.d
-        phase = _symplectic_phase(lat, p1, p2)
+        phase = _symplectic_phase(lat, a1, b1, a2, b2)
         sign = (-1.0) ** (sig_b * a_red + sig_a * b_red + sig_a * sig_b)
-        target = PhasePoint(lattice=lat, a_idx=a_red, b_idx=b_red)
-        right = sign * phase * displacement(lat, target).mat
-        worst = max(worst, float(np.linalg.norm(left - right)))
+        err = _composition_error(lat, a1, b1, a2, b2, sign * phase, a_red, b_red)
+        worst = max(worst, err)
     _require(worst < 1e-12, f"wrap sign rule off by {worst:.2e}")
     return f"index reduction costs one explicit sign ({worst:.1e})"
 
@@ -531,13 +568,18 @@ def _chk_frame_fourier_rotation(ctx):
 
 
 def _chk_overlap_formula(ctx):
+    lat = ctx.lat
     frame = ctx.frame
-    worst = 0.0
-    for _ in range(50):
-        p1, p2 = ctx.random_point(), ctx.random_point()
-        direct = complex(np.vdot(frame.state(p1).amp, frame.state(p2).amp))
-        formula = overlap(frame, p1, p2)
-        worst = max(worst, abs(direct - formula))
+    a1, b1, a2, b2 = ctx.random_indices(2 * 50).reshape(-1, 4).T
+    # the rows of the dense sweep are the states bit for bit
+    s1 = frame.states[frame.flat_indices(a1, b1)]
+    s2 = frame.states[frame.flat_indices(a2, b2)]
+    direct = np.sum(s1.conj() * s2, axis=1)
+    formula = np.array([
+        overlap(frame, PhasePoint(lat, int(p), int(q)), PhasePoint(lat, int(r), int(t)))
+        for p, q, r, t in zip(a1, b1, a2, b2)
+    ])
+    worst = float(np.max(np.abs(direct - formula)))
     _require(worst < 1e-12, f"overlap formula off by {worst:.2e}")
     return f"closed overlap matches inner products ({worst:.1e})"
 
@@ -574,7 +616,8 @@ def _chk_hamiltonian_structure(ctx):
     mat = fh.op.mat
     g2 = ctx.ground.amp ** 2
     q2 = coordinate_signal(lat).amp ** 2
-    w = np.array([np.dot(q2, g2[lat.pos(k - lat.indices)]) for k in lat.indices])
+    diff = lat.indices[:, None] - lat.indices[None, :]  # n - m
+    w = g2[lat.pos(diff)] @ q2
     f = ctx.fmat
     oracle = -0.5 * np.eye(lat.d) + np.diag(w / 2) + f.conj().T @ np.diag(w / 2) @ f
     rel = float(np.linalg.norm(mat - oracle) / np.linalg.norm(mat))
@@ -582,20 +625,13 @@ def _chk_hamiltonian_structure(ctx):
     imag = float(np.max(np.abs(mat.imag)))
     asym = float(np.max(np.abs(mat - mat.T)))
     _require(imag < 1e-12 and asym < 1e-12, f"structure {imag:.2e}/{asym:.2e}")
-    worst = 0.0
-    for i, n in enumerate(lat.indices):
-        for j, m in enumerate(lat.indices):
-            if n == m:
-                want = fh.omega[abs(n)] - 0.5
-            else:
-                k = abs(n - m)
-                want = fh.tau[min(k, lat.d - k)]
-            worst = max(worst, abs(mat[i, j].real - want))
+    dist = np.abs(diff)
+    want = fh.tau[np.minimum(dist, lat.d - dist)]
+    np.fill_diagonal(want, fh.omega[np.abs(lat.indices)] - 0.5)
+    worst = float(np.max(np.abs(mat.real - want)))
     _require(worst < 1e-12, f"τ/ω layout off by {worst:.2e}")
-    cs = 0.0
-    for i, n in enumerate(lat.indices):
-        for j, m in enumerate(lat.indices):
-            cs = max(cs, abs(mat[i, j] - mat[lat.pos(-n), lat.pos(-m)]))
+    flip = lat.pos(-lat.indices)
+    cs = float(np.max(np.abs(mat - mat[np.ix_(flip, flip)])))
     _require(cs < 1e-12, f"centro-symmetry off by {cs:.2e}")
     return f"circulant-plus-well layout equals the Fourier form ({rel:.1e})"
 
@@ -623,14 +659,10 @@ def _chk_hamiltonian_offdiagonal_product(ctx):
     g2 = ctx.ground.amp ** 2
     _, fq2 = closed_form_coordinate_transforms(lat)
     fg2 = ctx.fmat @ g2
-    worst = 0.0
-    for i, n in enumerate(lat.indices):
-        for j, m in enumerate(lat.indices):
-            if n == m:
-                continue
-            # fq2 is a Signal (grid-indexed, periodic); fg2 a bare array
-            want = 0.5 * fq2[n - m] * fg2[lat.pos(n - m)]
-            worst = max(worst, abs(mat[i, j] - want))
+    at = lat.pos(lat.indices[:, None] - lat.indices[None, :])  # n - m
+    want = 0.5 * fq2.amp[at] * fg2[at]
+    off = ~np.eye(lat.d, dtype=bool)
+    worst = float(np.max(np.abs(mat - want)[off]))
     _require(worst < 1e-11, f"entry product law off by {worst:.2e}")
     return f"off-diagonal = ½·F[q²]·F[g²] ({worst:.1e})"
 
@@ -643,19 +675,20 @@ def _chk_positivity(ctx):
 
 
 def _chk_coherent_expectation(ctx):
+    lat = ctx.lat
     frame = ctx.frame
-    mat = ctx.fh.op.mat
-    worst = 0.0
-    for _ in range(50):
-        p = ctx.random_point()
-        state = frame.state(p).amp
-        sandwich = float(np.real(np.vdot(state, mat @ state)))
-        closed = quantize.coherent_expectation(ctx.fh, frame, p)
-        worst = max(worst, abs(sandwich - closed))
-        swapped = quantize.coherent_expectation(
-            ctx.fh, frame, PhasePoint(ctx.lat, p.b_idx, p.a_idx)
-        )
-        worst = max(worst, abs(closed - swapped))
+    a, b = ctx.random_indices(50).T
+    states = frame.states[frame.flat_indices(a, b)]
+    sandwich = np.sum(states.conj() * (states @ ctx.fh.op.mat.T), axis=1).real
+    closed = np.array([
+        quantize.coherent_expectation(ctx.fh, frame, PhasePoint(lat, int(p), int(q)))
+        for p, q in zip(a, b)
+    ])
+    swapped = np.array([
+        quantize.coherent_expectation(ctx.fh, frame, PhasePoint(lat, int(q), int(p)))
+        for p, q in zip(a, b)
+    ])
+    worst = float(max(np.max(np.abs(sandwich - closed)), np.max(np.abs(closed - swapped))))
     _require(worst < 1e-11, f"expectation law off by {worst:.2e}")
     return f"closed mean energy matches sandwiches ({worst:.1e})"
 
@@ -679,12 +712,8 @@ def _chk_raising_operator(ctx):
     _require(imag < 1e-11, f"imaginary parts {imag:.2e}")
     dev = float(np.max(np.abs(fast - brute)))
     _require(dev < 1e-12, f"factorized form off by {dev:.2e}")
-    anti = 0.0
-    for i, n in enumerate(lat.indices):
-        for j, m in enumerate(lat.indices):
-            anti = max(
-                anti, abs(fast[i, j] + fast[lat.pos(-n), lat.pos(-m)])
-            )
+    flip = lat.pos(-lat.indices)
+    anti = float(np.max(np.abs(fast + fast[np.ix_(flip, flip)])))
     _require(anti < 1e-11, f"antisymmetry off by {anti:.2e}")
     adj = quantize.frame_quantize(
         ctx.frame,
@@ -952,7 +981,7 @@ def _chk_deviation_report(ctx):
     # are the same vector, so δ_f and δ_h agree up to rounding and which one
     # is smaller is not a property of either basis.
     dims = np.array([round(float(np.trace(p.mat).real))
-                     for p in fourier_projectors(ctx.lat).pi])
+                     for p in ctx.projectors.pi])
     tied = dims[np.arange(ctx.d) % 4] == 1
     spread = float(np.max(np.abs(rep.delta_f - rep.delta_h)[tied], initial=0.0))
     _require(spread < 1e-12, f"one-dimensional classes differ by {spread:.2e}")

@@ -26,6 +26,8 @@ from finosc import (
 )
 from math import factorial
 
+from finosc.reference import _hermite_all
+
 
 def hermite_oracle(m, x):
     """Ψ_m through the polynomial route, for cross-checking the recurrence."""
@@ -33,6 +35,16 @@ def hermite_oracle(m, x):
     coeff[m] = 1.0
     norm = np.pi**0.25 * np.sqrt(2.0**m * factorial(m))
     return hermval(x, coeff) * np.exp(-0.5 * x * x) / norm
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 50, 300])
+def test_hermite_gaussian_is_the_table_row_bit_for_bit(m):
+    # the two-row recurrence does the table's arithmetic in the same order
+    x = np.linspace(-25.0, 25.0, 2001)
+    assert np.array_equal(hermite_gaussian(m, x), _hermite_all(m, x)[m])
+    grid = x[:2000].reshape(40, 50)
+    assert np.array_equal(hermite_gaussian(m, grid), _hermite_all(m, grid)[m])
+    assert hermite_gaussian(m, 1.5) == _hermite_all(m, np.array([1.5]))[m, 0]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 12, 20])

@@ -1,11 +1,13 @@
 """The invariant suite runner."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from finosc import Operator, SpectralBasis, deviation_report, run_suite
+from finosc import Operator, SpectralBasis, deviation_report, quantize, run_suite, verify
+from finosc.cli import main
 from finosc.verify import _CHECKS, _Ctx, _ground_vector_bound
 
 
@@ -143,3 +145,256 @@ def test_deviation_report_catches_a_fourier_invariant_change_of_h(d):
     assert rep.delta_f[0] < _ground_vector_bound(ctx)
     with pytest.raises(AssertionError, match="above 1e-6"):
         _deviation_check()(ctx)
+
+
+# every check in suite order; a check removed, renamed or moved changes the
+# lines ``verify`` prints
+_NAMES = (
+    "lattice: size validation",
+    "lattice: inner product sesquilinear",
+    "lattice: periodic index access",
+    "fourier: transform unitary",
+    "fourier: fourth power is identity",
+    "fourier: square reverses the grid",
+    "fourier: root-of-unity sums",
+    "fourier: spectral projectors",
+    "fourier: projector multiplicities",
+    "fourier: projectors vs eigensolver",
+    "fourier: coordinate transforms",
+    "fourier: circulant shift symmetry",
+    "fourier: circulant diagonalization",
+    "fourier: equidistant circulant",
+    "thetagauss: dual series agreement",
+    "thetagauss: theta-function form",
+    "thetagauss: Fourier width law",
+    "thetagauss: square identity",
+    "thetagauss: ground state",
+    "thetagauss: autocorrelation law",
+    "phasespace: momentum operator",
+    "phasespace: momentum convolution form",
+    "phasespace: displacement unitarity",
+    "phasespace: displacement group law",
+    "phasespace: wraparound sign rule",
+    "phasespace: coherent frame tight",
+    "phasespace: frame Parseval",
+    "phasespace: Fourier rotation of states",
+    "phasespace: overlap formula",
+    "quantize: unit symbol",
+    "quantize: fast path vs brute force",
+    "quantize: Hamiltonian layout",
+    "quantize: Fourier invariance",
+    "quantize: trace closed forms",
+    "quantize: off-diagonal product law",
+    "quantize: energy positivity",
+    "quantize: coherent mean energy",
+    "quantize: eigenvalue drift bound",
+    "quantize: raising operator",
+    "quantize: ladder recurrence",
+    "spectral: eigensolver vs closed forms",
+    "spectral: asymmetric input rejected",
+    "spectral: finite-difference oscillator",
+    "spectral: frame eigenbasis labels",
+    "spectral: Harper eigenbasis labels",
+    "spectral: eigenpair residuals",
+    "reference: Hermite recurrence",
+    "reference: ground-state approximation",
+    "reference: periodized ground identity",
+    "reference: periodized near-eigenvectors",
+    "reference: deviation report",
+    "reference: oracle at order 0",
+    "reference: oracle Fourier laws",
+    "frft: kernel group laws",
+    "frft: factored apply matches the kernel",
+    "frft: kernel Gaussian action",
+    "frft: rectangular test signal",
+    "frft: comparative accuracy",
+)
+
+
+def test_verify_21_prints_every_check_in_order(capsys):
+    assert main(["verify", "--d", "21"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "172 checks: 172 passed, 0 failed"
+    seen = [re.match(r"ok   d=(\d+) +(\w+: [^:]+):", line).groups() for line in lines[:-1]]
+    # the comparative-accuracy check starts at d = 11
+    want = [
+        (str(d), name)
+        for d in (5, 7, 21)
+        for name in _NAMES
+        if d >= 11 or name != "frft: comparative accuracy"
+    ]
+    assert seen == want
+
+
+# Injected faults: each rewritten check must fail when the quantity it
+# compares is off by a little more than its bound.  Every fault is applied
+# to a fresh workspace.
+
+def _nth_call_off_by(fn, n, delta):
+    calls = []
+
+    def faulty(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs) + (delta if len(calls) == n else 0.0)
+
+    return faulty
+
+
+def _overlap_off(monkeypatch, ctx):
+    monkeypatch.setattr(verify, "overlap", _nth_call_off_by(verify.overlap, 17, 1e-10))
+
+
+def _mean_energy_off(monkeypatch, ctx):
+    fn = _nth_call_off_by(quantize.coherent_expectation, 17, 1e-10)
+    monkeypatch.setattr(quantize, "coherent_expectation", fn)
+
+
+def _raising_sign_broken(monkeypatch, ctx):
+    # the same entry is broken in the fast and the brute-force matrices, so
+    # the comparison between them passes and only the antisymmetry is left
+    def flip(op):
+        mat = op.mat.copy()
+        mat[0, 1] = -mat[0, 1]
+        return Operator(op.lattice, mat)
+
+    fast, brute = quantize.raising_operator, quantize.frame_quantize
+    monkeypatch.setattr(quantize, "raising_operator", lambda fr: flip(fast(fr)))
+    monkeypatch.setattr(
+        quantize, "frame_quantize",
+        lambda fr, sym: flip(brute(fr, sym)) if sym.name == "raising" else brute(fr, sym),
+    )
+
+
+def _tau_moved(monkeypatch, ctx):
+    fh = ctx.fh
+    tau = fh.tau.copy()
+    tau[1] += 1e-11
+    ctx._cache["fh"] = replace(fh, tau=tau)
+
+
+def _hamiltonian_entry_moved(monkeypatch, ctx):
+    fh = ctx.fh
+    mat = fh.op.mat.copy()
+    mat[1, 3] += 1e-10
+    ctx._cache["fh"] = replace(fh, op=Operator(ctx.lat, mat))
+
+
+def _displacement_second_nonzero(monkeypatch, ctx):
+    real = verify.displacement
+
+    def faulty(lat, p):
+        mat = real(lat, p).mat.copy()
+        row = mat[0]
+        row[np.argmax(row == 0)] = 1e-300
+        return Operator(lat, mat)
+
+    monkeypatch.setattr(verify, "displacement", faulty)
+
+
+def _displacement_entry_scaled(monkeypatch, ctx):
+    real = verify.displacement
+
+    def faulty(lat, p):
+        mat = real(lat, p).mat.copy()
+        mat[0] *= 1.0 + 1e-11
+        return Operator(lat, mat)
+
+    monkeypatch.setattr(verify, "displacement", faulty)
+
+
+def _displacement_rows_swapped(monkeypatch, ctx):
+    # still monomial and unitary, but the composition lands on other columns
+    real = verify.displacement
+
+    def faulty(lat, p):
+        mat = real(lat, p).mat.copy()
+        mat[[0, 1]] = mat[[1, 0]]
+        return Operator(lat, mat)
+
+    monkeypatch.setattr(verify, "displacement", faulty)
+
+
+def _quantizer_weight_moved(monkeypatch, ctx):
+    real = quantize.frame_quantize
+
+    def faulty(frame, symbol):
+        def fn(a, b):
+            return symbol.fn(a, b) + (1e-9 if a == b == 0.0 else 0.0)
+
+        return real(frame, quantize.PhaseSymbol(fn=fn, name=symbol.name))
+
+    monkeypatch.setattr(quantize, "frame_quantize", faulty)
+
+
+def _root_off(monkeypatch, ctx):
+    real = verify._root
+
+    def faulty(k, period, sign=1.0):
+        out = np.array(real(k, period, sign))
+        out[out.real == out.real.max()] += 1e-9
+        return out
+
+    monkeypatch.setattr(verify, "_root", faulty)
+
+
+def _ground_moved(monkeypatch, ctx):
+    g = ctx.ground
+    amp = g.amp.copy()
+    amp[ctx.lat.s + 2] += 1e-9
+    ctx._cache["ground"] = replace(g, amp=amp)
+
+
+def _theta_moved(monkeypatch, ctx):
+    real = verify.theta_gaussian
+
+    def faulty(lat, kappa, *args):
+        tg = real(lat, kappa, *args)
+        if kappa != 2.0:
+            return tg
+        amp = tg.amp.copy()
+        amp[lat.s + 1] += 1e-12
+        return replace(tg, amp=amp)
+
+    monkeypatch.setattr(verify, "theta_gaussian", faulty)
+
+
+_DISPLACEMENT_CHECKS = (
+    "phasespace: displacement unitarity",
+    "phasespace: displacement group law",
+    "phasespace: wraparound sign rule",
+)
+
+_FAULTS = [
+    ("phasespace: overlap formula", _overlap_off, "overlap formula off"),
+    ("quantize: coherent mean energy", _mean_energy_off, "expectation law off"),
+    ("quantize: raising operator", _raising_sign_broken, "antisymmetry off"),
+    ("quantize: Hamiltonian layout", _tau_moved, "τ/ω layout off"),
+    ("quantize: off-diagonal product law", _hamiltonian_entry_moved, "entry product law off"),
+    ("quantize: Hamiltonian layout", _hamiltonian_entry_moved, "Fourier form off"),
+    *[(name, _displacement_second_nonzero, "not monomial") for name in _DISPLACEMENT_CHECKS],
+    ("phasespace: displacement unitarity", _displacement_entry_scaled, "unitarity off"),
+    ("phasespace: displacement group law", _displacement_entry_scaled, "group law off"),
+    ("phasespace: wraparound sign rule", _displacement_entry_scaled, "wrap sign rule off"),
+    ("phasespace: displacement group law", _displacement_rows_swapped, "group law off"),
+    ("phasespace: wraparound sign rule", _displacement_rows_swapped, "wrap sign rule off"),
+    ("quantize: unit symbol", _quantizer_weight_moved, "off identity"),
+    ("quantize: fast path vs brute force", _quantizer_weight_moved, "off brute force"),
+    ("quantize: raising operator", _quantizer_weight_moved, "factorized form off"),
+    ("fourier: root-of-unity sums", _root_off, "geometric sum off"),
+    ("thetagauss: autocorrelation law", _ground_moved, "autocorrelation law off"),
+    ("thetagauss: square identity", _theta_moved, "square identity off"),
+]
+
+
+@pytest.mark.parametrize("d", [5, 21])
+@pytest.mark.parametrize(
+    "name, fault, message", _FAULTS,
+    ids=[f"{_check_id(n)}-{f.__name__.strip('_')}" for n, f, _ in _FAULTS],
+)
+def test_rewritten_checks_fail_under_an_injected_fault(monkeypatch, name, fault, message, d):
+    ctx = _Ctx(d)
+    _check(name)(ctx)  # passes as built
+    ctx = _Ctx(d)
+    fault(monkeypatch, ctx)
+    with pytest.raises(AssertionError, match=message):
+        _check(name)(ctx)
