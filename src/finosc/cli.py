@@ -18,6 +18,7 @@ verification finds a failing check, 2 on a bad configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -43,35 +44,29 @@ from .verify import run_suite
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
+# one printf format per column, chosen by the column's dtype kind: integers
+# in full, floats to 17 significant digits (every double round-trips), text
+# as is
+_CELL = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 
 
-def _render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _render_csv(header, cols) -> str:
+    """Header row, then one line per entry of the equal-length columns."""
+    fmt = ",".join(_CELL[c.dtype.kind] for c in cols)
+    rows = [fmt % row for row in zip(*(c.tolist() for c in cols))]
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
-def _render_svg(header, rows) -> str:
+def _render_svg(header, cols) -> str:
     """Line plot in a fixed 800×500 viewbox: the first column is the x axis
     and every other numeric column becomes one polyline; text columns are
     skipped."""
-    numeric = [
-        j
-        for j in range(1, len(header))
-        if all(isinstance(r[j], (int, float, np.integer, np.floating)) for r in rows)
-    ]
-    xs = np.array([float(r[0]) for r in rows])
+    numeric = [j for j in range(1, len(cols)) if cols[j].dtype.kind in "biuf"]
+    xs = cols[0].astype(float)
     x0, x1 = float(xs.min()), float(xs.max())
     if numeric:
-        flat = [float(r[j]) for r in rows for j in numeric]
-        y0, y1 = min(flat), max(flat)
+        y0 = min(float(cols[j].min()) for j in numeric)
+        y1 = max(float(cols[j].max()) for j in numeric)
     else:
         y0, y1 = 0.0, 1.0
     # degenerate ranges still need a nonzero span to map onto pixels
@@ -80,12 +75,7 @@ def _render_svg(header, rows) -> str:
     if y1 == y0:
         y1 = y0 + 1.0
     left, top, width, height = 60.0, 20.0, 720.0, 420.0
-
-    def sx(x):
-        return left + width * (x - x0) / (x1 - x0)
-
-    def sy(y):
-        return top + height * (1.0 - (y - y0) / (y1 - y0))
+    px = (left + width * (xs - x0) / (x1 - x0)).tolist()
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 500" '
@@ -104,9 +94,8 @@ def _render_svg(header, rows) -> str:
     ]
     for k, j in enumerate(numeric):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(
-            f"{sx(float(r[0])):.2f},{sy(float(r[j])):.2f}" for r in rows
-        )
+        py = top + height * (1.0 - (cols[j].astype(float) - y0) / (y1 - y0))
+        pts = " ".join("%.2f,%.2f" % xy for xy in zip(px, py.tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
@@ -132,8 +121,11 @@ def _write_text(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _emit_table(header, rows, cfg) -> int:
-    text = _render_csv(header, rows) if cfg.format == "csv" else _render_svg(header, rows)
+def _emit_table(header, cols, cfg) -> int:
+    """Write a table given as columns: arrays or lists of equal length."""
+    cols = [np.asarray(c) for c in cols]
+    render = _render_csv if cfg.format == "csv" else _render_svg
+    text = render(header, cols)
     if cfg.out:
         _write_text(cfg.out, text)
     else:
@@ -188,30 +180,24 @@ def cmd_table1(cfg) -> int:
     if lat.s < shifts[-1]:
         raise ValueError(f"shift index {shifts[-1]} needs d >= 19, got {cfg.d}")
     table = coherent_deviation_table(coherent_frame(lat), shifts, shifts)
-    rows = [
-        (a, b, table[i, j])
-        for i, a in enumerate(shifts)
-        for j, b in enumerate(shifts)
-    ]
-    return _emit_table(("alpha_idx", "beta_idx", "deviation"), rows, cfg)
+    a, b = np.meshgrid(shifts, shifts, indexing="ij")
+    cols = (a.ravel(), b.ravel(), table.ravel())
+    return _emit_table(("alpha_idx", "beta_idx", "deviation"), cols, cfg)
 
 
 def cmd_spectrum(cfg) -> int:
     lat = make_lattice(cfg.d)
     check_basis_size(lat.d)
     basis = _labeled_basis(lat, cfg.method)
-    rows = [
-        (
-            m,
-            basis.values[m],
-            "even" if basis.parities[m] == 0 else "odd",
-            basis.alternations[m],
-            basis.fourier_indices[m],
-        )
-        for m in range(lat.d)
-    ]
+    cols = (
+        np.arange(lat.d),
+        basis.values,
+        np.where(basis.parities == 0, "even", "odd"),
+        basis.alternations,
+        basis.fourier_indices,
+    )
     header = ("m", "eigenvalue", "parity", "alternations", "fourier_index")
-    return _emit_table(header, rows, cfg)
+    return _emit_table(header, cols, cfg)
 
 
 def cmd_compare(cfg) -> int:
@@ -224,11 +210,8 @@ def cmd_compare(cfg) -> int:
     if cfg.normalize_ladder:
         ladder = [Signal(lat, f.amp / np.linalg.norm(f.amp)) for f in ladder]
     rep = deviation_report(lat, frame_basis, harper_basis, ladder)
-    rows = [
-        (m, rep.delta_f[m], rep.delta_h[m], rep.delta_m[m], rep.delta_r[m])
-        for m in range(lat.d)
-    ]
-    return _emit_table(("m", "delta_f", "delta_h", "delta_m", "delta_r"), rows, cfg)
+    cols = (np.arange(lat.d), rep.delta_f, rep.delta_h, rep.delta_m, rep.delta_r)
+    return _emit_table(("m", "delta_f", "delta_h", "delta_m", "delta_r"), cols, cfg)
 
 
 def cmd_frft(cfg) -> int:
@@ -257,9 +240,7 @@ def cmd_frft(cfg) -> int:
         ref = continuous_frft_oracle(profile, cfg.alpha, lat).amp / lat.delta**0.25
         header += ["oracle_re", "oracle_im"]
         cols += [ref.real, ref.imag]
-    rows = [tuple(float(c[i]) if k else int(c[i]) for k, c in enumerate(cols))
-            for i in range(lat.d)]
-    return _emit_table(tuple(header), rows, cfg)
+    return _emit_table(header, cols, cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,8 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses: each parse starts from a fresh
+    namespace, so nothing of one call reaches the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -27,6 +27,7 @@ and plays the role of the comparison operator with exactly the spectrum
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,9 +41,18 @@ def _root(k, period: int, sign: float = 1.0) -> np.ndarray:
     for F and the modulations, 2d for the half-phase e^{-iπab/d}.  Rounding
     the phase of e^{iθ} costs about ε·|θ|, so the integer is reduced before
     any float arithmetic; equal integers mod the period give equal entries.
+    The table of the period's roots is built once per (period, sign) and is
+    read-only; the gather returns a new array.
     """
+    return _root_table(period, sign)[np.asarray(k) % period]
+
+
+@lru_cache(maxsize=64)
+def _root_table(period: int, sign: float) -> np.ndarray:
+    """e^{sign·2πi·j/period} for j = 0..period-1, read-only."""
     table = np.exp(sign * 2j * np.pi * np.arange(period) / period)
-    return table[np.asarray(k) % period]
+    table.flags.writeable = False
+    return table
 
 
 def dft_operator(lat: Lattice, inverse: bool = False) -> Operator:

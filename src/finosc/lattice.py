@@ -13,6 +13,7 @@ Inner products are conjugate-linear in the first argument:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,15 +42,18 @@ class Lattice:
     def sqrt_delta(self) -> float:
         return np.sqrt(self.delta)
 
-    @property
+    @cached_property
     def indices(self) -> np.ndarray:
-        """Integer grid indices -s..s in storage order."""
-        return np.arange(-self.s, self.s + 1)
+        """Integer grid indices -s..s in storage order.
 
-    @property
+        Built once per lattice and read-only: every caller shares the array.
+        """
+        return _read_only(np.arange(-self.s, self.s + 1))
+
+    @cached_property
     def points(self) -> np.ndarray:
-        """Grid coordinates n·√δ in storage order."""
-        return self.indices * self.sqrt_delta
+        """Grid coordinates n·√δ in storage order; built once, read-only."""
+        return _read_only(self.indices * self.sqrt_delta)
 
     def wrap(self, n) -> np.ndarray | int:
         """Reduce an index (or array of indices) to the range -s..s."""
@@ -58,6 +62,11 @@ class Lattice:
     def pos(self, n) -> np.ndarray | int:
         """Storage position of grid index n, periodic."""
         return (np.asarray(n) + self.s) % self.d
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def make_lattice(d: int) -> Lattice:

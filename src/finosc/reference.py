@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice, Signal
-from .phasespace import CoherentFrame, PhasePoint
+from .phasespace import CoherentFrame, PhasePoint, _coherent_amplitudes
 
 MAX_HERMITE_ORDER = 300
 
@@ -91,6 +91,22 @@ def _sample_table(lat: Lattice) -> np.ndarray:
     return lat.delta**0.25 * _hermite_all(lat.d - 1, lat.points)
 
 
+def _displaced_ground_amplitudes(lat: Lattice, a, b) -> np.ndarray:
+    """⁴√δ·e^{-iαβ/2}·e^{iβ·n√δ}·Ψ_0(n√δ - α), broadcast over (a, b).
+
+    ``a`` and ``b`` are integer index arrays (or scalars) that broadcast
+    together, with α = a√δ and β = b√δ; the grid index n runs along a new
+    last axis, as in ``phasespace._coherent_amplitudes``.
+    """
+    alpha = (np.asarray(a) * lat.sqrt_delta)[..., None]
+    beta = (np.asarray(b) * lat.sqrt_delta)[..., None]
+    x = lat.points
+    env = hermite_gaussian(0, x - alpha)
+    return lat.delta**0.25 * np.exp(-0.5j * alpha * beta) * np.exp(
+        1j * beta * x
+    ) * env
+
+
 def displaced_ground_sample(lat: Lattice, p: PhasePoint) -> Signal:
     """Samples of the displaced continuous ground state,
 
@@ -100,12 +116,7 @@ def displaced_ground_sample(lat: Lattice, p: PhasePoint) -> Signal:
     """
     if p.lattice != lat:
         raise ValueError("phase point belongs to a different lattice")
-    x = lat.points
-    env = hermite_gaussian(0, x - p.alpha)
-    amp = lat.delta**0.25 * np.exp(-0.5j * p.alpha * p.beta) * np.exp(
-        1j * p.beta * x
-    ) * env
-    return Signal(lat, amp)
+    return Signal(lat, _displaced_ground_amplitudes(lat, p.a_idx, p.b_idx))
 
 
 def coherent_deviation_table(
@@ -115,14 +126,18 @@ def coherent_deviation_table(
     lat = frame.lattice
     window = min(window, lat.s)
     sel = np.abs(lat.indices) <= window
-    out = np.empty((len(a_indices), len(b_indices)))
-    for i, a in enumerate(a_indices):
-        for j, b in enumerate(b_indices):
-            p = PhasePoint(lattice=lat, a_idx=int(a), b_idx=int(b))
-            disc = frame.state(p).amp
-            cont = displaced_ground_sample(lat, p).amp
-            out[i, j] = np.max(np.abs(disc[sel] - cont[sel]))
-    return out
+    a = np.asarray(a_indices, dtype=int)[:, None]
+    b = np.asarray(b_indices, dtype=int)[None, :]
+    for idx in (a, b):
+        outside = idx[np.abs(idx) > lat.s]
+        if outside.size:
+            raise ValueError(
+                f"phase-point index {outside[0]} outside index range "
+                f"-{lat.s}..{lat.s}"
+            )
+    disc = _coherent_amplitudes(lat, frame.ground.amp, a, b)
+    cont = _displaced_ground_amplitudes(lat, a, b)
+    return np.max(np.abs(disc[..., sel] - cont[..., sel]), axis=-1)
 
 
 def _periodized_table(lat: Lattice, mmax: int, tol: float = 1e-18) -> np.ndarray:

@@ -293,7 +293,10 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     (-i)^m (this pins m mod 4 and catches any within-block misordering), and
     the measured alternation count must equal m wherever resolvable.  A
     resolution-limited count can only fall short of m by an even amount (a
-    suppressed lobe hides two sign changes); anything else raises.
+    suppressed lobe hides two sign changes); anything else raises.  The
+    vectors are mirrored from their blocks bit for bit, so the count is
+    taken on the n ≥ 0 half: 2·count(v[n ≥ 0]) + m mod 2, equal to the count
+    over the whole vector.
 
     Everything runs in the parity frame.  The blocks E and O are sliced
     from H, and the Fourier invariance H needs is audited there: with C and
@@ -341,14 +344,17 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
         block_vecs.append(bvecs)
     even_vecs, odd_vecs = block_vecs
     vecs = _mirror(even_vecs, odd_vecs)
-    alternations = _alternation_counts(vecs)
+    labels = np.arange(d)
+    parities = labels % 2
+    # each change on the n >= 0 half has its mirror image, and an odd vector
+    # changes sign once more across its zero at n = 0
+    alternations = 2 * _alternation_counts(vecs[s:]) + parities
     if alternations[0] != 0:
         raise RuntimeError(
             f"the first even {kind} eigenvector is not nodeless "
             f"({alternations[0]} sign alternations)"
         )
 
-    labels = np.arange(d)
     # sign-fix against the sampled Hermite functions; where the reference
     # overlap vanishes numerically, pin the largest entry positive instead
     overlaps = np.einsum("mn,nm->m", reference._sample_table(lat), vecs)
@@ -356,7 +362,6 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     vecs *= np.where(np.abs(overlaps) > ZERO_SKIP, np.sign(overlaps), np.sign(peaks))
     _audit(hmat, vals, vecs)
 
-    parities = labels % 2
     m = _first(np.any(vecs[::-1] != vecs * (1 - 2 * parities), axis=0))
     if m is not None:
         raise RuntimeError(f"vector {m} is not of parity {m % 2}")

@@ -6,6 +6,21 @@ import sys
 import numpy as np
 import pytest
 
+from finosc import (
+    apply_frft,
+    coherent_deviation_table,
+    coherent_frame,
+    continuous_frft_oracle,
+    deviation_report,
+    frame_hamiltonian,
+    frft_kernel,
+    harper_hamiltonian,
+    ladder_states,
+    make_lattice,
+    oscillator_basis,
+    rectangular_profile,
+    rectangular_signal,
+)
 from finosc import cli
 from finosc.cli import main
 
@@ -273,3 +288,196 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("m,eigenvalue")
+
+
+# --- the column renderer against the row-wise rule -------------------------
+
+
+def rowwise_cell(x):
+    """One cell by the row-wise rule: text as is, Python and NumPy integers
+    in full, anything else as a float to 17 significant digits."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return "%.17g" % float(x)
+
+
+def rowwise_csv(header, rows):
+    lines = [",".join(header)] + [",".join(rowwise_cell(x) for x in r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def rowwise_svg(header, rows):
+    """The 800×500 polyline plot, one cell and one point at a time."""
+    numeric = [
+        j for j in range(1, len(header))
+        if all(isinstance(r[j], (int, float, np.integer, np.floating)) for r in rows)
+    ]
+    xs = [float(r[0]) for r in rows]
+    x0, x1 = min(xs), max(xs)
+    flat = [float(r[j]) for r in rows for j in numeric]
+    y0, y1 = (min(flat), max(flat)) if numeric else (0.0, 1.0)
+    if x1 == x0:
+        x1 = x0 + 1.0
+    if y1 == y0:
+        y1 = y0 + 1.0
+    left, top, width, height = 60.0, 20.0, 720.0, 420.0
+
+    def sx(x):
+        return left + width * (x - x0) / (x1 - x0)
+
+    def sy(y):
+        return top + height * (1.0 - (y - y0) / (y1 - y0))
+
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 500" '
+        'width="800" height="500">',
+        '<rect x="0" y="0" width="800" height="500" fill="white"/>',
+        f'<line x1="{left}" y1="{top + height}" x2="{left + width}" '
+        f'y2="{top + height}" stroke="#444"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + height}" stroke="#444"/>',
+        f'<text x="{left}" y="{top + height + 18}" font-size="12">{x0:.6g}</text>',
+        f'<text x="{left + width - 40}" y="{top + height + 18}" '
+        f'font-size="12">{x1:.6g}</text>',
+        f'<text x="4" y="{top + height}" font-size="12">{y0:.6g}</text>',
+        f'<text x="4" y="{top + 12}" font-size="12">{y1:.6g}</text>',
+    ]
+    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+    for k, j in enumerate(numeric):
+        color = palette[k % len(palette)]
+        pts = " ".join(f"{sx(float(r[0])):.2f},{sy(float(r[j])):.2f}" for r in rows)
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     'stroke-width="1.5"/>')
+        parts.append(f'<text x="{left + 8 + 130 * k:.0f}" y="{top + 14:.0f}" '
+                     f'font-size="12" fill="{color}">{header[j]}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def labeled(lat, method):
+    if method == "frame":
+        return oscillator_basis(frame_hamiltonian(lat).op, lat, "frame")
+    return oscillator_basis(harper_hamiltonian(lat), lat, "harper")
+
+
+def spectrum_rows(d, method):
+    basis = labeled(make_lattice(d), method)
+    rows = [(m, basis.values[m], "even" if basis.parities[m] == 0 else "odd",
+             basis.alternations[m], basis.fourier_indices[m]) for m in range(d)]
+    return ("m", "eigenvalue", "parity", "alternations", "fourier_index"), rows
+
+
+def compare_rows(d):
+    lat = make_lattice(d)
+    rep = deviation_report(lat, labeled(lat, "frame"), labeled(lat, "harper"),
+                           ladder_states(coherent_frame(lat), d))
+    rows = [(m, rep.delta_f[m], rep.delta_h[m], rep.delta_m[m], rep.delta_r[m])
+            for m in range(d)]
+    return ("m", "delta_f", "delta_h", "delta_m", "delta_r"), rows
+
+
+def frft_rows(d, method, oracle, alpha=0.5):
+    lat = make_lattice(d)
+    sig = rectangular_signal(lat)
+    methods = ("frame", "harper") if method == "both" else (method,)
+    outs = [apply_frft(frft_kernel(labeled(lat, m), alpha), sig).amp for m in methods]
+    header = ["n", "in_re"]
+    for m in methods:
+        header += [f"{m}_re", f"{m}_im"] if method == "both" else ["out_re", "out_im"]
+    if oracle:
+        header += ["oracle_re", "oracle_im"]
+        ref = continuous_frft_oracle(rectangular_profile(lat), alpha, lat).amp
+        outs.append(ref / lat.delta**0.25)
+    rows = []
+    for i, n in enumerate(range(-lat.s, lat.s + 1)):
+        row = [n, float(sig.amp[i].real)]
+        for out in outs:
+            row += [float(out[i].real), float(out[i].imag)]
+        rows.append(tuple(row))
+    return tuple(header), rows
+
+
+def table1_rows(d):
+    shifts = (1, 3, 6, 9)
+    table = coherent_deviation_table(coherent_frame(make_lattice(d)), shifts, shifts)
+    rows = [(a, b, table[i, j]) for i, a in enumerate(shifts) for j, b in enumerate(shifts)]
+    return ("alpha_idx", "beta_idx", "deviation"), rows
+
+
+RENDERED = [
+    (("spectrum", "--method", "frame"), lambda d: spectrum_rows(d, "frame")),
+    (("spectrum", "--method", "harper"), lambda d: spectrum_rows(d, "harper")),
+    (("compare",), compare_rows),
+    (("frft", "--method", "frame"), lambda d: frft_rows(d, "frame", False)),
+    (("frft", "--method", "harper", "--oracle"), lambda d: frft_rows(d, "harper", True)),
+    (("frft", "--method", "both"), lambda d: frft_rows(d, "both", False)),
+    (("frft", "--method", "both", "--oracle"), lambda d: frft_rows(d, "both", True)),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+@pytest.mark.parametrize("d", [5, 21])
+@pytest.mark.parametrize("argv, rows_of", RENDERED)
+def test_tables_match_the_rowwise_rendering(capsys, argv, rows_of, d, fmt):
+    code, out, err = run_cli(capsys, *argv, "--d", str(d), "--format", fmt)
+    assert code == 0
+    render = rowwise_csv if fmt == "csv" else rowwise_svg
+    assert out == render(*rows_of(d))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_table1_matches_the_rowwise_rendering(capsys, fmt):
+    # table1 needs d >= 19, so d = 5 is refused (see above)
+    code, out, err = run_cli(capsys, "table1", "--d", "21", "--format", fmt)
+    assert code == 0
+    render = rowwise_csv if fmt == "csv" else rowwise_svg
+    assert out == render(*table1_rows(21))
+
+
+def test_renderer_keeps_negative_zero_and_numpy_integers():
+    header = ("k", "x", "label", "count", "small", "big")
+    cols = (
+        np.array([-2, 0, 3], dtype=np.int32),
+        np.array([-0.0, 0.1, -1e-300]),
+        ["a", "b%s", "c"],
+        np.array([7, 0, 255], dtype=np.uint8),
+        [1.5, -0.0, 2.0],
+        np.array([2**62 + 1, -(2**62), 1], dtype=np.int64),
+    )
+    rows = list(zip(cols[0], cols[1].tolist(), *cols[2:]))
+    arrays = [np.asarray(c) for c in cols]
+    csv = cli._render_csv(header, arrays)
+    assert csv == rowwise_csv(header, rows)
+    assert csv.split("\n")[1] == "-2,-0,a,7,1.5,4611686018427387905"
+    assert cli._render_svg(header, arrays) == rowwise_svg(header, rows)
+
+
+# --- one parser per process -------------------------------------------------
+
+
+def test_parser_is_reused_and_keeps_no_state(capsys):
+    assert cli._parser() is cli._parser()
+    valid = ("spectrum", "--d", "5", "--method", "harper")
+    code, first, _ = run_cli(capsys, *valid)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--d", "5", "--method", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    code, again, _ = run_cli(capsys, *valid)
+    assert code == 0
+    assert again == first
+    # an option given once falls back to its default on the next call
+    code, frame, _ = run_cli(capsys, "spectrum", "--d", "5")
+    assert frame != first
+    assert frame == rowwise_csv(*spectrum_rows(5, "frame"))
+
+
+def test_normalize_ladder_does_not_carry_over(capsys):
+    code, plain, _ = run_cli(capsys, "compare", "--d", "7")
+    code2, normed, _ = run_cli(capsys, "compare", "--d", "7", "--normalize-ladder")
+    code3, after, _ = run_cli(capsys, "compare", "--d", "7")
+    assert code == code2 == code3 == 0
+    assert normed != plain
+    assert after == plain

@@ -15,6 +15,8 @@ from finosc import (
     transform_of_coordinate_at,
     transform_of_coordinate_squared_at,
 )
+from finosc.fourier import _root, _root_table
+
 from conftest import naive_dft
 
 
@@ -147,3 +149,15 @@ def test_coordinate_signal_round_trip(lat21):
     F = dft_operator(lat21).mat
     q = coordinate_signal(lat21).amp
     assert np.max(np.abs(F.conj().T @ (F @ q) - q)) < 1e-13
+
+
+def test_root_tables_are_built_once_and_read_only():
+    table = _root_table(7, -1.0)
+    assert _root_table(7, -1.0) is table
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    assert np.array_equal(table, np.exp(-2j * np.pi * np.arange(7) / 7))
+    # a gather is a new array: writing into it leaves the table alone
+    out = _root(np.arange(-3, 4), 7, -1.0)
+    out /= 2.0
+    assert np.array_equal(_root_table(7, -1.0), np.exp(-2j * np.pi * np.arange(7) / 7))

@@ -104,3 +104,19 @@ def test_operator_apply_and_identity(lat5):
     op = identity_operator(lat5)
     assert np.array_equal((op @ op).mat, np.eye(5))
     assert np.array_equal((op @ sig).amp, sig.amp)
+
+
+def test_grid_arrays_are_built_once_and_read_only():
+    lat = make_lattice(9)
+    assert lat.indices is lat.indices
+    assert lat.points is lat.points
+    with pytest.raises(ValueError):
+        lat.indices[0] = 0
+    with pytest.raises(ValueError):
+        lat.points[0] = 0.0
+    with pytest.raises(ValueError):
+        lat.points[...] *= 2.0
+    assert np.array_equal(lat.indices, np.arange(-4, 5))
+    assert np.array_equal(lat.points, np.arange(-4, 5) * np.sqrt(2.0 * np.pi / 9))
+    # derived arrays are new and writable
+    assert coordinate_signal(lat).amp.flags.writeable

@@ -114,6 +114,30 @@ def test_deviation_table_frozen_entries(lat21):
     assert tab[0, 0] < tab[1, 1] < tab[2, 2] < tab[3, 3]
 
 
+@pytest.mark.parametrize("d", [21, 101])
+def test_deviation_table_equals_the_per_point_loop(d):
+    # one broadcast over (a, b) against a state and a sample per point
+    lat = make_lattice(d)
+    frame = coherent_frame(lat)
+    a_idx, b_idx = (1, 3, 6, 9, -4), (0, 3, -7, 9)
+    tab = coherent_deviation_table(frame, a_idx, b_idx)
+    sel = np.abs(lat.indices) <= 8
+    for i, a in enumerate(a_idx):
+        for j, b in enumerate(b_idx):
+            p = phase_point(lat, a, b)
+            disc = frame.state(p).amp
+            cont = displaced_ground_sample(lat, p).amp
+            assert tab[i, j] == np.max(np.abs(disc[sel] - cont[sel]))
+
+
+def test_deviation_table_rejects_points_off_the_grid(lat21):
+    frame = coherent_frame(lat21)
+    with pytest.raises(ValueError, match="outside index range"):
+        coherent_deviation_table(frame, (1, 11), (0,))
+    with pytest.raises(ValueError, match="outside index range"):
+        coherent_deviation_table(frame, (0,), (-11,))
+
+
 def test_mehta_against_direct_wrap_sum(lat21):
     for m in (0, 1, 4, 9):
         phi = mehta_function(lat21, m).amp

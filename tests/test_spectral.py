@@ -435,3 +435,18 @@ def test_alternation_counts_keep_a_floor_per_column():
     # and column 2's small last entry sits above its own column's floor
     cols = np.array([[1.0, 0.0, 1.0], [-1e-13, 0.0, -1.0], [1.0, 0.0, 1e-3]])
     assert list(spectral._alternation_counts(cols)) == [0, 0, 2]
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+@pytest.mark.parametrize("d", [5, 7, 21, 101, 301])
+def test_half_grid_count_equals_the_full_count(d, kind):
+    # the vectors are mirrored bit for bit, so the n >= 0 half fixes the
+    # count; at d = 301 many counts are resolution-limited and still agree
+    lat = make_lattice(d)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    basis = oscillator_basis(op, lat, kind)
+    for m in range(d):
+        v = basis.vectors[:, m]
+        full = sign_alternations(v)
+        assert 2 * sign_alternations(v[lat.s:]) + m % 2 == full
+        assert basis.alternations[m] == full
