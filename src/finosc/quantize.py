@@ -4,24 +4,20 @@ A function f(α, β) on the phase-space grid becomes the operator
 
     A_f = (1/d) Σ_p f(α_p, β_p) |p⟩⟨p|,
 
-averaging rank-one coherent projectors against the symbol.  Quantizing the
-classical oscillator energy (α² + β²)/2 and subtracting the half-quantum
-gives the discrete oscillator Hamiltonian.
+the finite counterpart of anti-Wick quantization; ``frame_quantize`` sums
+it term by term.  For a separable symbol f = f_α(α) + f_β(β) the sum
+collapses, since |a,b⟩⟨a,b|[n, m] = e^{2πib(n-m)/d}·g(n-a)·g(m-a): the
+β-sum of the α part leaves d·δ_nm, the a-sum of the β part leaves the
+autocorrelation R(k) = Σ_a g(a)·g(a+k), and A_f is a well plus a circulant,
 
-That Hamiltonian never needs the d² projectors: it reduces exactly to
+    A_f[n, m] = well[n]·δ_nm + hop[n - m],
+    well[n] = Σ_a f_α(a)·g²(n-a),
+    hop[k] = (1/d)·(Σ_b f_β(b)·e^{2πibk/d})·R(k).
 
-    H = -(1/2)·I + diag(w/2) + F⁺·diag(w/2)·F,  w = q² ∗ g²  (cyclic),
-
-a diagonal well plus a circulant hop matrix.  The hop matrix is fixed by
-the d numbers τ_k = (F·w)_k / (2√d), the well by ω_k = τ_0 + w(k)/2, so H is
-assembled from them directly in O(d²), entry (n, m) being τ at the cyclic
-distance of n and m off the diagonal and ω_{|n|} - 1/2 on it.  The same
-coefficients are compared against the circulant with exactly equidistant
-spectrum to bound how far the oscillator eigenvalues can drift from 1..d
-(Wielandt-Hoffman).
-
-The raising operator quantizes (α - iβ)/√2; iterating it from the ground
-state builds the ladder family of approximate eigenvectors.
+One construction gives both operators the package needs: the oscillator H
+quantizes (α² + β²)/2 less the half-quantum, and the raising operator a⁺
+quantizes (α - iβ)/√2, whose iterates from the ground state form the
+ladder of approximate eigenvectors.
 """
 
 from __future__ import annotations
@@ -31,9 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Lattice, Operator, Signal, coordinate_signal
-from .fourier import dft_operator, equidistant_circulant
+from .lattice import Lattice, Operator, Signal
+from .fourier import circulant, equidistant_circulant
 from .phasespace import CoherentFrame, PhasePoint
+from .thetagauss import ground_state
 from . import spectral
 
 
@@ -69,15 +66,40 @@ def frame_quantize(frame: CoherentFrame, symbol: PhaseSymbol) -> Operator:
     return Operator(lat, mat)
 
 
+def _separable_parts(
+    frame: CoherentFrame, f_alpha: np.ndarray, f_beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(well, hop) of the symbol f_α(α) + f_β(β), both parts sampled on the grid.
+
+    A_f[n, m] = well[n]·δ_nm + hop[pos(n - m)] exactly (module docstring).
+    ``well`` and R are direct cyclic sums, one gather each, over positive
+    weights g² and g·g; the symbol sum over b is one FFT on the centred grid.
+    """
+    lat = frame.lattice
+    g = frame.ground.amp
+    idx = lat.indices
+    well = (g * g)[lat.pos(idx[:, None] - idx[None, :])] @ f_alpha
+    corr = g[lat.pos(idx[:, None] + idx[None, :])] @ g  # R(k) = Σ_a g(a)·g(a+k)
+    # ifft(x)[k] = (1/d)·Σ_j x[j]·e^{2πijk/d}, with j and k reduced mod d
+    spectrum = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f_beta)))
+    return well, spectrum * corr
+
+
+def _real(x: np.ndarray, what: str) -> np.ndarray:
+    if float(np.max(np.abs(x.imag))) > 1e-10 * max(1.0, float(np.max(np.abs(x.real)))):
+        raise ArithmeticError(f"{what} should be real")
+    return x.real
+
+
 @dataclass(frozen=True, eq=False)
 class FrameHamiltonian:
     """Discrete oscillator with its circulant-plus-diagonal decomposition.
 
-    ``conv`` is the cyclic convolution w = q² ∗ g²; ``tau[k]`` (k = 0..s)
-    are the hop coefficients, entry (n, m) of H off the diagonal being
-    τ_{min(|n-m|, d-|n-m|)}; ``omega[k]`` = τ_0 + w(k)/2 samples the well,
-    the diagonal of H being ω_{|n|} - 1/2.  ``op`` is that real matrix,
-    exactly symmetric and centro-symmetric.
+    ``conv`` is the cyclic convolution w = q² ∗ g², twice the well;
+    ``tau[k]`` (k = 0..s) are the hop coefficients, entry (n, m) of H off
+    the diagonal being τ_{min(|n-m|, d-|n-m|)}; ``omega[k]`` = τ_0 + w(k)/2
+    samples the well, the diagonal of H being ω_{|n|} - 1/2.  ``op`` is
+    that real matrix, exactly symmetric and centro-symmetric.
     """
 
     lattice: Lattice
@@ -88,34 +110,24 @@ class FrameHamiltonian:
 
 
 def frame_hamiltonian(lat: Lattice) -> FrameHamiltonian:
-    from .thetagauss import ground_state
-
-    g = ground_state(lat)
-    g2 = g.amp * g.amp
-    q2 = coordinate_signal(lat).amp ** 2
-    d = lat.d
-    # conv[pos(k)] = Σ_a q²(a)·g²(k-a), cyclic in the index difference
-    diff = lat.indices[:, None] - lat.indices[None, :]
-    conv = (g2[(diff + lat.s) % d] * q2[None, :]).sum(axis=1)
-
-    tau_full = (dft_operator(lat).mat @ conv) / (2.0 * np.sqrt(d))
-    if float(np.max(np.abs(tau_full.imag))) > 1e-10 * max(
-        1.0, float(np.max(np.abs(tau_full.real)))
-    ):
-        raise ArithmeticError("hop coefficients should be real for an even well")
-    k = np.arange(lat.s + 1)
-    tau = tau_full.real[lat.pos(k)]
-    omega = tau[0] + 0.5 * conv[lat.pos(k)]
+    """The quantized energy (α² + β²)/2 less the half-quantum, from τ and ω."""
+    half_q2 = 0.5 * lat.points**2
+    frame = CoherentFrame(lat, ground_state(lat))
+    well, hop = _separable_parts(frame, half_q2, half_q2)
+    k = lat.pos(np.arange(lat.s + 1))
+    tau = _real(hop, "hop coefficients of an even well")[k]
+    omega = tau[0] + well[k]
 
     # entry (n, m) is τ at the cyclic distance of n and m, and ω_{|n|} - 1/2
     # on the diagonal; both depend on |n - m| and |n| only, so the matrix is
     # exactly symmetric and centro-symmetric
-    dist = np.abs(diff)
+    d = lat.d
+    dist = np.abs(lat.indices[:, None] - lat.indices[None, :])
     mat = tau[np.minimum(dist, d - dist)]
     np.fill_diagonal(mat, omega[np.abs(lat.indices)] - 0.5)
-    op = Operator(lat, mat)
     return FrameHamiltonian(
-        lattice=lat, op=op, conv=Signal(lat, conv), tau=tau, omega=omega
+        lattice=lat, op=Operator(lat, mat), conv=Signal(lat, 2.0 * well),
+        tau=tau, omega=omega,
     )
 
 
@@ -168,11 +180,9 @@ def wielandt_hoffman_gap(fh: FrameHamiltonian) -> tuple[float, float]:
     cspec = equidistant_circulant(lat)
     col = cspec.first_column
     c0 = float(col[lat.pos(0)].real)
-    hop_part = 0.0
-    for j in range(1, d):
-        tau_j = fh.tau[min(j, d - j)]
-        c_j = complex(col[lat.pos(j)])
-        hop_part += abs(tau_j - c_j) ** 2
+    j = np.arange(1, d)
+    hop_diff = fh.tau[np.minimum(j, d - j)] - col[lat.pos(j)]
+    hop_part = float(np.sum(np.abs(hop_diff) ** 2))
     k = np.abs(lat.indices)
     well_part = float(np.sum(np.abs(fh.omega[k] - c0) ** 2)) / d
     rhs = float(np.sqrt(hop_part + well_part))
@@ -180,35 +190,16 @@ def wielandt_hoffman_gap(fh: FrameHamiltonian) -> tuple[float, float]:
 
 
 def raising_operator(frame: CoherentFrame) -> Operator:
-    """Quantized (α - iβ)/√2, assembled from two cyclic g-sums in O(d²).
+    """Quantized (α - iβ)/√2: the separable parts q/√2 and -i·q/√2.
 
-    The double phase-space sum collapses: the diagonal is the g²-weighted
-    first moment and the off-diagonal entries are autocorrelations of g
-    against a cosecant kernel.  The result is real, with the antisymmetry
-    entry(n, m) = -entry(-n, -m).
+    The result is real, with the antisymmetry entry(n, m) = -entry(-n, -m).
     """
     lat = frame.lattice
-    d = lat.d
-    g = frame.ground.amp
-    g2 = g * g
-    idx = lat.indices
-
-    # R[pos(j)] = Σ_a g(a)·g(a+j), cyclic autocorrelation
-    corr = np.array([float(np.dot(g, np.roll(g, -j))) for j in range(d)])
-    # first moment of g² around each grid point
-    diff = idx[:, None] - idx[None, :]
-    moment = (g2[(diff + lat.s) % d] * idx[None, :].astype(float)).sum(axis=1)
-
-    mat = np.zeros((d, d))
-    scale = lat.sqrt_delta / (2.0 * np.sqrt(2.0))
-    j_mat = diff  # n - m as integers
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosec = 1.0 / np.sin(np.pi * j_mat / d)
-    signs = np.where(j_mat % 2 == 0, 1.0, -1.0)
-    off = -signs * scale * corr[j_mat % d] * cosec
-    np.fill_diagonal(off, 0.0)
-    mat += off
-    mat[np.arange(d), np.arange(d)] = lat.sqrt_delta / np.sqrt(2.0) * moment
+    q = lat.points / np.sqrt(2.0)
+    well, hop = _separable_parts(frame, q, -1j * q)
+    hop = _real(hop, "hop coefficients of the raising operator")
+    mat = circulant(lat, hop).materialize().mat
+    mat[np.diag_indices(lat.d)] += well
     return Operator(lat, mat)
 
 

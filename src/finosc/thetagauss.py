@@ -110,10 +110,19 @@ def theta_gaussian(lat: Lattice, kappa: float, tol: float = 1e-18) -> ThetaGauss
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if kappa * lat.d >= 1.0:
-        amp, L, tail = spatial_series(lat, kappa, tol)
-    else:
-        amp, L, tail = frequency_series(lat, kappa, tol)
+    # an extreme width overflows the series rate or scale; the samples or
+    # their squared norm then leave the float range and are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kappa * lat.d >= 1.0:
+            amp, L, tail = spatial_series(lat, kappa, tol)
+        else:
+            amp, L, tail = frequency_series(lat, kappa, tol)
+        finite = np.all(np.isfinite(amp)) and np.isfinite(np.sum(amp * amp))
+    if not finite:
+        raise ValueError(
+            f"kappa = {kappa} gives theta Gaussian samples or a squared norm "
+            f"that are not finite at d = {lat.d}"
+        )
     return ThetaGaussian(
         lattice=lat, kappa=float(kappa), amp=amp, truncation=L, tail_bound=tail
     )

@@ -187,13 +187,31 @@ def test_frft_rejects_bad_width(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("--alpha", "nan"), ("--alpha", "inf"), ("--signal", "gauss:inf")]
+    "argv",
+    [
+        ("--alpha", "nan"),
+        ("--alpha", "inf"),
+        ("--signal", "gauss:inf"),
+        # widths whose theta samples or squared norm overflow
+        ("--signal", "gauss:1e308"),
+        ("--signal", "gauss:1e-310"),
+    ],
 )
 def test_frft_rejects_non_finite_input(capsys, argv):
     code, out, err = run_cli(capsys, "frft", *argv)
     assert code == 2
     assert err.startswith("error:") and "finite" in err
     assert out == ""
+
+
+def test_frft_accepts_a_tiny_but_representable_width(capsys):
+    code, out, err = run_cli(
+        capsys, "frft", "--d", "21", "--signal", "gauss:1e-300", "--oracle"
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    values = np.array(rows, dtype=float)
+    assert values.shape == (21, 8) and np.all(np.isfinite(values))
 
 
 @pytest.mark.parametrize("command", ["spectrum", "compare"])

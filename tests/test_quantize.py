@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from finosc import (
+    PhaseSymbol,
     Signal,
+    circulant,
     coherent_expectation,
     coherent_frame,
     coordinate_signal,
@@ -24,6 +26,7 @@ from finosc import (
     trace_ratio,
     wielandt_hoffman_gap,
 )
+from finosc.quantize import _separable_parts
 
 # frozen mean-drift / bound pairs, regression anchors
 WH_PAIRS = {5: (0.48672588, 2.10255191), 7: (0.40960840, 2.94884507),
@@ -162,6 +165,21 @@ def test_raising_operator_matches_projector_average(d):
     fast = raising_operator(frame).mat
     assert np.max(np.abs(brute.imag)) < 1e-12
     assert np.max(np.abs(brute.real - fast)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [5, 7, 21])
+def test_separable_parts_match_projector_average(d):
+    # f = (α³ - iα) + e^{iβ} has no parity and complex values in both parts,
+    # so neither the realness nor the symmetry of the two shipped symbols can
+    # hide an error
+    lat = make_lattice(d)
+    frame = coherent_frame(lat)
+    q = lat.points
+    well, hop = _separable_parts(frame, q**3 - 1j * q, np.exp(1j * q))
+    fast = circulant(lat, hop).materialize().mat + np.diag(well)
+    symbol = PhaseSymbol(fn=lambda a, b: a**3 - 1j * a + np.exp(1j * b), name="mixed")
+    brute = frame_quantize(frame, symbol).mat
+    assert np.linalg.norm(fast - brute) <= 1e-12 * np.linalg.norm(brute)
 
 
 def test_ladder_starts_at_the_ground_and_recurses(lat21):

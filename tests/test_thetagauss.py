@@ -75,7 +75,9 @@ def test_rejects_bad_parameters(lat5):
         theta_gaussian(lat5, 1.0, tol=0.0)
 
 
-@pytest.mark.parametrize("kappa", [np.inf, np.nan])
+# 1e308·π overflows the spatial rate, so its samples would be NaN; at 1e-310
+# the frequency scale 1/√(κd) is finite but its square is not
+@pytest.mark.parametrize("kappa", [np.inf, np.nan, 1e308, 1e-310])
 def test_rejects_non_finite_width(lat5, kappa):
     with pytest.raises(ValueError, match="finite"):
         theta_gaussian(lat5, kappa)
