@@ -73,17 +73,34 @@ def momentum_operator(lat: Lattice) -> Operator:
     return Operator(lat, F.conj().T @ np.diag(lat.points) @ F)
 
 
+def _displacement_parts(lat: Lattice, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, vals) of D(a, b): row n of the matrix holds vals[..., n] at cols[..., n].
+
+    A displacement is a permutation times a diagonal of roots of unity, so
+    each row of its matrix has one nonzero, e^{-iπab/d}·e^{2πi·b·n/d} at
+    column (n - a) mod d.  ``a`` and ``b`` are integer index arrays (or
+    scalars) that broadcast together; the grid index n runs along a new last
+    axis, so k points cost O(k·d).  ``cols`` depends on ``a`` alone and
+    broadcasts against ``vals``.  Both phases come from their reduced
+    integers, as in ``_coherent_amplitudes``.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    n = lat.indices
+    half = _root(a * b, 2 * lat.d, -1.0)  # e^{-iαβ/2} = e^{-iπab/d}
+    vals = half[..., None] * _root(b[..., None] * n, lat.d)
+    return lat.pos(n - a[..., None]), vals
+
+
 def displacement(lat: Lattice, p: PhasePoint) -> Operator:
-    """Matrix of D(α, β): row n gets e^{-iαβ/2}·e^{iβ·n√δ} at column (n - a) mod d."""
+    """Matrix of D(α, β): the one-point scatter of ``_displacement_parts``.
+
+    Row n gets e^{-iαβ/2}·e^{iβ·n√δ} at column (n - a) mod d.
+    """
     if p.lattice != lat:
         raise ValueError("phase point belongs to a different lattice")
-    d = lat.d
-    n = lat.indices
-    phase = _root(p.a_idx * p.b_idx, 2 * d, -1.0) * _root(p.b_idx * n, d)
-    mat = np.zeros((d, d), dtype=complex)
-    rows = lat.pos(n)
-    cols = lat.pos(n - p.a_idx)
-    mat[rows, cols] = phase
+    cols, vals = _displacement_parts(lat, p.a_idx, p.b_idx)
+    mat = np.zeros((lat.d, lat.d), dtype=complex)
+    mat[lat.pos(lat.indices), cols] = vals
     return Operator(lat, mat)
 
 
@@ -160,18 +177,28 @@ def coherent_frame(lat: Lattice) -> CoherentFrame:
     return CoherentFrame(lat, ground_state(lat))
 
 
-def overlap(frame: CoherentFrame, p1: PhasePoint, p2: PhasePoint) -> complex:
-    """⟨p1|p2⟩ through the ground-state correlation sum:
+def _overlaps(frame: CoherentFrame, a1, b1, a2, b2) -> np.ndarray:
+    """⟨a1,b1|a2,b2⟩ through the ground-state correlation sum, broadcast:
 
     e^{(i/2)(α₁β₁ - α₂β₂)} Σ_u e^{i(β₂-β₁)u}·g(u-α₁)·g(u-α₂).
+
+    The four integer index arrays (or scalars) broadcast together; each
+    overlap costs O(d), with both phases from their reduced integers.
     """
+    lat = frame.lattice
+    a1, b1, a2, b2 = (np.asarray(x) for x in (a1, b1, a2, b2))
+    g = frame.ground.amp
+    n = lat.indices
+    g1 = g[lat.pos(n - a1[..., None])]
+    g2 = g[lat.pos(n - a2[..., None])]
+    mod = _root((b2 - b1)[..., None] * n, lat.d)
+    front = _root(a1 * b1 - a2 * b2, 2 * lat.d)
+    return front * np.sum(mod * g1 * g2, axis=-1)
+
+
+def overlap(frame: CoherentFrame, p1: PhasePoint, p2: PhasePoint) -> complex:
+    """⟨p1|p2⟩: the one-point call of ``_overlaps``."""
     lat = frame.lattice
     if p1.lattice != lat or p2.lattice != lat:
         raise ValueError("phase points belong to a different lattice")
-    g = frame.ground.amp
-    n = lat.indices
-    g1 = g[lat.pos(n - p1.a_idx)]
-    g2 = g[lat.pos(n - p2.a_idx)]
-    mod = _root((p2.b_idx - p1.b_idx) * n, lat.d)
-    front = _root(p1.a_idx * p1.b_idx - p2.a_idx * p2.b_idx, 2 * lat.d)
-    return complex(front * np.sum(mod * g1 * g2))
+    return complex(_overlaps(frame, p1.a_idx, p1.b_idx, p2.a_idx, p2.b_idx))

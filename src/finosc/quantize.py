@@ -144,22 +144,31 @@ def trace_ratio(lat: Lattice) -> float:
     return tr / (lat.d**2 / 2.0)
 
 
-def coherent_expectation(fh: FrameHamiltonian, frame: CoherentFrame, p: PhasePoint) -> float:
-    """⟨p| H |p⟩ without touching the matrix:
+def _coherent_energies(fh: FrameHamiltonian, frame: CoherentFrame, a, b) -> np.ndarray:
+    """⟨a,b| H |a,b⟩ without touching the matrix, broadcast over (a, b):
 
     -1/2 + (1/2) Σ_u w(u)·(g²(u-α) + g²(u-β)),
 
     manifestly symmetric under swapping the position and momentum shifts.
+    ``a`` and ``b`` are integer index arrays (or scalars) that broadcast
+    together; each point costs O(d).
     """
     lat = fh.lattice
-    if frame.lattice != lat or p.lattice != lat:
-        raise ValueError("mismatched lattices")
+    a, b = np.asarray(a), np.asarray(b)
     g2 = frame.ground.amp**2
     w = fh.conv.amp
     idx = lat.indices
-    ta = float(np.dot(w, g2[lat.pos(idx - p.a_idx)]))
-    tb = float(np.dot(w, g2[lat.pos(idx - p.b_idx)]))
+    ta = g2[lat.pos(idx - a[..., None])] @ w
+    tb = g2[lat.pos(idx - b[..., None])] @ w
     return -0.5 + 0.5 * (ta + tb)
+
+
+def coherent_expectation(fh: FrameHamiltonian, frame: CoherentFrame, p: PhasePoint) -> float:
+    """⟨p| H |p⟩: the one-point call of ``_coherent_energies``."""
+    lat = fh.lattice
+    if frame.lattice != lat or p.lattice != lat:
+        raise ValueError("mismatched lattices")
+    return float(_coherent_energies(fh, frame, p.a_idx, p.b_idx))
 
 
 def wielandt_hoffman_gap(fh: FrameHamiltonian) -> tuple[float, float]:
@@ -207,14 +216,24 @@ def ladder_states(frame: CoherentFrame, count: int) -> list[Signal]:
     """f̃_0 = g and f̃_{n+1} = a⁺ f̃_n / √(n+1), not re-normalized.
 
     The drift of f̃_n away from unit norm is part of what the ladder
-    comparison is meant to expose, so no normalization is applied.
+    comparison is meant to expose, so no normalization is applied.  The
+    drift grows with the order, and on large grids (d = 1001) a state's
+    squared norm leaves the float range: the first order whose entries or
+    squared norm are not finite raises ``ArithmeticError``.  The iteration
+    runs under ``np.errstate``, so no RuntimeWarning escapes.
     """
     lat = frame.lattice
     if not 1 <= count <= lat.d:
         raise ValueError(f"count must be in 1..{lat.d}, got {count}")
     ap = raising_operator(frame).mat
     states = [Signal(lat, frame.ground.amp.copy())]
-    for n in range(count - 1):
-        nxt = ap @ states[-1].amp / np.sqrt(n + 1.0)
-        states.append(Signal(lat, nxt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(count - 1):
+            nxt = ap @ states[-1].amp / np.sqrt(n + 1.0)
+            if not (np.all(np.isfinite(nxt)) and np.isfinite(nxt @ nxt)):
+                raise ArithmeticError(
+                    f"ladder state of order {n + 1} has entries or a squared "
+                    f"norm that are not finite at d = {lat.d}"
+                )
+            states.append(Signal(lat, nxt))
     return states

@@ -32,42 +32,53 @@ from .phasespace import CoherentFrame, PhasePoint, _coherent_amplitudes
 MAX_HERMITE_ORDER = 300
 
 
-def _hermite_all(mmax: int, x: np.ndarray) -> np.ndarray:
-    """Stacked Ψ_0..Ψ_mmax evaluated at x, shape (mmax+1, len(x))."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((mmax + 1,) + x.shape)
-    out[0] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    prev = np.zeros_like(x)
-    for m in range(mmax):
-        out[m + 1] = x * np.sqrt(2.0 / (m + 1)) * out[m] - np.sqrt(
-            m / (m + 1.0)
-        ) * prev
-        prev = out[m]
-    return out
-
-
 def _check_order(m: int) -> None:
     if not 0 <= m <= MAX_HERMITE_ORDER:
         raise ValueError(f"order must be in 0..{MAX_HERMITE_ORDER}, got {m}")
 
 
-def hermite_gaussian(m: int, x):
-    """Ψ_m(x), vectorized over x; orders up to 300 are supported."""
-    _check_order(m)
+def _hermite_rows(orders, x) -> np.ndarray:
+    """Ψ_m(x) for each m in ``orders``, shape (len(orders),) + x.shape.
+
+    One pass of the recurrence up to the highest order, keeping two rows
+    and updating them in place; the orders may come in any order and
+    repeat, and only the rows asked for are held.
+    """
+    slots = {}
+    for i, m in enumerate(orders):
+        _check_order(m)
+        slots.setdefault(m, []).append(i)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    # the recurrence of ``_hermite_all``, operation for operation, keeping
-    # two rows and updating them in place
+    out = np.empty((len(orders),) + x.shape)
     cur = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
     prev = np.zeros_like(x)
-    for k in range(m):
+    top = max(slots)
+    for k in range(top + 1):
+        for i in slots.get(k, ()):
+            out[i] = cur
+        if k == top:
+            break
         nxt = x * np.sqrt(2.0 / (k + 1))
         nxt *= cur
         prev *= np.sqrt(k / (k + 1.0))
         nxt -= prev
         prev, cur = cur, nxt
-    return float(cur[0]) if scalar else cur
+    return out
+
+
+def _hermite_all(mmax: int, x: np.ndarray) -> np.ndarray:
+    """Stacked Ψ_0..Ψ_mmax evaluated at x, shape (mmax+1,) + x.shape."""
+    return _hermite_rows(range(mmax + 1), x)
+
+
+def hermite_gaussian(m: int, x):
+    """Ψ_m(x), vectorized over x; orders up to 300 are supported.
+
+    The one-order case of ``_hermite_rows``.
+    """
+    x = np.asarray(x, dtype=float)
+    row = _hermite_rows((m,), np.atleast_1d(x))[0]
+    return float(row[0]) if x.ndim == 0 else row
 
 
 @dataclass(frozen=True, eq=False)

@@ -128,14 +128,18 @@ def theta_gaussian(lat: Lattice, kappa: float, tol: float = 1e-18) -> ThetaGauss
     )
 
 
-def jacobi_theta3(z: float, t: float, tol: float = 1e-18) -> float:
+def jacobi_theta3(z, t: float, tol: float = 1e-18):
     """θ₃(z, it) = 1 + 2·Σ_{α≥1} exp(-πtα²)·cos(2παz) for purely imaginary nome.
 
-    t must be positive; the series is truncated once its terms drop below tol.
+    ``z`` is a float or an array of floats; an array gives the array of
+    values, each bit for bit the scalar call at that z, from one pass over
+    the series.  t must be positive; the series is truncated once its terms
+    drop below tol.
     """
     if not t > 0:
         raise ValueError(f"theta nome parameter t must be positive, got {t}")
-    total = 1.0
+    z = np.asarray(z, dtype=float)
+    total = np.ones_like(z)
     alpha = 1
     while True:
         w = np.exp(-np.pi * t * alpha * alpha)
@@ -145,7 +149,7 @@ def jacobi_theta3(z: float, t: float, tol: float = 1e-18) -> float:
         alpha += 1
         if alpha > 100_000:
             raise ValueError("theta series failed to converge (t too small)")
-    return float(total)
+    return float(total) if z.ndim == 0 else total
 
 
 @dataclass(frozen=True, eq=False)

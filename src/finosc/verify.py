@@ -34,10 +34,11 @@ from .lattice import (
 )
 from .phasespace import (
     PhasePoint,
+    _displacement_parts,
+    _overlaps,
     coherent_frame,
     displacement,
     momentum_operator,
-    overlap,
     position_operator,
 )
 from .thetagauss import (
@@ -317,12 +318,10 @@ def _chk_theta_two_series(ctx):
 def _chk_theta_function_form(ctx):
     kappa = 1.0
     tg = theta_gaussian(ctx.lat, kappa)
-    worst = 0.0
-    for n in ctx.lat.indices:
-        via_theta = (kappa * ctx.d) ** -0.5 * jacobi_theta3(
-            n / ctx.d, 1.0 / (kappa * ctx.d)
-        )
-        worst = max(worst, abs(tg.value_at(n) - via_theta))
+    n = ctx.lat.indices
+    via_theta = (kappa * ctx.d) ** -0.5 * jacobi_theta3(n / ctx.d, 1.0 / (kappa * ctx.d))
+    # storage order is index order, so g(n) is amp itself
+    worst = float(np.max(np.abs(tg.amp - via_theta)))
     _require(worst < 1e-12, f"θ₃ form off by {worst:.2e}")
     return f"matches the θ₃ evaluation ({worst:.1e})"
 
@@ -413,57 +412,69 @@ def _chk_momentum_convolution_form(ctx):
     return f"matches the phase-weighted convolution ({worst:.1e})"
 
 
-def _monomial(lat, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix of D(a, b) as (cols, vals): row n holds vals[n] at cols[n].
+def _parts(lat, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, vals) of D(a, b) over index arrays, each asserted monomial.
 
     A displacement is a permutation times a diagonal of roots of unity, so
-    each row and each column of its matrix holds exactly one nonzero; that
-    is asserted here, and the products below rest on it.
+    each row of ``cols`` must hold every column once and ``vals`` must have
+    no zero; the products below rest on it.
     """
-    mat = displacement(lat, PhasePoint(lattice=lat, a_idx=int(a), b_idx=int(b))).mat
-    nz = mat != 0
-    # d nonzeros that reach every row and every column: one in each
-    monomial = np.count_nonzero(nz) == lat.d and nz.any(axis=0).all() and nz.any(axis=1).all()
-    _require(bool(monomial), f"displacement ({a}, {b}) is not monomial")
-    cols = np.argmax(nz, axis=1)
-    return cols, mat[np.arange(lat.d), cols]
+    cols, vals = _displacement_parts(lat, a, b)
+    ok = (np.sort(cols, axis=-1) == np.arange(lat.d)).all(axis=-1) & (vals != 0).all(axis=-1)
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        a, b = np.broadcast_arrays(a, b)
+        raise _CheckFailure(f"displacement ({a[i]}, {b[i]}) is not monomial")
+    return cols, vals
 
 
 def _chk_displacement_unitary(ctx):
-    worst = 0.0
-    for a, b in ctx.random_indices(20):
-        _, vals = _monomial(ctx.lat, a, b)
-        # every entry of DD⁺ is a sum with at most one nonzero term, and with
-        # the columns a permutation only the diagonal |vals|² has one
-        worst = max(worst, float(np.linalg.norm(np.abs(vals) ** 2 - 1.0)))
+    """Random displacements are unitary, and ``displacement`` scatters its parts.
+
+    Every entry of DD⁺ is a sum with at most one nonzero term, and with the
+    columns a permutation only the diagonal |vals|² has one.  The dense
+    matrices are read one at a time, so memory stays O(d²): with the parts
+    a permutation of nonzeros, a matrix with d nonzeros that holds them at
+    their positions is that monomial matrix exactly.
+    """
+    lat = ctx.lat
+    a, b = ctx.random_indices(20).T
+    cols, vals = _parts(lat, a, b)
+    worst = float(np.max(np.linalg.norm(np.abs(vals) ** 2 - 1.0, axis=-1)))
     _require(worst < 1e-13, f"unitarity off by {worst:.2e}")
+    rows = np.arange(lat.d)
+    for p, q, c, v in zip(a, b, cols, vals):
+        mat = displacement(lat, PhasePoint(lattice=lat, a_idx=int(p), b_idx=int(q))).mat
+        _require(np.count_nonzero(mat) == lat.d, f"displacement ({p}, {q}) is not monomial")
+        _require(np.array_equal(mat[rows, c], v), f"displacement ({p}, {q}) is not its parts")
     return f"random displacements unitary ({worst:.1e})"
 
 
-def _symplectic_phase(lat, a1, b1, a2, b2) -> complex:
+def _symplectic_phase(lat, a1, b1, a2, b2) -> np.ndarray:
     """e^{-(i/2)(α₁β₂ - α₂β₁)} = e^{-iπ(a₁b₂ - a₂b₁)/d}, the composition phase."""
     return _root(a1 * b2 - a2 * b1, 2 * lat.d, -1.0)
 
 
-def _composition_error(lat, a1, b1, a2, b2, factor, a, b) -> float:
-    """‖D(a₁,b₁)·D(a₂,b₂) - factor·D(a,b)‖_F over the monomial factors.
+def _composition_errors(lat, a1, b1, a2, b2, factor, a, b) -> np.ndarray:
+    """‖D(a₁,b₁)·D(a₂,b₂) - factor·D(a,b)‖_F per index triple, over the parts.
 
-    Row n of the product is D₁[n, c₁(n)]·D₂[c₁(n)], a single nonzero at
-    column c₂(c₁(n)), the same value the dense product sums to.  Two
-    monomial rows differ by |x - y|² where their columns agree and by
-    |x|² + |y|² where they do not.
+    The three displacements come from one call of the parts.  Row n of the
+    product is D₁[n, c₁(n)]·D₂[c₁(n)], a single nonzero at column c₂(c₁(n)),
+    the same value the dense product sums to.  Two monomial rows differ by
+    |x - y|² where their columns agree and by |x|² + |y|² where they do not.
     """
-    c1, v1 = _monomial(lat, a1, b1)
-    c2, v2 = _monomial(lat, a2, b2)
-    cols, vals = c2[c1], v1 * v2[c1]
-    want_cols, want = _monomial(lat, a, b)
-    want = factor * want
+    (c1, c2, want_cols), (v1, v2, want) = _parts(
+        lat, np.stack([a1, a2, a]), np.stack([b1, b2, b])
+    )
+    cols = np.take_along_axis(c2, c1, axis=-1)
+    vals = v1 * np.take_along_axis(v2, c1, axis=-1)
+    want = factor[:, None] * want
     sq = np.where(
         cols == want_cols,
         np.abs(vals - want) ** 2,
         np.abs(vals) ** 2 + np.abs(want) ** 2,
     )
-    return float(np.sqrt(np.sum(sq)))
+    return np.sqrt(np.sum(sq, axis=-1))
 
 
 # pairs drawn for the group law: at least 9/16 of them (the large-d limit)
@@ -478,11 +489,9 @@ def _chk_displacement_group_law(ctx):
     asum, bsum = a1 + a2, b1 + b2
     keep = np.flatnonzero((np.abs(asum) <= lat.s) & (np.abs(bsum) <= lat.s))[:20]
     _require(len(keep) == 20, f"only {len(keep)} in-range pairs drawn")
-    worst = 0.0
-    for i in keep:
-        phase = _symplectic_phase(lat, a1[i], b1[i], a2[i], b2[i])
-        err = _composition_error(lat, a1[i], b1[i], a2[i], b2[i], phase, asum[i], bsum[i])
-        worst = max(worst, err)
+    a1, b1, a2, b2, asum, bsum = (x[keep] for x in (a1, b1, a2, b2, asum, bsum))
+    phase = _symplectic_phase(lat, a1, b1, a2, b2)
+    worst = float(np.max(_composition_errors(lat, a1, b1, a2, b2, phase, asum, bsum)))
     _require(worst < 1e-12, f"group law off by {worst:.2e}")
     return f"composition law exact in range ({worst:.1e})"
 
@@ -497,25 +506,23 @@ def _chk_displacement_wrap_sign(ctx):
     """
     lat = ctx.lat
     s = lat.s
-    worst = 0.0
-    # a-wrap only, b-wrap only, both at once, and negative-side wraps
-    pairs = [
-        ((s, 1), (1, 0)),
-        ((1, s), (0, 1)),
-        ((s, s), (1, 1)),
-        ((-s, 2), (-1, 0)),
-        ((2, -s), (1, -1)),
-        ((-s, -s), (-1, -1)),
-    ]
-    for (a1, b1), (a2, b2) in pairs:
-        a_red = int(lat.wrap(a1 + a2))
-        b_red = int(lat.wrap(b1 + b2))
-        sig_a = (a1 + a2 - a_red) // lat.d
-        sig_b = (b1 + b2 - b_red) // lat.d
-        phase = _symplectic_phase(lat, a1, b1, a2, b2)
-        sign = (-1.0) ** (sig_b * a_red + sig_a * b_red + sig_a * sig_b)
-        err = _composition_error(lat, a1, b1, a2, b2, sign * phase, a_red, b_red)
-        worst = max(worst, err)
+    # a-wrap only, b-wrap only, both at once, and negative-side wraps; each
+    # row is (a1, b1, a2, b2)
+    a1, b1, a2, b2 = np.array([
+        (s, 1, 1, 0),
+        (1, s, 0, 1),
+        (s, s, 1, 1),
+        (-s, 2, -1, 0),
+        (2, -s, 1, -1),
+        (-s, -s, -1, -1),
+    ]).T
+    a_red = lat.wrap(a1 + a2)
+    b_red = lat.wrap(b1 + b2)
+    sig_a = (a1 + a2 - a_red) // lat.d
+    sig_b = (b1 + b2 - b_red) // lat.d
+    phase = _symplectic_phase(lat, a1, b1, a2, b2)
+    sign = (-1.0) ** (sig_b * a_red + sig_a * b_red + sig_a * sig_b)
+    worst = float(np.max(_composition_errors(lat, a1, b1, a2, b2, sign * phase, a_red, b_red)))
     _require(worst < 1e-12, f"wrap sign rule off by {worst:.2e}")
     return f"index reduction costs one explicit sign ({worst:.1e})"
 
@@ -568,17 +575,13 @@ def _chk_frame_fourier_rotation(ctx):
 
 
 def _chk_overlap_formula(ctx):
-    lat = ctx.lat
     frame = ctx.frame
     a1, b1, a2, b2 = ctx.random_indices(2 * 50).reshape(-1, 4).T
     # the rows of the dense sweep are the states bit for bit
     s1 = frame.states[frame.flat_indices(a1, b1)]
     s2 = frame.states[frame.flat_indices(a2, b2)]
     direct = np.sum(s1.conj() * s2, axis=1)
-    formula = np.array([
-        overlap(frame, PhasePoint(lat, int(p), int(q)), PhasePoint(lat, int(r), int(t)))
-        for p, q, r, t in zip(a1, b1, a2, b2)
-    ])
+    formula = _overlaps(frame, a1, b1, a2, b2)
     worst = float(np.max(np.abs(direct - formula)))
     _require(worst < 1e-12, f"overlap formula off by {worst:.2e}")
     return f"closed overlap matches inner products ({worst:.1e})"
@@ -675,19 +678,14 @@ def _chk_positivity(ctx):
 
 
 def _chk_coherent_expectation(ctx):
-    lat = ctx.lat
     frame = ctx.frame
     a, b = ctx.random_indices(50).T
     states = frame.states[frame.flat_indices(a, b)]
     sandwich = np.sum(states.conj() * (states @ ctx.fh.op.mat.T), axis=1).real
-    closed = np.array([
-        quantize.coherent_expectation(ctx.fh, frame, PhasePoint(lat, int(p), int(q)))
-        for p, q in zip(a, b)
-    ])
-    swapped = np.array([
-        quantize.coherent_expectation(ctx.fh, frame, PhasePoint(lat, int(q), int(p)))
-        for p, q in zip(a, b)
-    ])
+    # the closed form at (a, b) and with the shifts swapped, in one call
+    closed, swapped = quantize._coherent_energies(
+        ctx.fh, frame, np.stack([a, b]), np.stack([b, a])
+    )
     worst = float(max(np.max(np.abs(sandwich - closed)), np.max(np.abs(closed - swapped))))
     _require(worst < 1e-11, f"expectation law off by {worst:.2e}")
     return f"closed mean energy matches sandwiches ({worst:.1e})"
@@ -878,8 +876,10 @@ def _chk_hermite_values(ctx):
     _require(abs(p0 - np.pi ** -0.25) < 1e-15, f"Ψ₀(0) = {p0}")
     _require(abs(reference.hermite_gaussian(1, 0.0)) < 1e-15, "Ψ₁(0) ≠ 0")
     xs = np.linspace(-12.0, 12.0, 2001)
-    for m in (5, 50, 300):
-        mx = float(np.max(np.abs(reference.hermite_gaussian(m, xs))))
+    orders = (5, 50, 300)
+    # one pass of the recurrence, keeping only the rows asked for
+    for m, row in zip(orders, reference._hermite_rows(orders, xs)):
+        mx = float(np.max(np.abs(row)))
         _require(mx < 1.0, f"Ψ_{m} exceeds 1: {mx}")
     # the integrand decays like a Gaussian, so the rectangle rule is spectrally
     # accurate on a grid that reaches past its tails
@@ -917,11 +917,10 @@ def _chk_mehta_ground(ctx):
 
 
 def _chk_mehta_near_eigenvectors(ctx):
-    worst = 0.0
-    for m in range(min(6, ctx.d)):
-        phi = reference.mehta_function(ctx.lat, m).amp
-        dev = float(np.max(np.abs(ctx.fmat @ phi - (-1j) ** m * phi)))
-        worst = max(worst, dev)
+    # Φ_0..Φ_5 (Φ_0..Φ_4 at d = 5) as the rows of one table
+    phi = reference._periodized_table(ctx.lat, 5)[: min(6, ctx.d)]
+    eig = (-1j) ** np.arange(len(phi))
+    worst = float(np.max(np.abs(phi @ ctx.fmat.T - eig[:, None] * phi)))
     bound = max(1e-3, 100.0 * _wrap_error_envelope(ctx.lat))
     _require(worst < bound, f"near-eigenvector drift {worst:.2e}")
     return f"Φ_m almost Fourier-eigen ({worst:.1e})"

@@ -14,6 +14,7 @@ from finosc import (
     phase_point,
     position_operator,
 )
+from finosc.phasespace import _displacement_parts, _overlaps
 
 
 def test_position_is_the_coordinate_diagonal(lat21):
@@ -182,3 +183,55 @@ def test_inverse_fourier_rotates_the_other_way(lat7):
         lhs = F.conj().T @ fr.states[fr.flat_index(p)]
         q = phase_point(lat7, -p.b_idx, p.a_idx)
         assert np.max(np.abs(lhs - fr.states[fr.flat_index(q)])) < 1e-13
+
+
+# The batched cores against their one-point wrappers, for scalar and array
+# index inputs.  ``displacement`` scatters the parts bit for bit; an overlap
+# summed in a batch may round differently from the one-point sum, so it is
+# held to 4 ulp of the overlaps' scale (|⟨p|q⟩| ≤ 1).
+
+_CORE_SIZES = [5, 21, 101]
+
+
+def _random_index_arrays(lat, k, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(-lat.s, lat.s + 1, size=(count, k))
+
+
+@pytest.mark.parametrize("d", _CORE_SIZES)
+def test_displacement_is_the_scatter_of_its_parts(d):
+    lat = make_lattice(d)
+    a, b = _random_index_arrays(lat, 9, 2, d)
+    cols, vals = _displacement_parts(lat, a, b)
+    assert cols.shape == vals.shape == (9, d)
+    rows = np.arange(d)
+    for i, (p, q) in enumerate(zip(a, b)):
+        want = np.zeros((d, d), dtype=complex)
+        want[rows, cols[i]] = vals[i]
+        assert np.array_equal(displacement(lat, phase_point(lat, p, q)).mat, want)
+        one_cols, one_vals = _displacement_parts(lat, int(p), int(q))
+        assert np.array_equal(one_cols, cols[i]) and np.array_equal(one_vals, vals[i])
+    # index arrays broadcast: a column of a against a row of b
+    grid_cols, grid_vals = _displacement_parts(lat, a[:, None], b[None, :])
+    assert grid_vals.shape == (9, 9, d)
+    grid_cols = np.broadcast_to(grid_cols, grid_vals.shape)
+    assert np.array_equal(grid_vals[np.arange(9), np.arange(9)], vals)
+    assert np.array_equal(grid_cols[np.arange(9), np.arange(9)], cols)
+
+
+@pytest.mark.parametrize("d", _CORE_SIZES)
+def test_overlap_is_a_row_of_the_batched_overlaps(d):
+    lat = make_lattice(d)
+    fr = coherent_frame(lat)
+    a1, b1, a2, b2 = _random_index_arrays(lat, 30, 4, d)
+    batch = _overlaps(fr, a1, b1, a2, b2)
+    assert batch.shape == (30,)
+    one = np.array([
+        overlap(fr, phase_point(lat, p, q), phase_point(lat, r, t))
+        for p, q, r, t in zip(a1, b1, a2, b2)
+    ])
+    scalar = np.array([_overlaps(fr, *idx) for idx in zip(a1, b1, a2, b2)])
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(one - batch)) <= 4 * eps
+    assert np.array_equal(one, scalar)
+    assert "states" not in fr.__dict__

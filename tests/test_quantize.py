@@ -26,7 +26,7 @@ from finosc import (
     trace_ratio,
     wielandt_hoffman_gap,
 )
-from finosc.quantize import _separable_parts
+from finosc.quantize import _coherent_energies, _separable_parts
 
 # frozen mean-drift / bound pairs, regression anchors
 WH_PAIRS = {5: (0.48672588, 2.10255191), 7: (0.40960840, 2.94884507),
@@ -202,6 +202,46 @@ def test_ground_state_readers_never_build_the_dense_frame(lat21):
     coherent_expectation(fh, frame, p1)
     frame.state(p2)
     assert "states" not in frame.__dict__
+
+
+@pytest.mark.parametrize("d", [5, 21, 101])
+def test_coherent_expectation_is_a_row_of_the_batched_energies(d):
+    # a batched gemv may round differently from a one-point dot, so the
+    # rows agree to 4 ulp of the energies' scale
+    lat = make_lattice(d)
+    frame = coherent_frame(lat)
+    fh = frame_hamiltonian(lat)
+    a, b = np.random.default_rng(d).integers(-lat.s, lat.s + 1, size=(2, 30))
+    batch = _coherent_energies(fh, frame, a, b)
+    assert batch.shape == (30,)
+    one = np.array([coherent_expectation(fh, frame, phase_point(lat, p, q))
+                    for p, q in zip(a, b)])
+    scalar = np.array([_coherent_energies(fh, frame, p, q) for p, q in zip(a, b)])
+    scale = float(np.max(np.abs(batch)))
+    assert np.max(np.abs(one - batch)) <= 4 * np.finfo(float).eps * scale
+    assert np.array_equal(one, scalar)
+    # a column of a against a row of b gives the table of every pair
+    table = _coherent_energies(fh, frame, a[:, None], b[None, :])
+    assert table.shape == (30, 30)
+    assert np.max(np.abs(np.diagonal(table) - batch)) <= 4 * np.finfo(float).eps * scale
+
+
+def test_ladder_refuses_states_past_the_float_range():
+    # at d = 1001 the iterates' squared norms overflow; the refusal names
+    # the first such order and lets no RuntimeWarning escape
+    frame = coherent_frame(make_lattice(1001))
+    with pytest.raises(ArithmeticError, match=r"ladder state of order \d+ .*d = 1001"):
+        ladder_states(frame, 1001)
+
+
+def test_ladder_at_601_stays_finite():
+    states = ladder_states(coherent_frame(make_lattice(601)), 601)
+    assert len(states) == 601
+    sq = np.array([s.amp @ s.amp for s in states])
+    assert np.all(np.isfinite(sq))
+    # the largest norm is about 7e129: far from the float range, yet the
+    # ladder has left unit norm far behind
+    assert 1e100 < np.sqrt(sq.max()) < 1e150
 
 
 def test_ladder_count_bounds(lat5):

@@ -26,7 +26,7 @@ from finosc import (
 )
 from math import factorial
 
-from finosc.reference import _hermite_all
+from finosc.reference import _hermite_all, _hermite_rows, _sample_table
 
 
 def hermite_oracle(m, x):
@@ -37,14 +37,51 @@ def hermite_oracle(m, x):
     return hermval(x, coeff) * np.exp(-0.5 * x * x) / norm
 
 
+def hermite_table_loop(mmax, x):
+    """Ψ_0..Ψ_mmax written row by row into one table: the recurrence's
+    arithmetic in a separate loop, the reference for bitwise comparisons."""
+    out = np.empty((mmax + 1,) + x.shape)
+    out[0] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    prev = np.zeros_like(x)
+    for m in range(mmax):
+        out[m + 1] = x * np.sqrt(2.0 / (m + 1)) * out[m] - np.sqrt(m / (m + 1.0)) * prev
+        prev = out[m]
+    return out
+
+
 @pytest.mark.parametrize("m", [0, 1, 5, 50, 300])
 def test_hermite_gaussian_is_the_table_row_bit_for_bit(m):
-    # the two-row recurrence does the table's arithmetic in the same order
+    # the two-row recurrence does the arithmetic of a row-by-row table loop
+    # in the same order
     x = np.linspace(-25.0, 25.0, 2001)
     assert np.array_equal(hermite_gaussian(m, x), _hermite_all(m, x)[m])
+    assert np.array_equal(_hermite_all(m, x), hermite_table_loop(m, x))
     grid = x[:2000].reshape(40, 50)
     assert np.array_equal(hermite_gaussian(m, grid), _hermite_all(m, grid)[m])
     assert hermite_gaussian(m, 1.5) == _hermite_all(m, np.array([1.5]))[m, 0]
+
+
+@pytest.mark.parametrize("d", [5, 21, 101])
+def test_one_pass_hermite_rows_are_the_single_orders_bit_for_bit(d):
+    lat = make_lattice(d)
+    orders = (d - 1, 0, 3, (d - 1) // 2, 3)  # unsorted, with a repeat
+    rows = _hermite_rows(orders, lat.points)
+    assert rows.shape == (len(orders), d)
+    table = _sample_table(lat)
+    loop = hermite_table_loop(d - 1, lat.points)
+    assert np.array_equal(table, lat.delta**0.25 * loop)
+    for m, row in zip(orders, rows):
+        assert np.array_equal(row, loop[m])
+        assert np.array_equal(row, hermite_gaussian(m, lat.points))
+        assert np.array_equal(lat.delta**0.25 * row, table[m])
+    # the orders verify reads, on its grid, and at a scalar point
+    x = np.linspace(-12.0, 12.0, 2001)
+    loop = hermite_table_loop(300, x)
+    for m, row in zip((5, 50, 300), _hermite_rows((5, 50, 300), x)):
+        assert np.array_equal(row, loop[m])
+    assert _hermite_rows((7,), np.array(1.5))[0] == hermite_gaussian(7, 1.5)
+    with pytest.raises(ValueError):
+        _hermite_rows((5, 301), x)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 12, 20])

@@ -132,6 +132,21 @@ def test_theta3_modular_inversion():
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
+@pytest.mark.parametrize("d", [5, 21, 101])
+def test_theta3_on_an_array_is_the_scalar_calls_bit_for_bit(d):
+    t = 1.0 / d
+    z = np.arange(-(d // 2), d // 2 + 1) / d
+    vals = jacobi_theta3(z, t)
+    assert isinstance(vals, np.ndarray) and vals.shape == z.shape
+    assert np.array_equal(vals, [jacobi_theta3(float(x), t) for x in z])
+    # a scalar returns a float; a 2-D array keeps its shape
+    assert isinstance(jacobi_theta3(float(z[1]), t), float)
+    grid = np.random.default_rng(d).uniform(-1.0, 1.0, size=(3, 4))
+    vals = jacobi_theta3(grid, t)
+    assert vals.shape == (3, 4)
+    assert np.array_equal(vals.ravel(), [jacobi_theta3(float(x), t) for x in grid.ravel()])
+
+
 def test_theta3_rejects_bad_nome():
     with pytest.raises(ValueError):
         jacobi_theta3(0.0, 0.0)

@@ -228,25 +228,24 @@ def test_verify_21_prints_every_check_in_order(capsys):
 
 # Injected faults: each rewritten check must fail when the quantity it
 # compares is off by a little more than its bound.  Every fault is applied
-# to a fresh workspace.
+# to a fresh workspace, in the function or batched core the check reads.
 
-def _nth_call_off_by(fn, n, delta):
-    calls = []
-
+def _nth_entry_off_by(fn, n, delta):
     def faulty(*args, **kwargs):
-        calls.append(None)
-        return fn(*args, **kwargs) + (delta if len(calls) == n else 0.0)
+        out = np.array(fn(*args, **kwargs))
+        out.flat[n - 1] += delta
+        return out
 
     return faulty
 
 
 def _overlap_off(monkeypatch, ctx):
-    monkeypatch.setattr(verify, "overlap", _nth_call_off_by(verify.overlap, 17, 1e-10))
+    monkeypatch.setattr(verify, "_overlaps", _nth_entry_off_by(verify._overlaps, 17, 1e-10))
 
 
 def _mean_energy_off(monkeypatch, ctx):
-    fn = _nth_call_off_by(quantize.coherent_expectation, 17, 1e-10)
-    monkeypatch.setattr(quantize, "coherent_expectation", fn)
+    fn = _nth_entry_off_by(quantize._coherent_energies, 17, 1e-10)
+    monkeypatch.setattr(quantize, "_coherent_energies", fn)
 
 
 def _raising_sign_broken(monkeypatch, ctx):
@@ -279,39 +278,69 @@ def _hamiltonian_entry_moved(monkeypatch, ctx):
     ctx._cache["fh"] = replace(fh, op=Operator(ctx.lat, mat))
 
 
+def _edit_parts(monkeypatch, edit):
+    """Apply ``edit(cols, vals)`` to every output of the displacement core."""
+    real = verify._displacement_parts
+
+    def faulty(lat, a, b):
+        cols, vals = (x.copy() for x in real(lat, a, b))
+        edit(cols, vals)
+        return cols, vals
+
+    monkeypatch.setattr(verify, "_displacement_parts", faulty)
+
+
 def _displacement_second_nonzero(monkeypatch, ctx):
-    real = verify.displacement
+    # in the parts form a second nonzero in a column is a column collision:
+    # rows 0 and 1 both land on row 1's column
+    def edit(cols, vals):
+        cols[..., 0] = cols[..., 1]
 
-    def faulty(lat, p):
-        mat = real(lat, p).mat.copy()
-        row = mat[0]
-        row[np.argmax(row == 0)] = 1e-300
-        return Operator(lat, mat)
-
-    monkeypatch.setattr(verify, "displacement", faulty)
+    _edit_parts(monkeypatch, edit)
 
 
 def _displacement_entry_scaled(monkeypatch, ctx):
-    real = verify.displacement
+    def edit(cols, vals):
+        vals[..., 0] *= 1.0 + 1e-11
 
-    def faulty(lat, p):
-        mat = real(lat, p).mat.copy()
-        mat[0] *= 1.0 + 1e-11
-        return Operator(lat, mat)
-
-    monkeypatch.setattr(verify, "displacement", faulty)
+    _edit_parts(monkeypatch, edit)
 
 
 def _displacement_rows_swapped(monkeypatch, ctx):
     # still monomial and unitary, but the composition lands on other columns
+    def edit(cols, vals):
+        cols[..., [0, 1]] = cols[..., [1, 0]]
+        vals[..., [0, 1]] = vals[..., [1, 0]]
+
+    _edit_parts(monkeypatch, edit)
+
+
+def _edit_dense(monkeypatch, edit):
+    """Apply ``edit(mat)`` to every matrix ``displacement`` returns to verify."""
     real = verify.displacement
 
     def faulty(lat, p):
         mat = real(lat, p).mat.copy()
-        mat[[0, 1]] = mat[[1, 0]]
+        edit(mat)
         return Operator(lat, mat)
 
     monkeypatch.setattr(verify, "displacement", faulty)
+
+
+def _dense_second_nonzero(monkeypatch, ctx):
+    def edit(mat):
+        row = mat[0]
+        row[np.argmax(row == 0)] = 1e-300
+
+    _edit_dense(monkeypatch, edit)
+
+
+def _dense_entry_scaled(monkeypatch, ctx):
+    # the parts stay exact, so only the bitwise comparison sees it
+    def edit(mat):
+        mat[0] *= 1.0 + 1e-15
+
+    _edit_dense(monkeypatch, edit)
 
 
 def _quantizer_weight_moved(monkeypatch, ctx):
@@ -377,6 +406,8 @@ _FAULTS = [
     ("phasespace: wraparound sign rule", _displacement_entry_scaled, "wrap sign rule off"),
     ("phasespace: displacement group law", _displacement_rows_swapped, "group law off"),
     ("phasespace: wraparound sign rule", _displacement_rows_swapped, "wrap sign rule off"),
+    ("phasespace: displacement unitarity", _dense_second_nonzero, "not monomial"),
+    ("phasespace: displacement unitarity", _dense_entry_scaled, "not its parts"),
     ("quantize: unit symbol", _quantizer_weight_moved, "off identity"),
     ("quantize: fast path vs brute force", _quantizer_weight_moved, "off brute force"),
     ("quantize: raising operator", _quantizer_weight_moved, "factorized form off"),
