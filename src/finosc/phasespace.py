@@ -82,7 +82,7 @@ def _displacement_parts(lat: Lattice, a, b) -> tuple[np.ndarray, np.ndarray]:
     scalars) that broadcast together; the grid index n runs along a new last
     axis, so k points cost O(k·d).  ``cols`` depends on ``a`` alone and
     broadcasts against ``vals``.  Both phases come from their reduced
-    integers, as in ``_coherent_amplitudes``.
+    integers, a·b mod 2d and b·n mod d.
     """
     a, b = np.asarray(a), np.asarray(b)
     n = lat.indices
@@ -108,16 +108,12 @@ def _coherent_amplitudes(lat: Lattice, g: np.ndarray, a, b) -> np.ndarray:
     """|a,b⟩[n] = e^{-iπab/d}·e^{2πi·b·n/d}·g(n - a), broadcast over (a, b).
 
     ``a`` and ``b`` are integer index arrays (or scalars) that broadcast
-    together; the grid index n runs along a new last axis.  Both phases come
-    from their integer products, a·b reduced mod 2d and b·n mod d, so a single
-    state and a row of the dense sweep come out bit for bit the same.
+    together; the grid index n runs along a new last axis.  It is D(a, b)·g:
+    the phases of ``_displacement_parts`` times g gathered at its columns, so
+    a single state and a row of the dense sweep come out bit for bit the same.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    n = lat.indices
-    half = _root(a * b, 2 * lat.d, -1.0)  # e^{-iαβ/2} = e^{-iπab/d}
-    mod = _root(b[..., None] * n, lat.d)  # e^{2πi b n/d}
-    shifted = g[lat.pos(n - a[..., None])]  # g((n - a)√δ)
-    return half[..., None] * mod * shifted
+    cols, vals = _displacement_parts(lat, a, b)
+    return vals * g[cols]
 
 
 class CoherentFrame:

@@ -29,12 +29,8 @@ import numpy as np
 from .lattice import Lattice, Signal
 from .phasespace import CoherentFrame, PhasePoint, _coherent_amplitudes
 
-MAX_HERMITE_ORDER = 300
-
-
-def _check_order(m: int) -> None:
-    if not 0 <= m <= MAX_HERMITE_ORDER:
-        raise ValueError(f"order must be in 0..{MAX_HERMITE_ORDER}, got {m}")
+_FAR = 708.0  # π^{-1/4}·e^{-x²/2} is a normal float up to x²/2 = 708
+_LN512 = 512.0 * math.log(2.0)
 
 
 def _hermite_rows(orders, x) -> np.ndarray:
@@ -43,19 +39,48 @@ def _hermite_rows(orders, x) -> np.ndarray:
     One pass of the recurrence up to the highest order, keeping two rows
     and updating them in place; the orders may come in any order and
     repeat, and only the rows asked for are held.
+
+    Where x²/2 > 708, e^{-x²/2} underflows but Ψ_m(x) need not, so such a
+    point carries its rows as mantissa·2^e with its own integer e ≤ 0, a
+    multiple of 512.  Often enough that no mantissa can grow 2^256-fold in
+    between, rows above 2^256 are divided by 2^512 and e is raised by 512,
+    both exactly.  Rows read out as mantissa·2^e, or 0 while e ≤ -1024
+    (every such value is below 2^-512).  Points with e = 0 do the plain
+    recurrence bit for bit; a call with no far point skips the bookkeeping.
     """
     slots = {}
     for i, m in enumerate(orders):
-        _check_order(m)
+        if m < 0:
+            raise ValueError(f"order must be non-negative, got {m}")
         slots.setdefault(m, []).append(i)
     x = np.asarray(x, dtype=float)
     out = np.empty((len(orders),) + x.shape)
-    cur = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    half = 0.5 * x * x
+    exps = None
+    if half.max(initial=0.0) > _FAR:
+        # the clip keeps e in int64; such points read 0 at any feasible order
+        lift = np.ceil(np.clip(half - _FAR, 0.0, 2.0**60) / _LN512)
+        half -= lift * _LN512
+        exps = -512 * lift.astype(np.int64)
+        # one step grows max(|cur|, |prev|) at most (1 + √2·|x|)-fold
+        every = max(1, int(256 / math.log2(1 + math.sqrt(2) * np.abs(x).max())))
+    cur = np.pi ** (-0.25) * np.exp(-half)
     prev = np.zeros_like(x)
     top = max(slots)
     for k in range(top + 1):
+        if exps is not None and k % every == 0:
+            big = np.maximum(np.abs(cur), np.abs(prev)) > 2.0**256
+            if k == 0 or big.any():  # k = 0 sets the first read-out factors
+                down = np.where(big, 2.0**-512, 1.0)
+                cur *= down
+                prev *= down
+                exps += 512 * big
+                scale = np.where(exps < -512, 0.0, np.ldexp(1.0, exps))
         for i in slots.get(k, ()):
-            out[i] = cur
+            if exps is None:
+                out[i] = cur
+            else:
+                np.multiply(cur, scale, out=out[i, ...])
         if k == top:
             break
         nxt = x * np.sqrt(2.0 / (k + 1))
@@ -72,13 +97,12 @@ def _hermite_all(mmax: int, x: np.ndarray) -> np.ndarray:
 
 
 def hermite_gaussian(m: int, x):
-    """Ψ_m(x), vectorized over x; orders up to 300 are supported.
+    """Ψ_m(x), vectorized over x, for any order m ≥ 0.
 
     The one-order case of ``_hermite_rows``.
     """
-    x = np.asarray(x, dtype=float)
-    row = _hermite_rows((m,), np.atleast_1d(x))[0]
-    return float(row[0]) if x.ndim == 0 else row
+    row = _hermite_rows((m,), x)[0]
+    return float(row) if row.ndim == 0 else row
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +122,6 @@ def hermite_sample(lat: Lattice, m: int) -> HermiteSample:
 def _sample_table(lat: Lattice) -> np.ndarray:
     """Row m is ``hermite_sample(lat, m).amp``, for m = 0..d-1, from one
     pass of the recurrence."""
-    _check_order(lat.d - 1)
     return lat.delta**0.25 * _hermite_all(lat.d - 1, lat.points)
 
 
@@ -159,7 +182,6 @@ def _periodized_table(lat: Lattice, mmax: int, tol: float = 1e-18) -> np.ndarray
     within a generous margin past the turning point of the highest order,
     which puts the omitted terms of every row far below ``tol``.
     """
-    _check_order(mmax)
     margin = np.sqrt(2.0 * np.log(1.0 / tol)) + 2.0
     x_cut = np.sqrt(2.0 * mmax + 1.0) + margin
     lmax = int(np.ceil((x_cut / lat.sqrt_delta + lat.s) / lat.d)) + 1
@@ -175,6 +197,8 @@ def mehta_function(lat: Lattice, m: int, tol: float = 1e-18) -> Signal:
     The wrap sum is truncated so that the omitted terms stay far below
     ``tol`` (see ``_periodized_table``).
     """
+    if m < 0:
+        raise ValueError(f"order must be non-negative, got {m}")
     return Signal(lat, _periodized_table(lat, m, tol)[m])
 
 
@@ -294,8 +318,8 @@ def continuous_frft_oracle(psi, alpha: float, lat: Lattice, M: int = 64) -> Sign
 
         (𝓕^α ψ)(x) ≈ Σ_{m<M} e^{-iπmα/2}·Ψ_m(x)·⟨Ψ_m, ψ⟩.
 
-    Returns the grid samples scaled by ⁴√δ.  Accuracy is limited by the
-    Hermite truncation M alone.  A Gaussian's coefficients fall off like
+    Returns the grid samples scaled by ⁴√δ.  M may be any positive count, and
+    accuracy is limited by the Hermite truncation M alone.  A Gaussian's coefficients fall off like
     |r|^{m/2}, r = (1-κ)/(1+κ), so its columns are exact to rounding unless
     κ is far from 1.  The box's jumps make its coefficients decay slowly, so
     box columns are truncation-limited: at d = 101 and α = 0.5, M = 64 and
@@ -303,8 +327,6 @@ def continuous_frft_oracle(psi, alpha: float, lat: Lattice, M: int = 64) -> Sign
     """
     if M < 1:
         raise ValueError(f"need at least one Hermite order, got M={M}")
-    if M - 1 > MAX_HERMITE_ORDER:
-        raise ValueError(f"M exceeds supported order {MAX_HERMITE_ORDER + 1}")
     coeffs = psi.coefficients(M)
     phases = np.exp(-0.5j * np.pi * alpha * np.arange(M))
     grid_basis = _hermite_all(M - 1, lat.points)

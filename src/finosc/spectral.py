@@ -89,20 +89,6 @@ def eigh(op) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def check_basis_size(d: int) -> None:
-    """Refuse a grid too large to label.
-
-    Labels are sign-fixed against the sampled Hermite functions Ψ_0..Ψ_{d-1},
-    and those are supported only up to ``reference.MAX_HERMITE_ORDER``.
-    """
-    limit = reference.MAX_HERMITE_ORDER + 1
-    if d > limit:
-        raise ValueError(
-            f"labeled bases need d <= {limit} (Hermite orders up to "
-            f"{reference.MAX_HERMITE_ORDER}), got d = {d}"
-        )
-
-
 def harper_hamiltonian(lat: Lattice) -> Operator:
     """Finite-difference oscillator: cyclic second difference plus cosine well.
 
@@ -306,15 +292,13 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     H, so the same number audits the split.  ⟨v, Fv⟩ is bᵀCb for an even
     block vector b and -i·bᵀSb for an odd one.
 
-    Eigenvalues must be simple within each block (adjacent gap above 1e-10),
-    and d may not exceed ``reference.MAX_HERMITE_ORDER + 1``.  Any label
-    inconsistency raises instead of degrading.
+    Eigenvalues must be simple within each block (adjacent gap above 1e-10).
+    Any label inconsistency raises instead of degrading.
     """
     if kind not in ("frame", "harper"):
         raise ValueError(f"kind must be 'frame' or 'harper', got {kind!r}")
     if isinstance(op, Operator) and op.lattice != lat:
         raise ValueError("operator belongs to a different lattice")
-    check_basis_size(lat.d)
     d, s = lat.d, lat.s
     hmat = _real_symmetric(op)
     if hmat.shape != (d, d):

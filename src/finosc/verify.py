@@ -349,7 +349,7 @@ def _chk_theta_product_identity(ctx):
     rhs = a * g2.amp - b * gh.amp[lat.pos(2 * lat.indices)]
     worst = float(np.max(np.abs(lhs - rhs)))
     _require(worst < 1e-13, f"square identity off by {worst:.2e}")
-    return f"𝐠₁² expands over widths 2 and 1/2 ({worst:.1e})"
+    return f"g₁² expands over widths 2 and 1/2 ({worst:.1e})"
 
 
 def _chk_ground_state(ctx):
@@ -913,7 +913,7 @@ def _chk_mehta_ground(ctx):
     g1 = theta_gaussian(ctx.lat, 1.0).amp
     dev = float(np.max(np.abs(phi0 - np.pi ** -0.25 * g1)))
     _require(dev < 1e-12, f"periodized Ψ₀ off by {dev:.2e}")
-    return f"Φ₀ = π^(-1/4)·𝐠₁ ({dev:.1e})"
+    return f"Φ₀ = π^(-1/4)·g₁ ({dev:.1e})"
 
 
 def _chk_mehta_near_eigenvectors(ctx):
@@ -1132,7 +1132,6 @@ _BASES = (5, 51)
 _FRAME = (5, 101)
 _BRUTE = (5, 33)
 _HEADLINE = (11, 51)
-_KERNEL = (5, reference.MAX_HERMITE_ORDER + 1)  # every size a basis exists at
 
 _CHECKS = [
     ("lattice: size validation", _chk_lattice_reject, _ALL),
@@ -1189,7 +1188,7 @@ _CHECKS = [
     ("reference: oracle at order 0", _chk_frft_oracle_identity, _ALL),
     ("reference: oracle Fourier laws", _chk_frft_oracle_fourier, _ALL),
     ("frft: kernel group laws", _chk_kernel_laws, _BASES),
-    ("frft: factored apply matches the kernel", _chk_factored_apply, _KERNEL),
+    ("frft: factored apply matches the kernel", _chk_factored_apply, _ALL),
     ("frft: kernel Gaussian action", _chk_kernel_on_gaussian, _BASES),
     ("frft: rectangular test signal", _chk_rectangular_signal, _ALL),
     ("frft: comparative accuracy", _chk_comparative_accuracy, _HEADLINE),

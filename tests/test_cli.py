@@ -214,16 +214,44 @@ def test_frft_accepts_a_tiny_but_representable_width(capsys):
     assert values.shape == (21, 8) and np.all(np.isfinite(values))
 
 
-@pytest.mark.parametrize("command", ["spectrum", "compare"])
-def test_unsupported_grid_is_refused_before_any_work(capsys, monkeypatch, command):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the size check")
+@pytest.mark.parametrize(
+    "argv",
+    [("spectrum", "--method", "frame"), ("spectrum", "--method", "harper"), ("compare",)],
+)
+def test_grid_past_301_is_labeled(capsys, argv):
+    # Ψ_m exists at every order, so bases past d = 301 are sign-fixed and
+    # pass every label audit in oscillator_basis
+    code, out, err = run_cli(capsys, *argv, "--d", "303")
+    assert code == 0 and err == ""
+    _, rows = csv_rows(out)
+    assert [int(r[0]) for r in rows] == list(range(303))
+    if argv[0] == "spectrum":
+        m = np.arange(303)
+        assert [r[2] for r in rows] == ["even" if k % 2 == 0 else "odd" for k in m]
+        assert np.array_equal([int(r[4]) for r in rows], m % 4)
+        deficit = m - np.array([int(r[3]) for r in rows])
+        assert np.all(deficit >= 0) and np.all(deficit % 2 == 0)
+    else:
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
-    for name in ("frame_hamiltonian", "harper_hamiltonian", "coherent_frame"):
-        monkeypatch.setattr(cli, name, no_work)
-    code, out, err = run_cli(capsys, command, "--d", "303")
+
+def test_ladder_overflow_exits_2(capsys):
+    # from d = 691 a ladder norm leaves the float range; that cannot be
+    # known before the ladder runs, so it is reported, not a traceback
+    code, out, err = run_cli(capsys, "compare", "--d", "691")
     assert code == 2
-    assert "labeled bases need d <= 301" in err
+    assert err.startswith("error:") and "ladder" in err
+    assert out == ""
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def too_large(lat):
+        raise MemoryError(f"cannot allocate a d = {lat.d} Hamiltonian")
+
+    monkeypatch.setattr(cli, "frame_hamiltonian", too_large)
+    code, out, err = run_cli(capsys, "spectrum", "--d", "21")
+    assert code == 2
+    assert err == "error: cannot allocate a d = 21 Hamiltonian\n"
     assert out == ""
 
 

@@ -22,6 +22,7 @@ from finosc import (
     oscillator_basis,
     phase_point,
     rectangular_profile,
+    reference,
     theta_gaussian,
 )
 from math import factorial
@@ -61,7 +62,7 @@ def test_hermite_gaussian_is_the_table_row_bit_for_bit(m):
     assert hermite_gaussian(m, 1.5) == _hermite_all(m, np.array([1.5]))[m, 0]
 
 
-@pytest.mark.parametrize("d", [5, 21, 101])
+@pytest.mark.parametrize("d", [5, 21, 101, 301])
 def test_one_pass_hermite_rows_are_the_single_orders_bit_for_bit(d):
     lat = make_lattice(d)
     orders = (d - 1, 0, 3, (d - 1) // 2, 3)  # unsorted, with a repeat
@@ -80,8 +81,6 @@ def test_one_pass_hermite_rows_are_the_single_orders_bit_for_bit(d):
     for m, row in zip((5, 50, 300), _hermite_rows((5, 50, 300), x)):
         assert np.array_equal(row, loop[m])
     assert _hermite_rows((7,), np.array(1.5))[0] == hermite_gaussian(7, 1.5)
-    with pytest.raises(ValueError):
-        _hermite_rows((5, 301), x)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 12, 20])
@@ -111,8 +110,42 @@ def test_hermite_quadrature_orthonormality():
 def test_hermite_order_range():
     with pytest.raises(ValueError):
         hermite_gaussian(-1, 0.0)
-    with pytest.raises(ValueError):
-        hermite_gaussian(301, 0.0)
+
+
+@pytest.mark.parametrize("m", [700, 1000, 1500, 2000])
+def test_high_orders_keep_unit_norm(m):
+    # beyond |x| ≈ 37.6 the start value e^{-x²/2} underflows, yet these
+    # orders are of unit size out to their turning points √(2m+1) ≤ 63.3; the
+    # rectangle rule on [-70, 70] is spectrally accurate for the squares
+    x, dx = np.linspace(-70.0, 70.0, 28001, retstep=True)
+    row = hermite_gaussian(m, x)
+    assert abs(float(np.sum(row * row)) * dx - 1.0) < 1e-12
+
+
+def test_high_orders_stay_orthogonal():
+    x, dx = np.linspace(-70.0, 70.0, 28001, retstep=True)
+    low, high = _hermite_rows((1000, 1500), x)
+    assert abs(float(np.sum(low * high)) * dx) < 1e-12
+
+
+def test_high_order_at_the_grid_edge():
+    # Ψ_1000 at the d = 1001 grid edge, where e^{-x²/2} is about 1e-341:
+    # 40-digit mpmath evaluation of the same recurrence at the same x
+    x = make_lattice(1001).points[-1]
+    assert hermite_gaussian(1000, x) == pytest.approx(-5.080323388224087e-2, rel=1e-13)
+
+
+def test_periodized_table_is_the_plain_recurrence_where_it_is_exact(monkeypatch):
+    # the far images carry exponents; at every odd d <= 301 the wrap sums
+    # match the same sums over the plain table loop, which lets e^{-x²/2}
+    # underflow, to far below any value of interest
+    for d in range(5, 302, 2):
+        lat = make_lattice(d)
+        table = reference._periodized_table(lat, d - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(reference, "_hermite_all", hermite_table_loop)
+            loop = reference._periodized_table(lat, d - 1)
+        assert np.max(np.abs(table - loop)) < 1e-250, d
 
 
 def test_hermite_sample_scaling(lat21):
@@ -326,5 +359,3 @@ def test_rectangle_coefficients_match_fine_quadrature():
 def test_oracle_validates_order_count(lat5):
     with pytest.raises(ValueError):
         continuous_frft_oracle(gaussian_profile(1.0), 0.0, lat5, M=0)
-    with pytest.raises(ValueError):
-        continuous_frft_oracle(gaussian_profile(1.0), 0.0, lat5, M=302)

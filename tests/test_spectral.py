@@ -13,6 +13,7 @@ from finosc import (
     harper_hamiltonian,
     make_lattice,
     oscillator_basis,
+    reference,
     sign_alternations,
     spectral,
 )
@@ -205,10 +206,21 @@ def test_blocks_match_a_full_matrix_solve(d, kind):
     assert np.array_equal(fourier, basis.fourier_indices)
 
 
-def test_unsupported_grid_is_refused_before_the_solve():
-    # the size check comes first, so even an unusable operator is not read
-    with pytest.raises(ValueError, match="d <= 301"):
-        oscillator_basis(None, make_lattice(303), "frame")
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+def test_grid_past_301_gets_audited_labels(kind):
+    # the sign fix reads Ψ_0..Ψ_302, which exist like every order, so d = 303
+    # is labeled with every audit on
+    lat = make_lattice(303)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    basis = oscillator_basis(op, lat, kind)
+    m = np.arange(303)
+    assert np.array_equal(basis.parities, m % 2)
+    assert np.array_equal(basis.fourier_indices, m % 4)
+    deficit = m - basis.alternations
+    assert basis.alternations[0] == 0
+    assert np.all(deficit >= 0) and np.all(deficit % 2 == 0)
+    overlaps = np.einsum("mn,nm->m", reference._sample_table(lat), basis.vectors)
+    assert np.all(overlaps[np.abs(overlaps) > spectral.ZERO_SKIP] > 0.0)
 
 
 def test_frame_labels_start_at_the_bottom(frame_basis21):

@@ -226,6 +226,13 @@ def test_verify_21_prints_every_check_in_order(capsys):
     assert seen == want
 
 
+def test_verify_output_stays_in_the_basic_plane(capsys):
+    # one character above U+FFFF makes CPython store the whole text at four
+    # bytes per character instead of two
+    assert main(["verify", "--d", "21"]) == 0
+    assert max(map(ord, capsys.readouterr().out)) < 0x10000
+
+
 # Injected faults: each rewritten check must fail when the quantity it
 # compares is off by a little more than its bound.  Every fault is applied
 # to a fresh workspace, in the function or batched core the check reads.
