@@ -174,7 +174,7 @@ def cmd_table1(cfg) -> int:
     lat = make_lattice(cfg.d)
     if cfg.d != 21:
         print(
-            f"warning: the reference grid is computed at d = 21, not {cfg.d}",
+            f"warning: the paper's Table 1 is at d = 21; this grid is at d = {cfg.d}",
             file=sys.stderr,
         )
     shifts = (1, 3, 6, 9)

@@ -9,18 +9,18 @@ operator at α = 1, additive in α, and 4-periodic.  Two bases (frame and
 Harper) give two inequivalent families; both are exactly unitary since the
 eigenvectors are orthonormal.
 
-A kernel holds only its d phases until its dense matrix is read.  A fresh
-order is applied in factored form, V·(e^{-iπmα/2} ⊙ Vᵀx), in O(d²); a
-repeated order gets the dense d×d kernel, built once in O(d³), whose apply
-is faster.  Each basis keeps at most ``CACHE_SIZE`` kernels, keyed by α and
-evicted least recently used first.
+A kernel is its d phases e^{-iπmα/2}.  Every request is applied in
+factored form, V·(phases ⊙ Vᵀx), in O(d²), and no kernel holds a d×d
+matrix: the dense V·diag(phases)·Vᵀ is built in O(d³) on each read of
+``FrftKernel.op``, an oracle for tests and ``verify``.  Each basis keeps at
+most ``CACHE_SIZE`` kernels, keyed by α and evicted least recently used
+first, so a repeated order skips recomputing its phases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +36,9 @@ class FrftKernel:
     alpha: float
     phases: np.ndarray  # e^{-iπmα/2} for m = 0..d-1
 
-    @cached_property
+    @property
     def op(self) -> Operator:
-        """The dense kernel V·diag(phases)·Vᵀ, built on first read."""
+        """The dense kernel V·diag(phases)·Vᵀ, built afresh on each read."""
         vecs = self.basis.vectors
         mat = (vecs * self.phases[None, :]) @ vecs.T
         return Operator(self.basis.lattice, mat)
@@ -47,16 +47,14 @@ class FrftKernel:
 def frft_kernel(basis: SpectralBasis, alpha: float) -> FrftKernel:
     """Order-α kernel for the given eigenbasis, cached per (basis, α).
 
-    A first request returns a kernel without its dense matrix; a repeated
-    request returns the same object with the matrix built.  A NaN or
-    infinite order is refused, so no such key enters the cache.
+    A repeated request returns the same object.  A NaN or infinite order is
+    refused, so no such key enters the cache.
     """
     key = float(alpha)
     cache = basis._kernel_cache
     kern = cache.get(key)
     if kern is not None:
         cache.move_to_end(key)
-        kern.op  # a repeated order pays for the dense build once
         return kern
     if not math.isfinite(key):
         raise ValueError(f"transform order must be finite, got {alpha}")
@@ -72,9 +70,6 @@ def apply_frft(kernel: FrftKernel, sig: Signal) -> Signal:
     lat = kernel.basis.lattice
     if sig.lattice != lat:
         raise ValueError("signal belongs to a different lattice")
-    op = kernel.__dict__.get("op")
-    if op is not None:
-        return Signal(lat, op.mat @ sig.amp)
     # Two real products on the (d, 2) float view of the complex signal: a
     # complex matmul would upcast V to a complex copy on every call.
     vecs = kernel.basis.vectors

@@ -12,7 +12,7 @@ Grid comparisons use the scaled samples ⁴√δ·Ψ_m(n√δ): the scale conver
 unit L²(ℝ) norm to approximately unit ℓ² norm on the grid.
 
 The periodized samples Φ_m(n) = Σ_ℓ Ψ_m((ℓd+n)√δ) give the classical
-approximate Fourier eigenvectors; Φ_0 equals π^(-1/4)·𝐠₁ term by term.
+approximate Fourier eigenvectors; Φ_0 equals π^(-1/4)·g₁ term by term.
 
 The fractional transform oracle expands a line profile in the Ψ_m basis,
 with coefficients ⟨Ψ_m, ψ⟩ the profile gives in closed form, and applies the

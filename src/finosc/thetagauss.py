@@ -10,7 +10,7 @@ here because their convergence regimes are complementary.  The evaluation
 picks the spatial sum when κd ≥ 1 and the frequency sum otherwise, so the
 retained terms always decay at least like exp(-π·max(κd, 1/(κd))·ℓ²).
 
-In terms of the classical theta function, 𝐠_κ(n√δ))= (κd)^(-1/2)·θ₃(n/d, i/(κd)).
+In terms of the classical theta function, 𝐠_κ(n√δ) = (κd)^(-1/2)·θ₃(n/d, i/(κd)).
 
 Under the finite Fourier transform the family is closed:
 F[𝐠_κ] = κ^(-1/2)·𝐠_{1/κ}; in particular 𝐠₁ is invariant, and its

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from finosc import (
-    SpectralBasis,
     coherent_frame,
     frame_hamiltonian,
     harper_hamiltonian,
@@ -72,8 +71,3 @@ def dense_parity_frame(s):
     q[s - n, s + n] = -np.sqrt(0.5)
     return q
 
-
-def empty_cache_copy(basis):
-    """The same basis with no cached transform kernels."""
-    return SpectralBasis(basis.lattice, basis.kind, basis.values, basis.vectors,
-                         basis.alternations, basis.parities, basis.fourier_indices)

@@ -66,7 +66,10 @@ def test_table_frozen_entries(capsys):
 def test_table_warns_off_reference_grid(capsys):
     code, out, err = run_cli(capsys, "table1", "--d", "25")
     assert code == 0
-    assert "not 25" in err
+    assert err == "warning: the paper's Table 1 is at d = 21; this grid is at d = 25\n"
+    # the grid is computed at d = 25, and differs from the paper's d = 21
+    assert out == rowwise_csv(*table1_rows(25))
+    assert out != rowwise_csv(*table1_rows(21))
 
 
 def test_table_needs_room_for_the_shifts(capsys):

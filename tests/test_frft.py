@@ -16,8 +16,6 @@ from finosc import (
 )
 from finosc.frft import CACHE_SIZE
 
-from conftest import empty_cache_copy
-
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.7, 2.9])
 def test_kernels_are_unitary(frame_basis21, harper_basis21, alpha):
@@ -127,17 +125,25 @@ def _fresh_harper_basis(lat):
     return oscillator_basis(harper_hamiltonian(lat), lat, "harper")
 
 
+def _held_arrays(kern):
+    return [v for v in vars(kern).values() if isinstance(v, np.ndarray)]
+
+
 def test_first_request_builds_no_dense_matrix(lat21):
     kern = frft_kernel(_fresh_harper_basis(lat21), 0.3)
-    assert "op" not in kern.__dict__
+    assert [a.shape for a in _held_arrays(kern)] == [(21,)]
 
 
-def test_second_request_returns_the_same_kernel_with_its_matrix(lat21):
+def test_second_request_returns_the_same_kernel_and_output(lat21):
     basis = _fresh_harper_basis(lat21)
+    x = Signal(lat21, np.random.default_rng(3).standard_normal(21) + 0.5j)
     first = frft_kernel(basis, 0.3)
+    out = apply_frft(first, x).amp
     second = frft_kernel(basis, 0.3)
     assert second is first
-    assert "op" in first.__dict__
+    assert np.array_equal(apply_frft(second, x).amp, out)
+    first.op  # the dense oracle is built on read and not kept
+    assert set(vars(first)) == {"basis", "alpha", "phases"}
 
 
 def test_cache_keeps_the_last_eight_orders(lat21):
@@ -147,6 +153,16 @@ def test_cache_keeps_the_last_eight_orders(lat21):
         frft_kernel(basis, alpha)
     assert CACHE_SIZE == 8
     assert list(basis._kernel_cache) == orders[-CACHE_SIZE:]
+
+
+def test_cached_kernels_hold_no_array_larger_than_d(lat21):
+    basis = _fresh_harper_basis(lat21)
+    x = Signal(lat21, np.ones(21))
+    for k in range(50):
+        for _ in range(2):  # a miss, then a hit
+            apply_frft(frft_kernel(basis, 0.1 * k - 2.0), x)
+    for kern in basis._kernel_cache.values():
+        assert max(a.size for a in _held_arrays(kern)) <= 21
 
 
 def test_a_hit_keeps_its_order_from_eviction(lat21):
@@ -187,15 +203,14 @@ def bases_by_size():
 @pytest.mark.parametrize("kind", ["frame", "harper"])
 @pytest.mark.parametrize("d", [5, 21, 151, 301])
 def test_factored_apply_matches_the_dense_kernel(bases_by_size, d, kind):
-    shared = bases_by_size[d][kind]
+    basis = bases_by_size[d][kind]
     rng = np.random.default_rng(d)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    signals = [Signal(shared.lattice, z), Signal(shared.lattice, z.real.copy())]
+    signals = [Signal(basis.lattice, z), Signal(basis.lattice, z.real.copy())]
     for alpha in (-1.3, 0.0, 0.37, 1.0, 2.5, 5.1):
-        basis = empty_cache_copy(shared)  # so the first request is a miss
-        kern = frft_kernel(basis, alpha)
-        outs = [apply_frft(kern, x).amp for x in signals]
-        assert "op" not in kern.__dict__
-        for x, out in zip(signals, outs):
-            want = kern.op.mat @ x.amp
-            assert np.linalg.norm(out - want) < 1e-13 * np.linalg.norm(x.amp)
+        # each apply requests its kernel: a miss first, then hits
+        outs = [apply_frft(frft_kernel(basis, alpha), x).amp
+                for _ in range(2) for x in signals]
+        mat = frft_kernel(basis, alpha).op.mat
+        for x, out in zip(signals * 2, outs):
+            assert np.linalg.norm(out - mat @ x.amp) < 1e-13 * np.linalg.norm(x.amp)

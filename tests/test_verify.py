@@ -120,7 +120,7 @@ def test_deviation_report_catches_a_ground_vector_off_by_twice_its_bound(d):
     basis = ctx.frame_basis
     vecs = basis.vectors.copy()
     vecs[ctx.lat.s, 0] += 2.0 * bound
-    ctx._cache["frame_basis"] = SpectralBasis(
+    ctx.frame_basis = SpectralBasis(
         basis.lattice, basis.kind, basis.values, vecs,
         basis.alternations, basis.parities, basis.fourier_indices,
     )
@@ -139,7 +139,7 @@ def test_deviation_report_catches_a_fourier_invariant_change_of_h(d):
     well = np.diag(ctx.lat.points ** 4)
     swap = (ctx.fmat @ well @ ctx.fmat.conj().T).real
     mat = fh.op.mat + 1e-4 * (well + swap)
-    ctx._cache["fh"] = replace(fh, op=Operator(ctx.lat, mat))
+    ctx.fh = replace(fh, op=Operator(ctx.lat, mat))
     assert ctx.fh.op is not fh.op
     rep = deviation_report(ctx.lat, ctx.frame_basis, ctx.harper_basis, ctx.ladder)
     assert rep.delta_f[0] < _ground_vector_bound(ctx)
@@ -275,14 +275,14 @@ def _tau_moved(monkeypatch, ctx):
     fh = ctx.fh
     tau = fh.tau.copy()
     tau[1] += 1e-11
-    ctx._cache["fh"] = replace(fh, tau=tau)
+    ctx.fh = replace(fh, tau=tau)
 
 
 def _hamiltonian_entry_moved(monkeypatch, ctx):
     fh = ctx.fh
     mat = fh.op.mat.copy()
     mat[1, 3] += 1e-10
-    ctx._cache["fh"] = replace(fh, op=Operator(ctx.lat, mat))
+    ctx.fh = replace(fh, op=Operator(ctx.lat, mat))
 
 
 def _edit_parts(monkeypatch, edit):
@@ -377,7 +377,7 @@ def _ground_moved(monkeypatch, ctx):
     g = ctx.ground
     amp = g.amp.copy()
     amp[ctx.lat.s + 2] += 1e-9
-    ctx._cache["ground"] = replace(g, amp=amp)
+    ctx.ground = replace(g, amp=amp)
 
 
 def _theta_moved(monkeypatch, ctx):
