@@ -7,11 +7,12 @@ The transform is the unitary with entries
 so F⁴ = 1 and F² is the parity flip φ(u) ↦ φ(-u).  Every entry is one of
 the d roots e^{-2πik/d}/√d, gathered at k = n·m mod d.  F commutes with the
 flip, so on the even vectors it is a real cosine block and on the odd ones
--i times a real sine block.  Its eigenvalues are the fourth roots of unity
-i^m; the corresponding spectral projectors come from the finite geometric
-sum
+-i times a real sine block.  Its eigenvalues are the fourth roots of unity,
+F = Σ_m (-i)^m·π_m, and with F² = J (the flip) and F³ = F⁺ = conj(F) the
+spectral projectors π_m = (1/4)·Σ_k i^{mk}·F^k are real (Dickinson &
+Steiglitz 1982):
 
-    π_m = (1/4) Σ_{k=0}^{3} i^{m k} F^k,       F = Σ_m (-i)^m π_m.
+    π_0, π_2 = (I + J ± 2·Re F)/4,      π_1, π_3 = (I - J ∓ 2·Im F)/4.
 
 Circulant operators (entry (n, m) = c[n-m], indices mod d) diagonalize in the
 Fourier basis; the equidistant circulant C = F⁺·diag(1, …, d)·F has the
@@ -94,16 +95,14 @@ class FourierProjectors:
 
 
 def fourier_projectors(lat: Lattice) -> FourierProjectors:
-    """Build π_m = (1/4)·Σ_k i^{mk}·F^k for m = 0..3."""
+    """π_m = (1/4)·Σ_k i^{mk}·F^k, m = 0..3, as the real closed forms
+    (I + J ± 2·Re F)/4 for m = 0, 2 and (I - J ∓ 2·Im F)/4 for m = 1, 3."""
     F = dft_operator(lat).mat
-    powers = [np.eye(lat.d, dtype=complex), F, F @ F, F @ F @ F]
-    pi = []
-    for m in range(4):
-        acc = np.zeros((lat.d, lat.d), dtype=complex)
-        for k in range(4):
-            acc += (1j) ** (m * k) * powers[k]
-        pi.append(Operator(lat, acc / 4.0))
-    return FourierProjectors(lattice=lat, pi=tuple(pi))
+    eye = np.eye(lat.d)
+    even, odd = eye + eye[::-1], eye - eye[::-1]
+    re, im = 2.0 * F.real, 2.0 * F.imag
+    pi = (even + re, odd - im, even - re, odd + im)
+    return FourierProjectors(lattice=lat, pi=tuple(Operator(lat, p / 4.0) for p in pi))
 
 
 def _coordinate_transforms(lat: Lattice, j) -> tuple[np.ndarray, np.ndarray]:
@@ -158,13 +157,12 @@ class CirculantSpec:
     def eigenvalues(self) -> np.ndarray:
         """Diagonal of the Fourier-side representation, position k = -s..s.
 
-        ev = √d·F·c, i.e. ev[k] = Σ_n c[n]·e^{-2πi·k·n/d}, which makes
+        ev = √d·F·c = Σ_n c[n]·e^{-2πi·k·n/d}, one centred FFT, which makes
         materialize() == F⁺·diag(ev)·F hold entrywise for every first column.
         For symmetric columns (c[n] = c[-n], the only kind the Hamiltonian
         constructions produce) this coincides with Σ_n c[n]·e^{+2πi·k·n/d}.
         """
-        lat = self.lattice
-        return np.sqrt(lat.d) * (dft_operator(lat).mat @ self.first_column)
+        return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(self.first_column)))
 
 
 def circulant(lat: Lattice, first_column) -> CirculantSpec:

@@ -58,7 +58,8 @@ def frft_kernel(basis: SpectralBasis, alpha: float) -> FrftKernel:
         return kern
     if not math.isfinite(key):
         raise ValueError(f"transform order must be finite, got {alpha}")
-    phases = np.exp(-0.5j * np.pi * key * np.arange(basis.lattice.d))
+    # 4-periodic in α: the exact fmod keeps the rounding of an order below 4
+    phases = np.exp(-0.5j * np.pi * math.fmod(key, 4.0) * np.arange(basis.lattice.d))
     kern = FrftKernel(basis=basis, alpha=key, phases=phases)
     cache[key] = kern
     if len(cache) > CACHE_SIZE:

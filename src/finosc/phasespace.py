@@ -70,7 +70,7 @@ def position_operator(lat: Lattice) -> Operator:
 def momentum_operator(lat: Lattice) -> Operator:
     """P = F⁺·Q·F, the position operator conjugated into the frequency side."""
     F = dft_operator(lat).mat
-    return Operator(lat, F.conj().T @ np.diag(lat.points) @ F)
+    return Operator(lat, (F.conj().T * lat.points) @ F)  # F⁺·Q scales columns
 
 
 def _displacement_parts(lat: Lattice, a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -328,7 +328,7 @@ def continuous_frft_oracle(psi, alpha: float, lat: Lattice, M: int = 64) -> Sign
     if M < 1:
         raise ValueError(f"need at least one Hermite order, got M={M}")
     coeffs = psi.coefficients(M)
-    phases = np.exp(-0.5j * np.pi * alpha * np.arange(M))
+    phases = np.exp(-0.5j * np.pi * math.fmod(alpha, 4.0) * np.arange(M))
     grid_basis = _hermite_all(M - 1, lat.points)
     amp = lat.delta**0.25 * (phases * coeffs) @ grid_basis
     return Signal(lat, amp)

@@ -72,6 +72,22 @@ def test_projectors_resolve_identity(lat5):
     assert proj[5] is proj[1]
 
 
+def _power_sum_projectors(F):
+    """π_m = (1/4)·Σ_k i^{mk}·F^k from the dense powers of F, an oracle."""
+    powers = [np.eye(len(F)), F, F @ F, F @ F @ F]
+    return [sum((1j) ** (m * k) * powers[k] for k in range(4)) / 4.0 for m in range(4)]
+
+
+@pytest.mark.parametrize("d", [5, 7, 21, 101])
+def test_closed_form_projectors_equal_the_power_sum(d):
+    lat = make_lattice(d)
+    proj = fourier_projectors(lat)
+    oracle = _power_sum_projectors(naive_dft(d))
+    for m in range(4):
+        assert proj[m].mat.dtype == np.float64
+        assert np.max(np.abs(proj[m].mat - oracle[m])) < 1e-13
+
+
 @pytest.mark.parametrize("d", [5, 21, 51])
 def test_coordinate_transform_closed_forms(d):
     lat = make_lattice(d)
@@ -108,7 +124,7 @@ def test_circulant_materialize_is_shift_structured(lat5):
             assert mat[lat5.pos(n), lat5.pos(m)] == col[lat5.pos(n - m)]
 
 
-@pytest.mark.parametrize("d", [5, 21])
+@pytest.mark.parametrize("d", [5, 21, 101, 301])
 def test_circulant_diagonalized_by_dft(d):
     lat = make_lattice(d)
     rng = np.random.default_rng(d)

@@ -6,9 +6,11 @@ import pytest
 from finosc import (
     Signal,
     apply_frft,
+    continuous_frft_oracle,
     dft_operator,
     frame_hamiltonian,
     frft_kernel,
+    gaussian_profile,
     harper_hamiltonian,
     make_lattice,
     oscillator_basis,
@@ -214,3 +216,23 @@ def test_factored_apply_matches_the_dense_kernel(bases_by_size, d, kind):
         mat = frft_kernel(basis, alpha).op.mat
         for x, out in zip(signals * 2, outs):
             assert np.linalg.norm(out - mat @ x.amp) < 1e-13 * np.linalg.norm(x.amp)
+
+
+@pytest.mark.parametrize("alpha", [4000.5, 2.0**30 + 0.5, -(2.0**30) + 0.5])
+def test_large_orders_act_as_their_residue_mod_four(alpha):
+    # formed from the raw order, the phase e^{-iπmα/2} loses about ε·|α|·m:
+    # at d = 101 the frame kernel at 2³⁰ + 0.5 was off order 0.5 by 4.6e-6·‖x‖
+    lat = make_lattice(101)
+    rng = np.random.default_rng(4)
+    x = Signal(lat, rng.standard_normal(101) + 1j * rng.standard_normal(101))
+    for basis in (
+        oscillator_basis(frame_hamiltonian(lat).op, lat, "frame"),
+        oscillator_basis(harper_hamiltonian(lat), lat, "harper"),
+    ):
+        want = apply_frft(frft_kernel(basis, 0.5), x).amp
+        got = apply_frft(frft_kernel(basis, alpha), x).amp
+        assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(x.amp)
+    prof = gaussian_profile(2.0)
+    want = continuous_frft_oracle(prof, 0.5, lat).amp
+    got = continuous_frft_oracle(prof, alpha, lat).amp
+    assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)

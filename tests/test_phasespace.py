@@ -32,6 +32,16 @@ def test_momentum_is_fourier_conjugate_of_position(lat7):
     assert np.max(np.abs(ev - lat7.points)) < 1e-13
 
 
+@pytest.mark.parametrize("d", [5, 21, 101, 301])
+def test_momentum_scales_columns_instead_of_multiplying_by_a_diagonal(d):
+    # every term the dense F⁺·diag(q) adds beside F⁺[n, m]·q_m is an exact
+    # zero, so scaling the columns changes no bit
+    lat = make_lattice(d)
+    F = dft_operator(lat).mat
+    dense = F.conj().T @ np.diag(lat.points) @ F
+    assert np.array_equal(momentum_operator(lat).mat, dense)
+
+
 def test_phase_point_range_checks(lat5):
     p = phase_point(lat5, 2, -2)
     assert p.alpha == pytest.approx(2 * lat5.sqrt_delta)

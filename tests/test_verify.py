@@ -6,7 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finosc import Operator, SpectralBasis, deviation_report, quantize, run_suite, verify
+from finosc import (
+    CirculantSpec,
+    Operator,
+    Signal,
+    SpectralBasis,
+    deviation_report,
+    frft,
+    quantize,
+    run_suite,
+    verify,
+)
 from finosc.cli import main
 from finosc.verify import _CHECKS, _Ctx, _ground_vector_bound
 
@@ -394,6 +404,57 @@ def _theta_moved(monkeypatch, ctx):
     monkeypatch.setattr(verify, "theta_gaussian", faulty)
 
 
+def _projector_entry_moved(delta):
+    """A fault that moves entry (0, 1) of π₁ by ``delta``."""
+
+    def fault(monkeypatch, ctx):
+        pr = ctx.projectors
+        mat = pr[1].mat.copy()
+        mat[0, 1] += delta
+        ctx.projectors = replace(pr, pi=(pr[0], Operator(ctx.lat, mat), *pr.pi[2:]))
+
+    fault.__name__ = f"_projector_entry_moved_by_{delta:.0e}"
+    return fault
+
+
+def _fourier_column_moved(monkeypatch, ctx):
+    # column pos(0) of F is F·δ_0, and row pos(0) of F⁺ its conjugate; a
+    # move δ there moves the stepped δ_0 by 2δ/√d, so δ = √d·1e-12 moves the
+    # reading by twice the bound
+    f = ctx.fmat.copy()
+    f[0, ctx.lat.pos(0)] += np.sqrt(ctx.d) * 1e-12
+    ctx.fmat = f
+
+
+def _apply_output_moved(monkeypatch, ctx):
+    # the reading is relative to ‖x‖, so the move is too
+    real = frft.apply_frft
+
+    def faulty(kernel, sig):
+        amp = real(kernel, sig).amp.copy()
+        amp[1] += 2e-13 * sig.norm()
+        return Signal(sig.lattice, amp)
+
+    monkeypatch.setattr(frft, "apply_frft", faulty)
+
+
+def _circulant_entry_moved(size, label):
+    """A fault that moves entry (0, 1) of every materialized circulant by ``size(mat)``."""
+
+    def fault(monkeypatch, ctx):
+        real = CirculantSpec.materialize
+
+        def faulty(spec):
+            mat = real(spec).mat.copy()
+            mat[0, 1] += size(mat)
+            return Operator(spec.lattice, mat)
+
+        monkeypatch.setattr(CirculantSpec, "materialize", faulty)
+
+    fault.__name__ = f"_circulant_entry_moved_by_{label}"
+    return fault
+
+
 _DISPLACEMENT_CHECKS = (
     "phasespace: displacement unitarity",
     "phasespace: displacement group law",
@@ -421,6 +482,21 @@ _FAULTS = [
     ("fourier: root-of-unity sums", _root_off, "geometric sum off"),
     ("thetagauss: autocorrelation law", _ground_moved, "autocorrelation law off"),
     ("thetagauss: square identity", _theta_moved, "square identity off"),
+    # each move below is twice the check's bound
+    ("fourier: spectral projectors", _projector_entry_moved(2e-12), "Σπ - I"),
+    ("fourier: projectors vs eigensolver", _projector_entry_moved(2e-11), "projector mismatch"),
+    ("phasespace: momentum operator", _fourier_column_moved, "site shift off"),
+    ("frft: factored apply matches the kernel", _apply_output_moved, "factored apply off"),
+    (
+        "fourier: circulant shift symmetry",
+        _circulant_entry_moved(lambda mat: 2e-12, "2e-12"),
+        "shift commutator",
+    ),
+    (
+        "fourier: circulant diagonalization",
+        _circulant_entry_moved(lambda mat: 2e-14 * np.linalg.norm(mat), "2e-14-of-norm"),
+        "F⁺·diag·F off",
+    ),
 ]
 
 
