@@ -157,6 +157,8 @@ def coherent_deviation_table(
     frame: CoherentFrame, a_indices, b_indices, window: int = 8
 ) -> np.ndarray:
     """max_{|n| ≤ window} |discrete state - continuous samples| per (a, b)."""
+    if window < 0:
+        raise ValueError(f"window must be non-negative, got {window}")
     lat = frame.lattice
     window = min(window, lat.s)
     sel = np.abs(lat.indices) <= window
@@ -298,8 +300,8 @@ class RectangularProfile:
 def gaussian_profile(kappa: float) -> GaussianProfile:
     """The line Gaussian e^{-κx²/2}, the continuous twin of the width-κ
     periodic Gaussian (which is exactly its wrap sum)."""
-    if kappa <= 0.0:
-        raise ValueError(f"width parameter must be positive, got {kappa}")
+    if not (kappa > 0.0 and math.isfinite(kappa)):
+        raise ValueError(f"width parameter must be positive and finite, got {kappa}")
     return GaussianProfile(float(kappa))
 
 
@@ -318,7 +320,8 @@ def continuous_frft_oracle(psi, alpha: float, lat: Lattice, M: int = 64) -> Sign
 
         (𝓕^α ψ)(x) ≈ Σ_{m<M} e^{-iπmα/2}·Ψ_m(x)·⟨Ψ_m, ψ⟩.
 
-    Returns the grid samples scaled by ⁴√δ.  M may be any positive count, and
+    Returns the grid samples scaled by ⁴√δ.  A NaN or infinite order is
+    refused, as ``frft_kernel`` refuses it.  M may be any positive count, and
     accuracy is limited by the Hermite truncation M alone.  A Gaussian's coefficients fall off like
     |r|^{m/2}, r = (1-κ)/(1+κ), so its columns are exact to rounding unless
     κ is far from 1.  The box's jumps make its coefficients decay slowly, so
@@ -327,6 +330,8 @@ def continuous_frft_oracle(psi, alpha: float, lat: Lattice, M: int = 64) -> Sign
     """
     if M < 1:
         raise ValueError(f"need at least one Hermite order, got M={M}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"transform order must be finite, got {alpha}")
     coeffs = psi.coefficients(M)
     phases = np.exp(-0.5j * np.pi * math.fmod(alpha, 4.0) * np.arange(M))
     grid_basis = _hermite_all(M - 1, lat.points)

@@ -13,12 +13,16 @@ row plus or minus its mirror), and F is the real cosine block C on the even
 vectors and -i times the real sine block S on the odd ones.  So every audit
 runs at half size in real arithmetic: the commutator ‖FH - HF‖_F comes
 exactly from the blocks, and ⟨v, Fv⟩ is bᵀCb or -i·bᵀSb for the block
-vector b; no dense F is formed.  Each block is diagonalized on its own, its
-vectors are mirrored onto the grid, and the two are interleaved into the
-label order.  A basis is accepted only after three independent labelings
-agree for every vector: the parity under n → -n, the Fourier eigenvalue
-(-i)^m, and the sign alternation count wherever float precision can resolve
-it.  Any mismatch raises; there is no quiet fallback.
+vector b; no dense F is formed.  Each block is diagonalized by LAPACK on
+its own, its vectors are mirrored onto the grid, and the two are
+interleaved into the label order.  The basis is audited once, from the
+blocks: each residual ‖Hv - λv‖ and the defect ‖VᵀV - I‖_F of the whole
+basis follow exactly from the block eigenpairs and the coupling X (see
+``_parity_readings``), so no d×d product is formed either.  A basis is
+accepted only after three independent labelings agree for every vector: the
+parity under n → -n, the Fourier eigenvalue (-i)^m, and the sign
+alternation count wherever float precision can resolve it.  Any mismatch
+raises; there is no quiet fallback.
 """
 
 from __future__ import annotations
@@ -61,15 +65,29 @@ def _real_symmetric(op) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _audit(sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Raise unless (vals, vecs) are orthonormal eigenpairs of ``sym``."""
-    scale = max(float(np.linalg.norm(sym)), 1.0)
-    resid = float(np.max(np.linalg.norm(sym @ vecs - vecs * vals, axis=0)))
-    if not resid <= RESIDUAL_TOL * scale:
-        raise ConvergenceError(f"eigenpair residual {resid:.3e} too large")
-    defect = float(np.linalg.norm(vecs.T @ vecs - np.eye(len(vals))))
+def _readings(
+    sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Each column's residual ‖A·v - λ·v‖ and the defect ‖VᵀV - I‖_F."""
+    resid = np.linalg.norm(sym @ vecs - vecs * vals, axis=0)
+    return resid, float(np.linalg.norm(vecs.T @ vecs - np.eye(len(vals))))
+
+
+def _check(defect: float, *pairs) -> None:
+    """Raise unless each (residuals, A) pair stays within 1e-10·max(‖A‖_F, 1)
+    and the defect ‖VᵀV - I‖_F within 1e-10."""
+    for resid, sym in pairs:
+        worst = float(np.max(resid))
+        if not worst <= RESIDUAL_TOL * max(float(np.linalg.norm(sym)), 1.0):
+            raise ConvergenceError(f"eigenpair residual {worst:.3e} too large")
     if not defect <= ORTHOGONALITY_TOL:
         raise ConvergenceError(f"orthogonality defect ‖VᵀV - I‖_F = {defect:.3e}")
+
+
+def _audit(sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise unless (vals, vecs) are orthonormal eigenpairs of ``sym``."""
+    resid, defect = _readings(sym, vals, vecs)
+    _check(defect, (resid, sym))
 
 
 def eigh(op) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +241,33 @@ def _fourier_commutator(cos, sin, even, odd, coupling) -> float:
     ))
 
 
+def _parity_readings(even, odd, coupling, even_pairs, odd_pairs):
+    """The audit readings of the whole basis, taken at half size.
+
+    Returns the residual ‖Hv - λv‖ of each even and of each odd column and
+    the defect ‖VᵀV - I‖_F, for the basis V = Q·diag(B_e, B_o) that the
+    block eigenpairs (λ, b) give.  They are exact: QᵀHQ = [[E, X], [Xᵀ, O]]
+    for symmetric H, and Q is orthogonal, so ‖Hv - λv‖ = ‖QᵀHQ·Qᵀv - λ·Qᵀv‖
+    with Qᵀv = (b, 0) for an even column and (0, b) for an odd one:
+
+        even:  ‖Hv - λv‖² = ‖(E - λ)b‖² + ‖Xᵀb‖²
+        odd:   ‖Hv - λv‖² = ‖(O - λ)b‖² + ‖Xb‖²
+        ‖VᵀV - I‖²_F = ‖B_eᵀB_e - I‖²_F + ‖B_oᵀB_o - I‖²_F
+
+    The coupling X is zero for a centro-symmetric H; where it is not, it
+    enters each residual just as it enters the dense one.  Neither a
+    column permutation nor a sign change moves these readings.
+    """
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = even_pairs, odd_pairs
+    even_resid, even_defect = _readings(even, even_vals, even_vecs)
+    odd_resid, odd_defect = _readings(odd, odd_vals, odd_vecs)
+    return (
+        np.hypot(even_resid, np.linalg.norm(coupling.T @ even_vecs, axis=0)),
+        np.hypot(odd_resid, np.linalg.norm(coupling @ odd_vecs, axis=0)),
+        float(np.hypot(even_defect, odd_defect)),
+    )
+
+
 def _mirror(even_vecs: np.ndarray, odd_vecs: np.ndarray) -> np.ndarray:
     """The grid vectors of the block vectors, even and odd interleaved.
 
@@ -290,7 +335,11 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     ‖FH - HF‖²_F = ‖CE - EC‖² + ‖SO - OS‖² + 2‖CX‖² + 2‖XS‖² exactly, and
     it must stay below 1e-9·max(1, ‖H‖_F).  X is zero for a centro-symmetric
     H, so the same number audits the split.  ⟨v, Fv⟩ is bᵀCb for an even
-    block vector b and -i·bᵀSb for an odd one.
+    block vector b and -i·bᵀSb for an odd one.  The eigenpairs are audited
+    once, in the same frame, with the exact readings of ``_parity_readings``:
+    each column's residual ‖Hv - λv‖ must stay below 1e-10·max(1, ‖its
+    block‖_F), which is at most ‖H‖_F, and ‖VᵀV - I‖_F below 1e-10, or
+    ``ConvergenceError`` is raised.
 
     Eigenvalues must be simple within each block (adjacent gap above 1e-10).
     Any label inconsistency raises instead of degrading.
@@ -312,10 +361,14 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
             f"(‖FH - HF‖_F = {comm:.3e}); labels need Fourier invariance"
         )
 
+    # the blocks are exactly symmetric slices, so LAPACK takes them as they are
+    solved = [np.linalg.eigh(even), np.linalg.eigh(odd)]
+    even_resid, odd_resid, defect = _parity_readings(even, odd, coupling, *solved)
+    _check(defect, (even_resid, even), (odd_resid, odd))
+
     vals = np.empty(d)
     block_vecs = []
-    for first, block in ((0, even), (1, odd)):
-        bvals, bvecs = eigh(block)
+    for first, (bvals, bvecs) in enumerate(solved):
         if kind == "harper":
             bvals, bvecs = bvals[::-1], bvecs[:, ::-1]
         gap = float(np.min(np.abs(np.diff(bvals))))
@@ -344,7 +397,6 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     overlaps = np.einsum("mn,nm->m", reference._sample_table(lat), vecs)
     peaks = vecs[np.argmax(np.abs(vecs), axis=0), labels]
     vecs *= np.where(np.abs(overlaps) > ZERO_SKIP, np.sign(overlaps), np.sign(peaks))
-    _audit(hmat, vals, vecs)
 
     m = _first(np.any(vecs[::-1] != vecs * (1 - 2 * parities), axis=0))
     if m is not None:

@@ -208,6 +208,15 @@ def test_deviation_table_rejects_points_off_the_grid(lat21):
         coherent_deviation_table(frame, (0,), (-11,))
 
 
+def test_deviation_table_refuses_a_negative_window(lat21):
+    # an empty window would reach NumPy's reduction error only after the
+    # whole table is built
+    frame = coherent_frame(lat21)
+    with pytest.raises(ValueError, match="window must be non-negative, got -1"):
+        coherent_deviation_table(frame, (1,), (1,), window=-1)
+    assert coherent_deviation_table(frame, (1,), (1,), window=0).shape == (1, 1)
+
+
 def test_mehta_against_direct_wrap_sum(lat21):
     for m in (0, 1, 4, 9):
         phi = mehta_function(lat21, m).amp
@@ -286,6 +295,19 @@ def test_profiles():
     vals = r(lat.points)
     inside = np.abs(lat.indices) <= 1
     assert np.array_equal(vals, inside.astype(float))
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -1.0])
+def test_gaussian_profile_refuses_a_bad_width(kappa):
+    with pytest.raises(ValueError, match="width parameter must be positive and finite"):
+        gaussian_profile(kappa)
+
+
+@pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+def test_oracle_refuses_a_non_finite_order(lat21, alpha):
+    # the same refusal as frft_kernel's, before any coefficient is computed
+    with pytest.raises(ValueError, match="transform order must be finite, got"):
+        continuous_frft_oracle(gaussian_profile(1.0), alpha, lat21)
 
 
 def test_oracle_reproduces_an_in_span_profile(lat21):

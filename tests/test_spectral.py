@@ -442,6 +442,120 @@ def test_eigenpair_audit_raises(frame_basis21, frame21):
         spectral._audit(h, vals, vecs * (1.0 + 1e-9))
 
 
+def _blocks(op, lat):
+    return spectral._parity_blocks(spectral._real_symmetric(op), lat.s)
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+@pytest.mark.parametrize("d", [5, 21, 101, 301])
+def test_parity_readings_are_the_dense_readings(d, kind):
+    # the one audit of oscillator_basis, read from the blocks, against the
+    # dense audit of the basis it returns
+    lat = make_lattice(d)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    h = spectral._real_symmetric(op)
+    basis = oscillator_basis(op, lat, kind)
+    even, odd, coupling = _blocks(op, lat)
+    even_resid, odd_resid, defect = spectral._parity_readings(
+        even, odd, coupling, np.linalg.eigh(even), np.linalg.eigh(odd)
+    )
+    dense_resid, dense_defect = spectral._readings(h, basis.values, basis.vectors)
+    scale = np.linalg.norm(h)
+    frame_worst = max(np.max(even_resid), np.max(odd_resid)) / scale
+    assert abs(frame_worst - np.max(dense_resid) / scale) < 1e-14
+    assert abs(defect - dense_defect) < 1e-14
+    assert np.linalg.norm(even) <= scale and np.linalg.norm(odd) <= scale
+
+
+@pytest.mark.parametrize(("eps", "refused"), [(3e-10, True), (3e-11, False)])
+def test_a_small_parity_coupling_is_judged_as_the_dense_audit_judges_it(
+    frame_basis21, frame21, lat21, eps, refused
+):
+    # v₀ v₁ᵀ + v₁ v₀ᵀ is odd under the flip, so it lands in X alone: E, O and
+    # the basis are unchanged, and each of v₀, v₁ keeps a residual eps·‖H‖_F.
+    # ‖FH - HF‖_F grows by about 2·eps·‖H‖_F, inside the commutator audit
+    h = frame21.op.mat.real
+    v = frame_basis21.vectors
+    scale = np.linalg.norm(h)
+    h = h + eps * scale * (np.outer(v[:, 0], v[:, 1]) + np.outer(v[:, 1], v[:, 0]))
+    assert np.any(_blocks(h, lat21)[2])
+    if refused:
+        with pytest.raises(ConvergenceError, match="eigenpair residual 1.681e-08 too large"):
+            oscillator_basis(h, lat21, "frame")
+        return
+    basis = oscillator_basis(h, lat21, "frame")
+    v, vals = basis.vectors, basis.values
+    resid = np.max(np.linalg.norm(h @ v - v * vals, axis=0))
+    assert f"{resid / scale:.1e}" == "3.0e-11"
+
+
+def _moved_value(vals, vecs):
+    return vals + 1e-6 * (np.arange(len(vals)) == 2), vecs
+
+
+def _scaled_vector(vals, vecs):
+    return vals, vecs * (1.0 + 1e-9 * (np.arange(len(vals)) == 2))
+
+
+@pytest.mark.parametrize("block", [0, 1])
+@pytest.mark.parametrize(
+    ("fault", "message"),
+    [
+        (_moved_value, "eigenpair residual 1.000e-06 too large"),
+        (_scaled_vector, "orthogonality defect ‖VᵀV - I‖_F = 2.000e-09"),
+    ],
+)
+def test_a_faulty_block_solve_is_refused(monkeypatch, frame21, lat21, block, fault, message):
+    # one eigenvalue of a block moved, or one of its vectors scaled, as LAPACK
+    # hands them over; the other block is left as solved
+    solve, calls = np.linalg.eigh, []
+
+    def faulty(mat):
+        calls.append(mat)
+        vals, vecs = solve(mat)
+        return fault(vals, vecs) if len(calls) == block + 1 else (vals, vecs)
+
+    monkeypatch.setattr(np.linalg, "eigh", faulty)
+    with pytest.raises(ConvergenceError, match=message):
+        oscillator_basis(frame21.op, lat21, "frame")
+
+
+def test_basis_build_uses_neither_the_public_solver_nor_the_dense_audit(
+    monkeypatch, frame21, lat21, frame_basis21
+):
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(spectral, "eigh", refuse)
+    monkeypatch.setattr(spectral, "_audit", refuse)
+    basis = oscillator_basis(frame21.op, lat21, "frame")
+    assert np.array_equal(basis.vectors, frame_basis21.vectors)
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+@pytest.mark.parametrize("d", [5, 21, 101, 301, 1001])
+def test_parity_blocks_are_exactly_symmetric(d, kind):
+    # LAPACK reads one triangle, and the residuals read both, so the blocks
+    # are used without a further symmetrization
+    lat = make_lattice(d)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    even, odd, _ = _blocks(op, lat)
+    assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+
+
+def test_relabelled_parity_blocks_are_exactly_symmetric(frame_basis21, lat21):
+    # every value list the refusal tests above relabel the basis with
+    cases = [np.arange(21.0) for _ in range(5)]
+    cases[0][3] = 1.0
+    cases[1][0] = 100.0
+    cases[2][4] = 2.0
+    cases[3][[2, 4]] = cases[3][[4, 2]]
+    cases[4][[2, 6]] = cases[4][[6, 2]]
+    for values in cases:
+        even, odd, _ = _blocks(_relabelled(frame_basis21, values), lat21)
+        assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+
+
 def test_alternation_counts_keep_a_floor_per_column():
     # the faint middle lobe of column 0 is skipped, column 1 is all zero,
     # and column 2's small last entry sits above its own column's floor
