@@ -32,6 +32,7 @@ from .lattice import Signal, make_lattice
 from .phasespace import coherent_frame
 from .quantize import frame_hamiltonian, ladder_states
 from .reference import (
+    _eigenphases,
     coherent_deviation_table,
     continuous_frft_oracle,
     deviation_report,
@@ -172,14 +173,14 @@ def cmd_verify(cfg) -> int:
 
 def cmd_table1(cfg) -> int:
     lat = make_lattice(cfg.d)
+    shifts = (1, 3, 6, 9)
+    if lat.s < shifts[-1]:
+        raise ValueError(f"shift index {shifts[-1]} needs d >= 19, got {cfg.d}")
     if cfg.d != 21:
         print(
             f"warning: the paper's Table 1 is at d = 21; this grid is at d = {cfg.d}",
             file=sys.stderr,
         )
-    shifts = (1, 3, 6, 9)
-    if lat.s < shifts[-1]:
-        raise ValueError(f"shift index {shifts[-1]} needs d >= 19, got {cfg.d}")
     table = coherent_deviation_table(coherent_frame(lat), shifts, shifts)
     a, b = np.meshgrid(shifts, shifts, indexing="ij")
     cols = (a.ravel(), b.ravel(), table.ravel())
@@ -203,8 +204,8 @@ def cmd_spectrum(cfg) -> int:
 def cmd_compare(cfg) -> int:
     lat = make_lattice(cfg.d)
     frame = coherent_frame(lat)
-    frame_basis = oscillator_basis(frame_hamiltonian(lat).op, lat, "frame")
-    harper_basis = oscillator_basis(harper_hamiltonian(lat), lat, "harper")
+    frame_basis = _labeled_basis(lat, "frame")
+    harper_basis = _labeled_basis(lat, "harper")
     ladder = ladder_states(frame, lat.d)
     if cfg.normalize_ladder:
         ladder = [Signal(lat, f.amp / np.linalg.norm(f.amp)) for f in ladder]
@@ -215,8 +216,7 @@ def cmd_compare(cfg) -> int:
 
 def cmd_frft(cfg) -> int:
     lat = make_lattice(cfg.d)
-    if not math.isfinite(cfg.alpha):
-        raise ValueError(f"transform order must be finite, got {cfg.alpha}")
+    _eigenphases(cfg.alpha, 0)  # refuse a NaN or infinite order before any basis
     sig, profile = _parse_signal(lat, cfg.signal)
     methods = ("frame", "harper") if cfg.method == "both" else (cfg.method,)
     outs = {}
@@ -251,6 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--d", type=int, default=21, help="grid size (odd, >= 5)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def tabular(p):
+        common(p)
         p.add_argument("--format", choices=("csv", "svg"), default="csv")
 
     p = sub.add_parser("verify", help="run every invariant check")
@@ -258,16 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("table1", help="coherent-state deviation grid")
-    common(p)
+    tabular(p)
     p.set_defaults(fn=cmd_table1)
 
     p = sub.add_parser("spectrum", help="labeled oscillator spectrum")
-    common(p)
+    tabular(p)
     p.add_argument("--method", choices=("frame", "harper"), default="frame")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("compare", help="eigenfunction family deviations")
-    common(p)
+    tabular(p)
     p.add_argument(
         "--normalize-ladder",
         action="store_true",
@@ -276,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("frft", help="fractional transform of a test signal")
-    common(p)
+    tabular(p)
     p.add_argument("--alpha", type=float, default=0.5, help="transform order")
     p.add_argument("--signal", default="rect", help="rect or gauss:<width>")
     p.add_argument("--method", choices=("frame", "harper", "both"), default="both")

@@ -56,10 +56,10 @@ def _root_table(period: int, sign: float) -> np.ndarray:
     return table
 
 
-def dft_operator(lat: Lattice, inverse: bool = False) -> Operator:
-    """The finite Fourier matrix; ``inverse=True`` gives its adjoint (sign +)."""
+def dft_operator(lat: Lattice) -> Operator:
+    """The finite Fourier matrix F; its inverse F⁺ is ``.adjoint()``."""
     n = lat.indices
-    roots = _root(np.outer(n, n), lat.d, 1.0 if inverse else -1.0)
+    roots = _root(np.outer(n, n), lat.d, -1.0)
     roots /= np.sqrt(lat.d)  # in place: no second d×d array
     return Operator(lat, roots)
 

@@ -9,22 +9,23 @@ operator at α = 1, additive in α, and 4-periodic.  Two bases (frame and
 Harper) give two inequivalent families; both are exactly unitary since the
 eigenvectors are orthonormal.
 
-A kernel is its d phases e^{-iπmα/2}.  Every request is applied in
-factored form, V·(phases ⊙ Vᵀx), in O(d²), and no kernel holds a d×d
-matrix: the dense V·diag(phases)·Vᵀ is built in O(d³) on each read of
-``FrftKernel.op``, an oracle for tests and ``verify``.  Each basis keeps at
-most ``CACHE_SIZE`` kernels, keyed by α and evicted least recently used
-first, so a repeated order skips recomputing its phases.
+A kernel is its d phases e^{-iπmα/2}, from ``reference._eigenphases`` as
+the continuous oracle's are.  Every request is applied in factored form,
+V·(phases ⊙ Vᵀx), in O(d²), and no kernel holds a d×d matrix: the dense
+V·diag(phases)·Vᵀ is built in O(d³) on each read of ``FrftKernel.op``, an
+oracle for tests and ``verify``.  Each basis keeps at most ``CACHE_SIZE``
+kernels, keyed by α and evicted least recently used first, so a repeated
+order skips recomputing its phases.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import Operator, Signal
+from .reference import _eigenphases
 from .spectral import SpectralBasis
 
 CACHE_SIZE = 8
@@ -56,10 +57,7 @@ def frft_kernel(basis: SpectralBasis, alpha: float) -> FrftKernel:
     if kern is not None:
         cache.move_to_end(key)
         return kern
-    if not math.isfinite(key):
-        raise ValueError(f"transform order must be finite, got {alpha}")
-    # 4-periodic in α: the exact fmod keeps the rounding of an order below 4
-    phases = np.exp(-0.5j * np.pi * math.fmod(key, 4.0) * np.arange(basis.lattice.d))
+    phases = _eigenphases(key, basis.lattice.d)
     kern = FrftKernel(basis=basis, alpha=key, phases=phases)
     cache[key] = kern
     if len(cache) > CACHE_SIZE:

@@ -69,15 +69,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; anything but an int or a NumPy integer (a bool
+    included) is refused with a ValueError that names the argument."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_lattice(d: int) -> Lattice:
     """Build the centered grid with d points.
 
     d must be an odd integer ≥ 5; even or tiny dimensions are rejected since
     the constructions downstream assume a symmetric index range with a center.
     """
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise ValueError(f"dimension must be an integer, got {d!r}")
-    d = int(d)
+    d = _as_int(d, "dimension")
     if d % 2 == 0:
         raise ValueError(f"dimension must be odd, got {d}")
     if d < 5:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import _root, dft_operator
-from .lattice import Lattice, Operator, Signal
+from .lattice import Lattice, Operator, Signal, _as_int
 from .thetagauss import GroundState, ground_state
 
 
@@ -42,6 +42,9 @@ class PhasePoint:
     b_idx: int
 
     def __post_init__(self):
+        # frozen: the checked ints replace the given indices once, here
+        object.__setattr__(self, "a_idx", _as_int(self.a_idx, "a_idx"))
+        object.__setattr__(self, "b_idx", _as_int(self.b_idx, "b_idx"))
         s = self.lattice.s
         if not (-s <= self.a_idx <= s and -s <= self.b_idx <= s):
             raise ValueError(
@@ -59,7 +62,7 @@ class PhasePoint:
 
 
 def phase_point(lat: Lattice, a_idx: int, b_idx: int) -> PhasePoint:
-    return PhasePoint(lattice=lat, a_idx=int(a_idx), b_idx=int(b_idx))
+    return PhasePoint(lattice=lat, a_idx=a_idx, b_idx=b_idx)
 
 
 def position_operator(lat: Lattice) -> Operator:
@@ -128,6 +131,8 @@ class CoherentFrame:
     """
 
     def __init__(self, lattice: Lattice, ground: GroundState):
+        if ground.lattice != lattice:
+            raise ValueError("ground state belongs to a different lattice")
         self.lattice = lattice
         self.ground = ground
 

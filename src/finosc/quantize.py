@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Lattice, Operator, Signal
+from .lattice import Lattice, Operator, Signal, _as_int
 from .fourier import circulant, equidistant_circulant
 from .phasespace import CoherentFrame, PhasePoint
 from .thetagauss import ground_state
@@ -223,6 +223,7 @@ def ladder_states(frame: CoherentFrame, count: int) -> list[Signal]:
     runs under ``np.errstate``, so no RuntimeWarning escapes.
     """
     lat = frame.lattice
+    count = _as_int(count, "count")
     if not 1 <= count <= lat.d:
         raise ValueError(f"count must be in 1..{lat.d}, got {count}")
     ap = raising_operator(frame).mat

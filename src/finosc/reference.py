@@ -16,7 +16,8 @@ approximate Fourier eigenvectors; Φ_0 equals π^(-1/4)·g₁ term by term.
 
 The fractional transform oracle expands a line profile in the Ψ_m basis,
 with coefficients ⟨Ψ_m, ψ⟩ the profile gives in closed form, and applies the
-continuous eigenphases e^{-iπmα/2}.
+continuous eigenphases e^{-iπmα/2} from ``_eigenphases``, as the discrete
+kernels of ``frft`` do; it is the one place a non-finite order is refused.
 """
 
 from __future__ import annotations
@@ -26,11 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, Signal
+from .lattice import Lattice, Signal, _as_int
 from .phasespace import CoherentFrame, PhasePoint, _coherent_amplitudes
 
 _FAR = 708.0  # π^{-1/4}·e^{-x²/2} is a normal float up to x²/2 = 708
 _LN512 = 512.0 * math.log(2.0)
+
+
+def _eigenphases(alpha: float, count: int) -> np.ndarray:
+    """e^{-iπmα/2}, m = 0..count-1, for a finite order α (4-periodic: the
+    exact fmod keeps the rounding of an order below 4)."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"transform order must be finite, got {alpha}")
+    return np.exp(-0.5j * np.pi * math.fmod(alpha, 4.0) * np.arange(count))
 
 
 def _hermite_rows(orders, x) -> np.ndarray:
@@ -101,7 +110,7 @@ def hermite_gaussian(m: int, x):
 
     The one-order case of ``_hermite_rows``.
     """
-    row = _hermite_rows((m,), x)[0]
+    row = _hermite_rows((_as_int(m, "order"),), x)[0]
     return float(row) if row.ndim == 0 else row
 
 
@@ -162,8 +171,8 @@ def coherent_deviation_table(
     lat = frame.lattice
     window = min(window, lat.s)
     sel = np.abs(lat.indices) <= window
-    a = np.asarray(a_indices, dtype=int)[:, None]
-    b = np.asarray(b_indices, dtype=int)[None, :]
+    a = np.array([_as_int(i, "entry of a_indices") for i in a_indices], dtype=int)
+    b = np.array([_as_int(i, "entry of b_indices") for i in b_indices], dtype=int)
     for idx in (a, b):
         outside = idx[np.abs(idx) > lat.s]
         if outside.size:
@@ -171,6 +180,7 @@ def coherent_deviation_table(
                 f"phase-point index {outside[0]} outside index range "
                 f"-{lat.s}..{lat.s}"
             )
+    a, b = a[:, None], b[None, :]
     disc = _coherent_amplitudes(lat, frame.ground.amp, a, b)
     cont = _displaced_ground_amplitudes(lat, a, b)
     return np.max(np.abs(disc[..., sel] - cont[..., sel]), axis=-1)
@@ -199,6 +209,7 @@ def mehta_function(lat: Lattice, m: int, tol: float = 1e-18) -> Signal:
     The wrap sum is truncated so that the omitted terms stay far below
     ``tol`` (see ``_periodized_table``).
     """
+    m = _as_int(m, "order")
     if m < 0:
         raise ValueError(f"order must be non-negative, got {m}")
     return Signal(lat, _periodized_table(lat, m, tol)[m])
@@ -328,12 +339,11 @@ def continuous_frft_oracle(psi, alpha: float, lat: Lattice, M: int = 64) -> Sign
     box columns are truncation-limited: at d = 101 and α = 0.5, M = 64 and
     M = 300 differ by 24%.
     """
+    M = _as_int(M, "M")
     if M < 1:
         raise ValueError(f"need at least one Hermite order, got M={M}")
-    if not math.isfinite(alpha):
-        raise ValueError(f"transform order must be finite, got {alpha}")
+    phases = _eigenphases(alpha, M)
     coeffs = psi.coefficients(M)
-    phases = np.exp(-0.5j * np.pi * math.fmod(alpha, 4.0) * np.arange(M))
     grid_basis = _hermite_all(M - 1, lat.points)
     amp = lat.delta**0.25 * (phases * coeffs) @ grid_basis
     return Signal(lat, amp)

@@ -28,10 +28,11 @@ raises; there is no quiet fallback.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Lattice, Operator, Signal
+from .lattice import Lattice, Operator, Signal, _as_int
 from .fourier import dft_parity_blocks
 from . import reference
 
@@ -160,6 +161,7 @@ def _alternation_counts(vecs: np.ndarray) -> np.ndarray:
 _FOURIER_ROOTS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Orthonormal eigenbasis ordered by quantum number, with audited labels.
 
@@ -177,21 +179,18 @@ class SpectralBasis:
     m by an even amount and are reported as measured.
     """
 
-    __slots__ = ("lattice", "kind", "values", "vectors", "alternations",
-                 "parities", "fourier_indices", "_kernel_cache")
-
-    def __init__(self, lattice, kind, values, vectors, alternations,
-                 parities, fourier_indices):
-        self.lattice = lattice
-        self.kind = kind
-        self.values = values
-        self.vectors = vectors
-        self.alternations = alternations
-        self.parities = parities
-        self.fourier_indices = fourier_indices
-        self._kernel_cache = OrderedDict()  # LRU of FRFT kernels, see frft.py
+    lattice: Lattice
+    kind: str
+    values: np.ndarray
+    vectors: np.ndarray
+    alternations: np.ndarray
+    parities: np.ndarray
+    fourier_indices: np.ndarray
+    # LRU of FRFT kernels (see frft.py), empty at construction
+    _kernel_cache: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False)
 
     def vector(self, m: int) -> Signal:
+        m = _as_int(m, "quantum number")
         if not 0 <= m < self.lattice.d:
             raise ValueError(f"quantum number must be in 0..{self.lattice.d - 1}")
         return Signal(self.lattice, self.vectors[:, m].copy())

@@ -14,7 +14,7 @@ discrepancy is documented in the test suite instead.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -35,10 +35,10 @@ from .lattice import (
     make_lattice,
 )
 from .phasespace import (
+    CoherentFrame,
     PhasePoint,
     _displacement_parts,
     _overlaps,
-    coherent_frame,
     displacement,
     momentum_operator,
     position_operator,
@@ -83,7 +83,7 @@ class _Ctx:
 
     @cached_property
     def frame(self):
-        return coherent_frame(self.lat)
+        return CoherentFrame(self.lat, self.ground)
 
     @cached_property
     def fh(self):
@@ -815,29 +815,22 @@ def _chk_basis_labels(ctx, basis, what):
     return f"{what}: labels consistent, Fv_m = (-i)^m v_m ({worst:.1e})"
 
 
-def _chk_frame_basis(ctx):
-    """Level m carries the m-th smallest eigenvalue up to doublet swaps.
-
-    The upper spectrum pairs into (even, odd) doublets with the even member
-    below its odd partner, so the eigenvalue rank of level m can differ
-    from m by one inside a pair but never more.
-    """
-    basis = ctx.frame_basis
-    ranks = np.argsort(np.argsort(basis.values))
+def _chk_basis_order(ctx, kind):
+    """Level m carries the m-th eigenvalue, counted up the frame spectrum and
+    down the Harper one, up to doublet swaps: the upper spectrum pairs into
+    (even, odd) doublets with the even member below its odd partner, so the
+    rank of level m can differ from m by one inside a pair but never more."""
+    sign, first, what = {
+        "frame": (1.0, "ground state", "frame basis"),
+        "harper": (-1.0, "nodeless state", "Harper basis"),
+    }[kind]
+    basis = getattr(ctx, f"{kind}_basis")
+    ranked = sign * basis.values  # ascending along the levels
+    ranks = np.argsort(np.argsort(ranked))
     dev = np.abs(ranks - np.arange(ctx.d))
     _require(int(dev.max()) <= 1, f"rank strays {int(dev.max())} from level")
-    _require(int(np.argmin(basis.values)) == 0, "ground state not at m=0")
-    return _chk_basis_labels(ctx, basis, "frame basis")
-
-
-def _chk_harper_basis(ctx):
-    """Harper levels run down the spectrum, again up to doublet swaps."""
-    basis = ctx.harper_basis
-    ranks = np.argsort(np.argsort(-basis.values))
-    dev = np.abs(ranks - np.arange(ctx.d))
-    _require(int(dev.max()) <= 1, f"rank strays {int(dev.max())} from level")
-    _require(int(np.argmax(basis.values)) == 0, "nodeless state not at m=0")
-    return _chk_basis_labels(ctx, basis, "Harper basis")
+    _require(int(np.argmin(ranked)) == 0, f"{first} not at m=0")
+    return _chk_basis_labels(ctx, basis, what)
 
 
 def _chk_eigen_residuals(ctx):
@@ -1166,8 +1159,8 @@ _CHECKS = [
     ("spectral: eigensolver vs closed forms", _chk_eigh_oracles, _ALL),
     ("spectral: asymmetric input rejected", _chk_eigh_rejects, _ALL),
     ("spectral: finite-difference oscillator", _chk_harper_matrix, _BASES),
-    ("spectral: frame eigenbasis labels", _chk_frame_basis, _BASES),
-    ("spectral: Harper eigenbasis labels", _chk_harper_basis, _BASES),
+    ("spectral: frame eigenbasis labels", partial(_chk_basis_order, kind="frame"), _BASES),
+    ("spectral: Harper eigenbasis labels", partial(_chk_basis_order, kind="harper"), _BASES),
     ("spectral: eigenpair residuals", _chk_eigen_residuals, _ALL),
     ("reference: Hermite recurrence", _chk_hermite_values, _ALL),
     ("reference: ground-state approximation", _chk_ground_approximation, _ALL),

@@ -201,7 +201,7 @@ def test_acceptance_4_fourier_covariance_as_stated():
     def body():
         lat = make_lattice(21)
         fr = coherent_frame(lat)
-        F = dft_operator(lat, inverse=True).mat
+        F = dft_operator(lat).adjoint().mat
         worst = 0.0
         for p in fr.iter_points():
             lhs = F @ fr.states[fr.flat_index(p)]

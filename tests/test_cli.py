@@ -530,3 +530,18 @@ def test_normalize_ladder_does_not_carry_over(capsys):
     assert code == code2 == code3 == 0
     assert normed != plain
     assert after == plain
+
+
+def test_verify_takes_no_format(capsys):
+    # verify prints text lines; a --format it would ignore is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--d", "5", "--format", "svg"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format svg" in capsys.readouterr().err
+
+
+def test_table_too_small_is_refused_without_the_grid_warning(capsys):
+    code, out, err = run_cli(capsys, "table1", "--d", "17")
+    assert code == 2
+    assert err == "error: shift index 9 needs d >= 19, got 17\n"
+    assert out == ""

@@ -16,7 +16,9 @@ from finosc import (
     oscillator_basis,
     rectangular_signal,
 )
+from finosc.cli import main
 from finosc.frft import CACHE_SIZE
+from finosc.reference import _eigenphases
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.7, 2.9])
@@ -236,3 +238,22 @@ def test_large_orders_act_as_their_residue_mod_four(alpha):
     want = continuous_frft_oracle(prof, 0.5, lat).amp
     got = continuous_frft_oracle(prof, alpha, lat).amp
     assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("alpha", [0.37, -1.3, 2.0**30 + 0.5])
+def test_kernel_phases_are_the_shared_eigenphases(frame_basis21, alpha):
+    phases = frft_kernel(frame_basis21, alpha).phases
+    assert np.array_equal(phases, _eigenphases(alpha, 21))
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_kernel_oracle_and_cli_refuse_a_non_finite_order_alike(harper_basis21, capsys, alpha):
+    message = f"transform order must be finite, got {alpha}"
+    lat = harper_basis21.lattice
+    with pytest.raises(ValueError) as kernel:
+        frft_kernel(harper_basis21, alpha)
+    with pytest.raises(ValueError) as oracle:
+        continuous_frft_oracle(gaussian_profile(1.0), alpha, lat)
+    assert str(kernel.value) == str(oracle.value) == message
+    assert main(["frft", f"--alpha={alpha}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finosc import (
+    CoherentFrame,
     coherent_frame,
     dft_operator,
     displacement,
@@ -245,3 +246,8 @@ def test_overlap_is_a_row_of_the_batched_overlaps(d):
     assert np.max(np.abs(one - batch)) <= 4 * eps
     assert np.array_equal(one, scalar)
     assert "states" not in fr.__dict__
+
+
+def test_frame_refuses_a_ground_state_of_another_lattice(lat5):
+    with pytest.raises(ValueError, match="ground state belongs to a different lattice"):
+        CoherentFrame(make_lattice(21), ground_state(lat5))

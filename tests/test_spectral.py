@@ -7,6 +7,7 @@ from finosc import (
     ConvergenceError,
     Operator,
     Signal,
+    SpectralBasis,
     dft_operator,
     eigh,
     frame_hamiltonian,
@@ -576,3 +577,17 @@ def test_half_grid_count_equals_the_full_count(d, kind):
         full = sign_alternations(v)
         assert 2 * sign_alternations(v[lat.s:]) + m % 2 == full
         assert basis.alternations[m] == full
+
+
+def test_basis_is_a_frozen_record_with_an_identity_hash(frame_basis21):
+    b = frame_basis21
+    fields = ("lattice", "kind", "values", "vectors", "alternations",
+              "parities", "fourier_indices")
+    twin = SpectralBasis(*(getattr(b, f) for f in fields))
+    assert twin != b and hash(twin) == object.__hash__(twin)
+    assert twin._kernel_cache == {} and twin._kernel_cache is not b._kernel_cache
+    assert np.array_equal(twin.vector(3).amp, b.vectors[:, 3])
+    with pytest.raises(AttributeError):
+        twin.values = b.values
+    with pytest.raises(TypeError):
+        SpectralBasis(*(getattr(b, f) for f in fields), b._kernel_cache)

@@ -512,3 +512,29 @@ def test_rewritten_checks_fail_under_an_injected_fault(monkeypatch, name, fault,
     fault(monkeypatch, ctx)
     with pytest.raises(AssertionError, match=message):
         _check(name)(ctx)
+
+
+_LABEL_CHECKS = [
+    ("spectral: frame eigenbasis labels", "frame", "frame basis", "ground state"),
+    ("spectral: Harper eigenbasis labels", "harper", "Harper basis", "nodeless state"),
+]
+
+
+@pytest.mark.parametrize("d", [5, 21])
+@pytest.mark.parametrize(
+    "name, kind, what, first", _LABEL_CHECKS, ids=[k for _, k, _, _ in _LABEL_CHECKS]
+)
+def test_each_basis_label_check_reads_its_own_basis(monkeypatch, name, kind, what, first, d):
+    monkeypatch.setattr(verify, "_CHECKS", [c for c in _CHECKS if c[0] == name])
+    lines = []
+    assert run_suite([d], emit=lines.append) == (1, 0)
+    assert lines[0].startswith(f"ok   d={d:<4d} {name}: {what}: labels consistent, ")
+    # swapping the first two levels keeps every rank within one of its level,
+    # so only the level-0 test sees it
+    ctx = _Ctx(d)
+    basis = getattr(ctx, f"{kind}_basis")
+    values = basis.values.copy()
+    values[[0, 1]] = values[[1, 0]]
+    setattr(ctx, f"{kind}_basis", replace(basis, values=values))
+    with pytest.raises(AssertionError, match=f"^{first} not at m=0$"):
+        _check(name)(ctx)
