@@ -159,11 +159,7 @@ def _parse_signal(lat, spec: str):
 def cmd_verify(cfg) -> int:
     make_lattice(cfg.d)  # reject a bad size before any check runs
     lines = []
-
-    def emit(line):
-        lines.append(line)
-        print(line)
-
+    emit = lines.append if cfg.out else print
     passed, failed = run_suite(sorted({5, 7, cfg.d}), emit=emit)
     emit(f"{passed + failed} checks: {passed} passed, {failed} failed")
     if cfg.out:

@@ -15,8 +15,9 @@ Steiglitz 1982):
     π_0, π_2 = (I + J ± 2·Re F)/4,      π_1, π_3 = (I - J ∓ 2·Im F)/4.
 
 Circulant operators (entry (n, m) = c[n-m], indices mod d) diagonalize in the
-Fourier basis; the equidistant circulant C = F⁺·diag(1, …, d)·F has the
-closed-form first column
+Fourier basis.  ``CirculantSpec`` holds a well plus a circulant, diag(w) + C(c),
+by (w, c), and builds its dense matrix only when it is read.  The equidistant
+circulant C = F⁺·diag(1, …, d)·F has the closed-form first column
 
     c_k = (d+1)/2                      for k ≡ 0 (mod d),
     c_k = e^{2πik/d} / (e^{2πik/d}-1)  otherwise,
@@ -28,7 +29,7 @@ and plays the role of the comparison operator with exactly the spectrum
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -142,34 +143,43 @@ def transform_of_coordinate_squared_at(lat: Lattice, j: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CirculantSpec:
-    """A circulant described by its first column c, indexed n = -s..s."""
+    """A = diag(w) + C(c), entry (n, m) = w[n]·δ_nm + c[(n-m) mod d], n = -s..s;
+    w = 0 for a plain circulant.  The dense ``mat`` is built on first read."""
 
     lattice: Lattice
     first_column: np.ndarray
+    well: np.ndarray
 
-    def materialize(self) -> Operator:
-        """Dense matrix with entry (n, m) = c[(n-m) mod d]."""
-        lat = self.lattice
-        n = lat.indices
-        diff = lat.pos(n[:, None] - n[None, :])
-        return Operator(lat, self.first_column[diff])
+    @cached_property
+    def mat(self) -> np.ndarray:
+        return self.rows(self.lattice.indices)
+
+    def rows(self, n) -> np.ndarray:
+        """Rows at grid indices n, each a window of c read backwards twice over."""
+        lat, n = self.lattice, np.asarray(n)
+        backwards = np.tile(self.first_column[::-1], 2)
+        windows = np.lib.stride_tricks.sliding_window_view(backwards, lat.d)
+        out = windows[-n % lat.d].astype(np.result_type(windows, self.well), copy=False)
+        out[np.arange(len(n)), lat.pos(n)] += self.well[lat.pos(n)]
+        return out
 
     def eigenvalues(self) -> np.ndarray:
-        """Diagonal of the Fourier-side representation, position k = -s..s.
+        """Diagonal of the circulant C(c) on the Fourier side, position k = -s..s.
 
         ev = √d·F·c = Σ_n c[n]·e^{-2πi·k·n/d}, one centred FFT, which makes
-        materialize() == F⁺·diag(ev)·F hold entrywise for every first column.
+        C(c) == F⁺·diag(ev)·F hold entrywise for every first column.
         For symmetric columns (c[n] = c[-n], the only kind the Hamiltonian
         constructions produce) this coincides with Σ_n c[n]·e^{+2πi·k·n/d}.
         """
         return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(self.first_column)))
 
 
-def circulant(lat: Lattice, first_column) -> CirculantSpec:
+def circulant(lat: Lattice, first_column, well=0.0) -> CirculantSpec:
+    """The record diag(w) + C(c); the default well w = 0 gives a plain circulant."""
     col = np.asarray(first_column)
     if col.shape != (lat.d,):
         raise ValueError(f"first column length {col.shape} does not match d={lat.d}")
-    return CirculantSpec(lattice=lat, first_column=col)
+    return CirculantSpec(lattice=lat, first_column=col, well=np.broadcast_to(well, col.shape))
 
 
 def equidistant_circulant(lat: Lattice) -> CirculantSpec:
@@ -183,4 +193,4 @@ def equidistant_circulant(lat: Lattice) -> CirculantSpec:
     nz = n != 0
     col[nz] = z[nz] / (z[nz] - 1.0)
     col[~nz] = (d + 1) / 2.0
-    return CirculantSpec(lattice=lat, first_column=col)
+    return circulant(lat, col)

@@ -17,7 +17,9 @@ autocorrelation R(k) = Σ_a g(a)·g(a+k), and A_f is a well plus a circulant,
 One construction gives both operators the package needs: the oscillator H
 quantizes (α² + β²)/2 less the half-quantum, and the raising operator a⁺
 quantizes (α - iβ)/√2, whose iterates from the ground state form the
-ladder of approximate eigenvectors.
+ladder of approximate eigenvectors.  Each is returned as the record (well,
+hop) with its dense matrix built only when read, and hops below the smallest
+normal float are exact zeros, so no product with them runs on subnormals.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import Lattice, Operator, Signal, _as_int
-from .fourier import circulant, equidistant_circulant
+from .fourier import CirculantSpec, circulant, equidistant_circulant
 from .phasespace import CoherentFrame, PhasePoint
 from .thetagauss import ground_state
 from . import spectral
@@ -82,7 +84,9 @@ def _separable_parts(
     corr = g[lat.pos(idx[:, None] + idx[None, :])] @ g  # R(k) = Σ_a g(a)·g(a+k)
     # ifft(x)[k] = (1/d)·Σ_j x[j]·e^{2πijk/d}, with j and k reduced mod d
     spectrum = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f_beta)))
-    return well, spectrum * corr
+    hop = spectrum * corr
+    hop[np.abs(hop) < np.finfo(float).tiny] = 0.0
+    return well, hop
 
 
 def _real(x: np.ndarray, what: str) -> np.ndarray:
@@ -93,54 +97,42 @@ def _real(x: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FrameHamiltonian:
-    """Discrete oscillator with its circulant-plus-diagonal decomposition.
+    """Discrete oscillator as a well plus a circulant hop.
 
-    ``conv`` is the cyclic convolution w = q² ∗ g², twice the well;
-    ``tau[k]`` (k = 0..s) are the hop coefficients, entry (n, m) of H off
-    the diagonal being τ_{min(|n-m|, d-|n-m|)}; ``omega[k]`` = τ_0 + w(k)/2
-    samples the well, the diagonal of H being ω_{|n|} - 1/2.  ``op`` is
-    that real matrix, exactly symmetric and centro-symmetric.
+    ``conv`` is the cyclic convolution w = q² ∗ g², twice the well.  ``op``
+    is H as the record (fourier.CirculantSpec) of its diagonal τ_0 + w/2 - 1/2
+    at |n| and its hop coefficients τ at the cyclic distance |k| (c[0] = 0):
+    real, exactly symmetric and centro-symmetric, dense only when read.
     """
 
     lattice: Lattice
-    op: Operator
+    op: CirculantSpec
     conv: Signal
-    tau: np.ndarray
-    omega: np.ndarray
 
 
 def frame_hamiltonian(lat: Lattice) -> FrameHamiltonian:
-    """The quantized energy (α² + β²)/2 less the half-quantum, from τ and ω."""
+    """The quantized energy (α² + β²)/2 less the half-quantum, as (w, c)."""
     half_q2 = 0.5 * lat.points**2
     frame = CoherentFrame(lat, ground_state(lat))
     well, hop = _separable_parts(frame, half_q2, half_q2)
-    k = lat.pos(np.arange(lat.s + 1))
-    tau = _real(hop, "hop coefficients of an even well")[k]
-    omega = tau[0] + well[k]
-
-    # entry (n, m) is τ at the cyclic distance of n and m, and ω_{|n|} - 1/2
-    # on the diagonal; both depend on |n - m| and |n| only, so the matrix is
-    # exactly symmetric and centro-symmetric
-    d = lat.d
-    dist = np.abs(lat.indices[:, None] - lat.indices[None, :])
-    mat = tau[np.minimum(dist, d - dist)]
-    np.fill_diagonal(mat, omega[np.abs(lat.indices)] - 0.5)
-    return FrameHamiltonian(
-        lattice=lat, op=Operator(lat, mat), conv=Signal(lat, 2.0 * well),
-        tau=tau, omega=omega,
-    )
+    # both parts read at |n|, so H is exactly symmetric and centro-symmetric
+    at = lat.pos(np.abs(lat.indices))
+    tau = _real(hop, "hop coefficients of an even well")[at]
+    diag = tau[lat.pos(0)] + well[at] - 0.5
+    op = circulant(lat, np.where(lat.indices == 0, 0.0, tau), diag)
+    return FrameHamiltonian(lattice=lat, op=op, conv=Signal(lat, 2.0 * well))
 
 
 def trace_ratio(lat: Lattice) -> float:
     """tr(H) / (d²/2), which tends to π/3 as d grows.
 
-    Computed from the assembled Hamiltonian, not from the closed trace
+    Read in O(d) from the Hamiltonian's record, not from the closed trace
     formula, so the two can be checked against each other.  The exact value
     is π/3·(1 - 1/d²) - 1/d: the deficit decays like 1/d, so closing to
     within 0.002 of the limit needs d ≥ 503.
     """
-    fh = frame_hamiltonian(lat)
-    tr = float(np.trace(fh.op.mat).real)
+    op = frame_hamiltonian(lat).op
+    tr = float(np.sum(op.well) + lat.d * op.first_column[lat.pos(0)])
     return tr / (lat.d**2 / 2.0)
 
 
@@ -176,40 +168,27 @@ def wielandt_hoffman_gap(fh: FrameHamiltonian) -> tuple[float, float]:
 
     lhs = (1/d) Σ_n |n - λ_n| with λ_n the ascending eigenvalues of
     H + 1/2; rhs is the Frobenius distance (scaled by 1/√d) between
-    H + 1/2 and the circulant whose spectrum is exactly 1..d, written out
-    as sums over the hop and well differences.  Wielandt-Hoffman plus
+    H + 1/2 and the circulant whose spectrum is exactly 1..d, whose
+    difference is one more well plus circulant.  Wielandt-Hoffman plus
     Cauchy-Schwarz guarantees lhs ≤ rhs.
     """
-    lat = fh.lattice
-    d = lat.d
-    shifted = fh.op.mat + 0.5 * np.eye(d)
-    vals, _ = spectral.eigh(shifted)
-    lhs = float(np.mean(np.abs(np.arange(1, d + 1) - vals)))
-
-    cspec = equidistant_circulant(lat)
-    col = cspec.first_column
-    c0 = float(col[lat.pos(0)].real)
-    j = np.arange(1, d)
-    hop_diff = fh.tau[np.minimum(j, d - j)] - col[lat.pos(j)]
-    hop_part = float(np.sum(np.abs(hop_diff) ** 2))
-    k = np.abs(lat.indices)
-    well_part = float(np.sum(np.abs(fh.omega[k] - c0) ** 2)) / d
-    rhs = float(np.sqrt(hop_part + well_part))
-    return lhs, rhs
+    lat, op = fh.lattice, fh.op
+    vals, _ = spectral.eigh(circulant(lat, op.first_column, op.well + 0.5))
+    lhs = float(np.mean(np.abs(np.arange(1, lat.d + 1) - vals)))
+    col = op.first_column - equidistant_circulant(lat).first_column
+    rhs = np.linalg.norm(circulant(lat, col, op.well + 0.5).mat) / np.sqrt(lat.d)
+    return lhs, float(rhs)
 
 
-def raising_operator(frame: CoherentFrame) -> Operator:
-    """Quantized (α - iβ)/√2: the separable parts q/√2 and -i·q/√2.
+def raising_operator(frame: CoherentFrame) -> CirculantSpec:
+    """Quantized (α - iβ)/√2 from the separable parts q/√2 and -i·q/√2, as (w, c).
 
     The result is real, with the antisymmetry entry(n, m) = -entry(-n, -m).
     """
     lat = frame.lattice
     q = lat.points / np.sqrt(2.0)
     well, hop = _separable_parts(frame, q, -1j * q)
-    hop = _real(hop, "hop coefficients of the raising operator")
-    mat = circulant(lat, hop).materialize().mat
-    mat[np.diag_indices(lat.d)] += well
-    return Operator(lat, mat)
+    return circulant(lat, _real(hop, "hop coefficients of the raising operator"), well)
 
 
 def ladder_states(frame: CoherentFrame, count: int) -> list[Signal]:

@@ -8,21 +8,22 @@ is raised.
 An oscillator Hamiltonian commutes with the Fourier operator F, hence with
 the parity flip F², so it splits exactly into an even block on the s+1
 vectors δ_0, (δ_n + δ_{-n})/√2 and an odd block on the s vectors
-(δ_n - δ_{-n})/√2.  In this parity frame both blocks are slices of H (top
-row plus or minus its mirror), and F is the real cosine block C on the even
-vectors and -i times the real sine block S on the odd ones.  So every audit
-runs at half size in real arithmetic: the commutator ‖FH - HF‖_F comes
-exactly from the blocks, and ⟨v, Fv⟩ is bᵀCb or -i·bᵀSb for the block
-vector b; no dense F is formed.  Each block is diagonalized by LAPACK on
-its own, its vectors are mirrored onto the grid, and the two are
-interleaved into the label order.  The basis is audited once, from the
-blocks: each residual ‖Hv - λv‖ and the defect ‖VᵀV - I‖_F of the whole
-basis follow exactly from the block eigenpairs and the coupling X (see
-``_parity_readings``), so no d×d product is formed either.  A basis is
-accepted only after three independent labelings agree for every vector: the
-parity under n → -n, the Fourier eigenvalue (-i)^m, and the sign
-alternation count wherever float precision can resolve it.  Any mismatch
-raises; there is no quiet fallback.
+(δ_n - δ_{-n})/√2.  In this parity frame both blocks come from the rows
+n = 0..s of H and of its mirror, gathered from (w, c) for the record
+diag(w) + C(c), so no d×d H is built; a dense H is sliced.  F is the real
+cosine block C on the even vectors and -i times the real sine block S on
+the odd ones.  So every audit runs at half size in real arithmetic: the
+commutator ‖FH - HF‖_F comes exactly from the blocks, and ⟨v, Fv⟩ is
+bᵀCb or -i·bᵀSb for the block vector b; no dense F is formed.  Each block
+is diagonalized by LAPACK on its own, its vectors are mirrored onto the
+grid, and the two are interleaved into the label order.  The basis is
+audited once, from the blocks: each residual ‖Hv - λv‖ and the defect
+‖VᵀV - I‖_F of the whole basis follow exactly from the block eigenpairs
+and the coupling X (see ``_parity_readings``), so no d×d product is formed
+either.  A basis is accepted only after three independent labelings agree
+for every vector: the parity under n → -n, the Fourier eigenvalue (-i)^m,
+and the sign alternation count wherever float precision can resolve it.
+Any mismatch raises; there is no quiet fallback.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import Lattice, Operator, Signal, _as_int
-from .fourier import dft_parity_blocks
+from .fourier import CirculantSpec, circulant, dft_parity_blocks
 from . import reference
 
 SYMMETRY_TOL = 1e-10
@@ -48,11 +49,18 @@ class ConvergenceError(RuntimeError):
     """An eigendecomposition failed its residual or orthogonality audit."""
 
 
-def _real_symmetric(op) -> np.ndarray:
-    """The validated real symmetric matrix behind ``op``, symmetrized."""
-    mat = op.mat if isinstance(op, Operator) else np.asarray(op)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+def _real_symmetric(op):
+    """The validated real symmetric form of ``op``, symmetrized; a record stays
+    one, checked on its 2d distinct entries, the diagonal w[n] + c[0] and c."""
+    if isinstance(op, CirculantSpec):
+        lat, col = op.lattice, op.first_column
+        mat = np.concatenate([op.well + col[lat.pos(0)], col])
+        flip = lambda a: np.concatenate([a[: lat.d], a[: lat.d - 1 : -1]])  # c[-k]
+    else:
+        mat = op.mat if isinstance(op, Operator) else np.asarray(op)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        flip = np.transpose
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(mat))))
@@ -60,10 +68,13 @@ def _real_symmetric(op) -> np.ndarray:
         if float(np.max(np.abs(mat.imag))) > SYMMETRY_TOL * scale:
             raise ValueError("matrix has a non-negligible imaginary part")
         mat = mat.real
-    asym = float(np.max(np.abs(mat - mat.T)))
+    asym = float(np.max(np.abs(mat - flip(mat))))
     if asym > SYMMETRY_TOL * scale:
         raise ValueError(f"matrix is not symmetric: max|A - Aᵀ| = {asym:.3e}")
-    return 0.5 * (mat + mat.T)
+    sym = 0.5 * (mat + flip(mat))
+    if isinstance(op, CirculantSpec):
+        return circulant(lat, sym[lat.d:], op.well.real)
+    return sym
 
 
 def _readings(
@@ -94,34 +105,31 @@ def _audit(sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
 def eigh(op) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric operator.
 
-    Accepts an Operator or a square ndarray whose entries are finite and
-    real symmetric up to 1e-10 relative; anything farther from symmetric is
-    rejected rather than silently symmetrized.  Returns (values ascending,
-    vectors in matching columns).  The result is audited: each residual
-    column of A·v - λ·v must stay below 1e-10 times the Frobenius norm of
-    A, and ‖VᵀV - I‖_F below 1e-10.
+    Accepts a record diag(w) + C(c), an Operator or a square ndarray, with
+    entries finite and real symmetric up to 1e-10 relative; anything farther
+    from symmetric is rejected rather than silently symmetrized.  Returns
+    (values ascending, vectors in matching columns).  The result is audited:
+    each residual column of A·v - λ·v must stay below 1e-10 times the
+    Frobenius norm of A, and ‖VᵀV - I‖_F below 1e-10.
     """
     sym = _real_symmetric(op)
+    if isinstance(sym, CirculantSpec):
+        sym = sym.mat
     vals, vecs = np.linalg.eigh(sym)
     vecs = np.ascontiguousarray(vecs)
     _audit(sym, vals, vecs)
     return vals, vecs
 
 
-def harper_hamiltonian(lat: Lattice) -> Operator:
+def harper_hamiltonian(lat: Lattice) -> CirculantSpec:
     """Finite-difference oscillator: cyclic second difference plus cosine well.
 
-    Entries: 2·(cos(2πn/d) - 2) on the diagonal and 1 on the two cyclic
-    off-diagonals (including the corner pair that closes the ring).  Real
-    symmetric, commutes with the Fourier operator, spectrum inside [-8, 0).
+    The record with the well w = 2·(cos(2πn/d) - 2) and c = 1 at k = ±1, the
+    two cyclic off-diagonals (with the corner pair that closes the ring).
+    Real symmetric, commutes with the Fourier operator, spectrum in [-8, 0).
     """
-    d = lat.d
-    mat = np.zeros((d, d))
-    pos = np.arange(d)
-    mat[pos, pos] = 2.0 * (np.cos(2.0 * np.pi * lat.indices / d) - 2.0)
-    mat[pos, (pos + 1) % d] = 1.0
-    mat[pos, (pos - 1) % d] = 1.0
-    return Operator(lat, mat)
+    col = (np.abs(lat.indices) == 1).astype(float)
+    return circulant(lat, col, 2.0 * (np.cos(2.0 * np.pi * lat.indices / lat.d) - 2.0))
 
 
 def sign_alternations(v) -> int:
@@ -197,19 +205,18 @@ class SpectralBasis:
 
 
 def _parity_blocks(
-    hmat: np.ndarray, s: int
+    top: np.ndarray, mirror: np.ndarray, s: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks E, O and X of QᵀHQ in the parity frame, taken by slicing.
+    """The blocks E, O and X of QᵀHQ in the parity frame, from rows of H.
 
-    Q is the frame of ``fourier.dft_parity_blocks``.  The centro-symmetric
-    half of H, ½(H + JHJ) with J the flip n → -n, gives the diagonal blocks
-    from its top rows j = 0..s: E[j, k] = H[j, k] + H[j, -k] (row and column
-    0 scaled by √½) and O[j, k] = H[j, k] - H[j, -k], j, k = 1..s.  Its other
-    half ½(H - JHJ) gives the even-odd coupling X the same way, so X is
-    exactly zero when H commutes with the flip, and H is then its own
+    ``top`` and ``mirror`` are the rows j = 0..s of H and of JHJ, J the flip
+    n → -n; Q is the frame of ``fourier.dft_parity_blocks``.  Their mean, the
+    centro-symmetric half ½(H + JHJ), gives E[j, k] = H[j, k] + H[j, -k] (row
+    and column 0 scaled by √½) and O[j, k] = H[j, k] - H[j, -k], j, k = 1..s.
+    Its other half ½(H - JHJ) gives the even-odd coupling X the same way, so
+    X is exactly zero when H commutes with the flip, and H is then its own
     centro-symmetric half.
     """
-    top, mirror = hmat[s:], hmat[s::-1, ::-1]  # rows j = 0..s of H and JHJ
     sym, anti = 0.5 * (top + mirror), 0.5 * (top - mirror)
     even = sym[:, s:] + sym[:, s::-1]
     even[0] *= np.sqrt(0.5)
@@ -328,8 +335,9 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     taken on the n ≥ 0 half: 2·count(v[n ≥ 0]) + m mod 2, equal to the count
     over the whole vector.
 
-    Everything runs in the parity frame.  The blocks E and O are sliced
-    from H, and the Fourier invariance H needs is audited there: with C and
+    Everything runs in the parity frame.  The blocks E and O come from rows
+    0..s of H and JHJ, gathered from (w, c) for a record and sliced from a
+    dense H, and the Fourier invariance H needs is audited there: with C and
     S the cosine and sine blocks of F and X the even-odd coupling of H,
     ‖FH - HF‖²_F = ‖CE - EC‖² + ‖SO - OS‖² + 2‖CX‖² + 2‖XS‖² exactly, and
     it must stay below 1e-9·max(1, ‖H‖_F).  X is zero for a centro-symmetric
@@ -345,22 +353,28 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     """
     if kind not in ("frame", "harper"):
         raise ValueError(f"kind must be 'frame' or 'harper', got {kind!r}")
-    if isinstance(op, Operator) and op.lattice != lat:
+    if isinstance(op, (Operator, CirculantSpec)) and op.lattice != lat:
         raise ValueError("operator belongs to a different lattice")
     d, s = lat.d, lat.s
-    hmat = _real_symmetric(op)
-    if hmat.shape != (d, d):
+    h = _real_symmetric(op)
+    if isinstance(h, CirculantSpec):
+        j = np.arange(s + 1)
+        even, odd, coupling = _parity_blocks(h.rows(j), h.rows(-j)[:, ::-1], s)
+    elif h.shape == (d, d):
+        even, odd, coupling = _parity_blocks(h[s:], h[s::-1, ::-1], s)
+    else:
         raise ValueError("matrix size does not match the lattice")
-    even, odd, coupling = _parity_blocks(hmat, s)
     cos, sin = dft_parity_blocks(lat)
     comm = _fourier_commutator(cos, sin, even, odd, coupling)
-    if comm > 1e-9 * max(1.0, float(np.linalg.norm(hmat))):
+    # Q is orthogonal, so ‖H‖²_F = ‖E‖² + ‖O‖² + 2‖X‖²
+    norm = np.sqrt(np.sum(even**2) + np.sum(odd**2) + 2.0 * np.sum(coupling**2))
+    if comm > 1e-9 * max(1.0, norm):
         raise ValueError(
             f"matrix does not commute with the Fourier operator "
             f"(‖FH - HF‖_F = {comm:.3e}); labels need Fourier invariance"
         )
 
-    # the blocks are exactly symmetric slices, so LAPACK takes them as they are
+    # the blocks are exactly symmetric, so LAPACK takes them as they are
     solved = [np.linalg.eigh(even), np.linalg.eigh(odd)]
     even_resid, odd_resid, defect = _parity_readings(even, odd, coupling, *solved)
     _check(defect, (even_resid, even), (odd_resid, odd))

@@ -254,7 +254,7 @@ def _chk_coordinate_transforms(ctx):
 
 def _chk_circulant_shift(ctx):
     col = ctx.rng.standard_normal(ctx.d)
-    mat = circulant(ctx.lat, col).materialize().mat
+    mat = circulant(ctx.lat, col).mat
     # with S the cyclic shift, S·M rolls the rows down and M·S the columns left
     dev = np.linalg.norm(np.roll(mat, 1, axis=0) - np.roll(mat, -1, axis=1))
     _require(dev < 1e-12, f"shift commutator {dev:.2e}")
@@ -264,7 +264,7 @@ def _chk_circulant_shift(ctx):
 def _chk_circulant_diagonalization(ctx):
     amp = ctx.rng.standard_normal(ctx.d) + 1j * ctx.rng.standard_normal(ctx.d)
     spec_c = circulant(ctx.lat, amp)
-    mat = spec_c.materialize().mat
+    mat = spec_c.mat
     ev = spec_c.eigenvalues()
     f = ctx.fmat
     rebuilt = (f.conj().T * ev) @ f
@@ -278,7 +278,7 @@ def _chk_equidistant_circulant(ctx):
     spec_c = equidistant_circulant(ctx.lat)
     c0 = spec_c.first_column[ctx.lat.pos(0)]
     _require(abs(c0 - (ctx.d + 1) / 2) < 1e-13, f"central entry {c0}")
-    mat = spec_c.materialize().mat
+    mat = spec_c.mat
     herm = np.linalg.norm(mat - mat.conj().T)
     _require(herm < 1e-12, f"not Hermitian: {herm:.2e}")
     ev = np.sort(spec_c.eigenvalues().real)
@@ -593,10 +593,10 @@ def _chk_hamiltonian_fast_path(ctx):
 
 
 def _chk_hamiltonian_structure(ctx):
-    """H is the real circulant-plus-well layout of τ and ω, and the frame average.
+    """H is the real circulant-plus-well layout of its record, and the frame average.
 
-    ``frame_hamiltonian`` assembles H from τ and ω, so realness, symmetry and
-    the τ/ω layout hold by construction and only guard the assembly.  The
+    ``frame_hamiltonian`` returns H as its well and hop, so realness, symmetry
+    and that layout hold by construction and only guard the dense matrix.  The
     independent statement is the Fourier form the frame average reduces to,
     H = -I/2 + diag(w/2) + F⁺·diag(w/2)·F, with the cyclic convolution
     w = q² ∗ g² recomputed here from its definition.
@@ -616,8 +616,8 @@ def _chk_hamiltonian_structure(ctx):
     asym = float(np.max(np.abs(mat - mat.T)))
     _require(imag < 1e-12 and asym < 1e-12, f"structure {imag:.2e}/{asym:.2e}")
     dist = np.abs(diff)
-    want = fh.tau[np.minimum(dist, lat.d - dist)]
-    np.fill_diagonal(want, fh.omega[np.abs(lat.indices)] - 0.5)
+    want = fh.op.first_column[lat.pos(np.minimum(dist, lat.d - dist))]
+    np.fill_diagonal(want, fh.op.well[lat.pos(np.abs(lat.indices))])
     worst = float(np.max(np.abs(mat.real - want)))
     _require(worst < 1e-12, f"τ/ω layout off by {worst:.2e}")
     flip = lat.pos(-lat.indices)
@@ -639,7 +639,8 @@ def _chk_hamiltonian_trace(ctx):
     want = -lat.d / 2.0 + 2.0 * np.pi * lat.s * (lat.s + 1) / 3.0
     _require(abs(tr - want) < 1e-10, f"trace {tr} vs {want}")
     tau0 = np.pi * lat.s * (lat.s + 1) / (3.0 * lat.d)
-    _require(abs(ctx.fh.tau[0] - tau0) < 1e-12, f"τ₀ off: {ctx.fh.tau[0]}")
+    read = ctx.fh.op.well[lat.pos(0)] + 0.5 - ctx.fh.conv.amp[lat.pos(0)] / 2
+    _require(abs(read - tau0) < 1e-12, f"τ₀ off: {read}")
     return f"trace and τ₀ match closed forms ({abs(tr - want):.1e})"
 
 
@@ -683,7 +684,7 @@ def _chk_wielandt_hoffman(ctx):
     _require(rhs >= 0.0, f"negative bound {rhs}")
     _require(lhs <= rhs + 1e-12, f"lhs {lhs:.4f} exceeds rhs {rhs:.4f}")
     shifted = ctx.fh.op.mat + 0.5 * np.eye(ctx.d)
-    cmat = equidistant_circulant(ctx.lat).materialize().mat
+    cmat = equidistant_circulant(ctx.lat).mat
     frob = float(np.linalg.norm(shifted - cmat)) / np.sqrt(ctx.d)
     _require(abs(rhs - frob) < 1e-10, f"rhs {rhs} vs Frobenius form {frob}")
     return f"drift {lhs:.3f} ≤ bound {rhs:.3f}"

@@ -21,7 +21,7 @@ from finosc import (
     rectangular_profile,
     rectangular_signal,
 )
-from finosc import cli
+from finosc import cli, verify
 from finosc.cli import main
 
 
@@ -42,6 +42,24 @@ def test_verify_small_grid_passes(capsys):
     code, out, err = run_cli(capsys, "verify", "--d", "5")
     assert code == 0
     assert "0 failed" in out.strip().split("\n")[-1]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_verify_out_writes_only_the_file(capsys, monkeypatch, tmp_path, fails):
+    # with --out the lines go to the file alone, byte for byte the stdout of
+    # a run without it, and the exit code is the same either way
+    if fails:
+        def broken(ctx):
+            raise AssertionError("injected")
+
+        checks = [*verify._CHECKS[:3], ("broken", broken, (5, 5))]
+        monkeypatch.setattr(verify, "_CHECKS", checks)
+    code, out, err = run_cli(capsys, "verify", "--d", "5")
+    path = tmp_path / "v.txt"
+    code_out, out_out, err_out = run_cli(capsys, "verify", "--d", "5", "--out", str(path))
+    assert (code, code_out) == ((1, 1) if fails else (0, 0))
+    assert out_out == "" and err_out == err
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 def test_verify_rejects_even_grid(capsys):

@@ -115,10 +115,10 @@ def test_transform_of_coordinate_zero_frequency(lat21):
     assert transform_of_coordinate_squared_at(lat21, 0) == pytest.approx(want)
 
 
-def test_circulant_materialize_is_shift_structured(lat5):
+def test_circulant_matrix_is_shift_structured(lat5):
     rng = np.random.default_rng(11)
     col = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    mat = circulant(lat5, col).materialize().mat
+    mat = circulant(lat5, col).mat
     for n in lat5.indices:
         for m in lat5.indices:
             assert mat[lat5.pos(n), lat5.pos(m)] == col[lat5.pos(n - m)]
@@ -132,12 +132,32 @@ def test_circulant_diagonalized_by_dft(d):
     spec = circulant(lat, col)
     F = dft_operator(lat).mat
     rebuilt = F.conj().T @ np.diag(spec.eigenvalues()) @ F
-    assert np.max(np.abs(spec.materialize().mat - rebuilt)) < 1e-12
+    assert np.max(np.abs(spec.mat - rebuilt)) < 1e-12
 
 
 def test_circulant_rejects_wrong_length(lat5):
     with pytest.raises(ValueError):
         circulant(lat5, np.zeros(4))
+    with pytest.raises(ValueError):
+        circulant(lat5, np.zeros(5), np.zeros(4))
+
+
+@pytest.mark.parametrize("d", [5, 21, 101])
+def test_well_plus_circulant_entries_and_rows(d):
+    # entry (n, m) is w[n]·δ_nm + c[n - m], written out; a row gather reads
+    # the same numbers bit for bit, and the dense matrix is kept once built
+    lat = make_lattice(d)
+    rng = np.random.default_rng(d)
+    col, well = rng.standard_normal(d), rng.standard_normal(d)
+    spec = circulant(lat, col, well)
+    assert "mat" not in vars(spec)
+    n = lat.indices
+    want = col[lat.pos(n[:, None] - n[None, :])] + np.diag(well)
+    assert np.array_equal(spec.mat, want)
+    assert spec.mat is spec.mat
+    picks = np.array([0, -lat.s, lat.s, 1, -1])
+    assert np.array_equal(spec.rows(picks), want[lat.pos(picks)])
+    assert not np.any(circulant(lat, col).well)
 
 
 @pytest.mark.parametrize("d", [5, 21])
@@ -154,7 +174,7 @@ def test_circulant_applies_as_cyclic_convolution(lat5):
     rng = np.random.default_rng(2)
     col = rng.standard_normal(5)
     x = rng.standard_normal(5)
-    out = circulant(lat5, col).materialize().apply(Signal(lat5, x))
+    out = Signal(lat5, circulant(lat5, col).mat @ x)
     for n in lat5.indices:
         want = sum(col[lat5.pos(n - m)] * x[lat5.pos(m)] for m in lat5.indices)
         assert out[n] == pytest.approx(want, abs=1e-12)

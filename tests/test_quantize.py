@@ -44,7 +44,7 @@ def test_fast_hamiltonian_matches_projector_average(d):
 
 
 def test_hamiltonian_is_real_symmetric(frame21):
-    # H is assembled from τ and ω, which depend on |n - m| and |n| only, so
+    # H is built from its hop c and well w, read at |n - m| and |n| only, so
     # symmetry and centro-symmetry hold exactly
     H = frame21.op.mat
     assert H.dtype == np.float64
@@ -53,19 +53,21 @@ def test_hamiltonian_is_real_symmetric(frame21):
 
 
 def test_hop_and_well_decomposition_rebuilds_the_matrix(frame21):
-    # entry (n, m) = τ_{cyclic distance} off the diagonal, ω_{|n|} - 1/2 on it;
-    # frame_hamiltonian assembles H this way, so this guards the assembly and
-    # test_frame_hamiltonian_equals_the_fourier_form is the independent check
+    # entry (n, m) = c at the cyclic distance off the diagonal, the well w at
+    # |n| on it; frame_hamiltonian records H this way, so this guards the
+    # dense matrix and test_frame_hamiltonian_equals_the_fourier_form is the
+    # independent check
     lat = frame21.lattice
     d = lat.d
+    col, well = frame21.op.first_column, frame21.op.well
     rebuilt = np.empty((d, d))
     for n in lat.indices:
         for m in lat.indices:
             dist = min(abs(n - m), d - abs(n - m))
             if n == m:
-                rebuilt[lat.pos(n), lat.pos(m)] = frame21.omega[abs(n)] - 0.5
+                rebuilt[lat.pos(n), lat.pos(m)] = well[lat.pos(abs(n))]
             else:
-                rebuilt[lat.pos(n), lat.pos(m)] = frame21.tau[dist]
+                rebuilt[lat.pos(n), lat.pos(m)] = col[lat.pos(dist)]
     assert np.max(np.abs(rebuilt - frame21.op.mat.real)) < 1e-12
 
 
@@ -89,11 +91,26 @@ def test_central_hop_coefficient_closed_form():
         lat = make_lattice(d)
         fh = frame_hamiltonian(lat)
         want = np.pi * lat.s * (lat.s + 1) / (3.0 * d)
-        assert abs(fh.tau[0] - want) < 1e-12
+        # the diagonal is w = τ₀ + conv/2 - 1/2, with no hop at distance 0
+        tau0 = fh.op.well[lat.pos(0)] + 0.5 - fh.conv.amp[lat.pos(0)] / 2
+        assert fh.op.first_column[lat.pos(0)] == 0.0
+        assert abs(tau0 - want) < 1e-12
 
 
 def test_well_samples_increase_outward(frame21):
-    assert np.all(np.diff(frame21.omega) > 0.0)
+    lat = frame21.lattice
+    assert np.all(np.diff(frame21.op.well[lat.pos(np.arange(lat.s + 1))]) > 0.0)
+
+
+@pytest.mark.parametrize("d", [1801, 2001, 3001])
+def test_operators_hold_no_subnormal_numbers(d):
+    # from d = 1801 the hops far from the diagonal fall below the smallest
+    # normal float; they are written as exact zeros at their source
+    lat = make_lattice(d)
+    tiny = np.finfo(float).tiny
+    for op in (frame_hamiltonian(lat).op, raising_operator(coherent_frame(lat))):
+        for part in (op.well, op.first_column):
+            assert not np.any((part != 0.0) & (np.abs(part) < tiny))
 
 
 @pytest.mark.parametrize("d", [5, 21])
@@ -176,7 +193,7 @@ def test_separable_parts_match_projector_average(d):
     frame = coherent_frame(lat)
     q = lat.points
     well, hop = _separable_parts(frame, q**3 - 1j * q, np.exp(1j * q))
-    fast = circulant(lat, hop).materialize().mat + np.diag(well)
+    fast = circulant(lat, hop, well).mat
     symbol = PhaseSymbol(fn=lambda a, b: a**3 - 1j * a + np.exp(1j * b), name="mixed")
     brute = frame_quantize(frame, symbol).mat
     assert np.linalg.norm(fast - brute) <= 1e-12 * np.linalg.norm(brute)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from finosc import (
+    CirculantSpec,
     ConvergenceError,
     Operator,
     Signal,
     SpectralBasis,
+    circulant,
     dft_operator,
     eigh,
     frame_hamiltonian,
@@ -284,9 +286,20 @@ def _block_vectors(basis):
     return even, np.sqrt(2.0) * v[s + 1:, 1::2]
 
 
+def _rows(h, s):
+    """Rows j = 0..s of H and of JHJ, as oscillator_basis takes them: gathered
+    from (w, c) for a record, sliced from a dense H."""
+    if isinstance(h, CirculantSpec):
+        j = np.arange(s + 1)
+        return h.rows(j), h.rows(-j)[:, ::-1]
+    return h[s:], h[s::-1, ::-1]
+
+
 def _commutator(h, lat):
     cos, sin = dft_parity_blocks(lat)
-    return spectral._fourier_commutator(cos, sin, *spectral._parity_blocks(h, lat.s))
+    return spectral._fourier_commutator(
+        cos, sin, *spectral._parity_blocks(*_rows(h, lat.s), lat.s)
+    )
 
 
 def _dense_commutator(h, lat):
@@ -318,7 +331,7 @@ def test_block_commutator_is_the_dense_one(d, centro):
     h = h + h.T
     if centro:
         h = h + h[::-1, ::-1]
-    assert np.any(spectral._parity_blocks(h, lat.s)[2]) != centro
+    assert np.any(spectral._parity_blocks(*_rows(h, lat.s), lat.s)[2]) != centro
     dense = _dense_commutator(h, lat)
     assert abs(_commutator(h, lat) - dense) < 1e-12 * dense
 
@@ -345,7 +358,7 @@ def test_parity_blocks_are_the_dense_change_of_frame(lat21):
     rng = np.random.default_rng(3)
     h = rng.standard_normal((d, d))
     h = h + h.T
-    even, odd, coupling = spectral._parity_blocks(h, s)
+    even, odd, coupling = spectral._parity_blocks(*_rows(h, s), s)
     hq = q.T @ h @ q
     assert np.max(np.abs(hq[: s + 1, : s + 1] - even)) < 1e-14
     assert np.max(np.abs(hq[s + 1:, s + 1:] - odd)) < 1e-14
@@ -444,7 +457,7 @@ def test_eigenpair_audit_raises(frame_basis21, frame21):
 
 
 def _blocks(op, lat):
-    return spectral._parity_blocks(spectral._real_symmetric(op), lat.s)
+    return spectral._parity_blocks(*_rows(spectral._real_symmetric(op), lat.s), lat.s)
 
 
 @pytest.mark.parametrize("kind", ["frame", "harper"])
@@ -454,7 +467,7 @@ def test_parity_readings_are_the_dense_readings(d, kind):
     # dense audit of the basis it returns
     lat = make_lattice(d)
     op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
-    h = spectral._real_symmetric(op)
+    h = spectral._real_symmetric(op).mat
     basis = oscillator_basis(op, lat, kind)
     even, odd, coupling = _blocks(op, lat)
     even_resid, odd_resid, defect = spectral._parity_readings(
@@ -555,6 +568,90 @@ def test_relabelled_parity_blocks_are_exactly_symmetric(frame_basis21, lat21):
     for values in cases:
         even, odd, _ = _blocks(_relabelled(frame_basis21, values), lat21)
         assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+
+
+def _record(kind, lat):
+    """The record diag(w) + C(c) of a kind: the two oscillators, or a random
+    symmetric one whose well is even (X = 0) or not (X ≠ 0)."""
+    if kind == "frame":
+        return frame_hamiltonian(lat).op
+    if kind == "harper":
+        return harper_hamiltonian(lat)
+    rng = np.random.default_rng(lat.d)
+    col, well = rng.standard_normal(lat.d), rng.standard_normal(lat.d)
+    if kind == "even":
+        well = well + well[::-1]
+    return circulant(lat, col + col[::-1], well)
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper", "even", "uneven"])
+@pytest.mark.parametrize("d", [5, 21, 101, 301, 1001])
+def test_gathered_blocks_are_the_blocks_sliced_from_the_matrix(d, kind):
+    lat = make_lattice(d)
+    op = _record(kind, lat)
+    gathered = _blocks(op, lat)
+    sliced = spectral._parity_blocks(*_rows(op.mat, lat.s), lat.s)
+    for block, want in zip(gathered, sliced):
+        assert np.array_equal(block, want)
+    assert np.any(gathered[2]) == (kind == "uneven")
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+@pytest.mark.parametrize("d", [5, 21, 101])
+def test_a_record_and_its_dense_matrix_give_the_same_basis(d, kind):
+    lat = make_lattice(d)
+    op = _record(kind, lat)
+    basis = oscillator_basis(op, lat, kind)
+    assert "mat" not in vars(op)  # no d×d H is built for the basis
+    dense = oscillator_basis(Operator(lat, op.mat), lat, kind)
+    for field in ("values", "vectors", "alternations", "parities", "fourier_indices"):
+        assert np.array_equal(getattr(basis, field), getattr(dense, field))
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "complex", "asymmetric"])
+def test_a_bad_record_is_refused_as_its_dense_matrix_is(lat21, fault):
+    op = frame_hamiltonian(lat21).op
+    col, well = op.first_column.astype(complex), op.well.copy()
+    scale = float(np.max(np.abs(op.mat)))
+    at = lat21.pos(2)
+    if fault == "nan":
+        well[3] = np.nan
+    elif fault == "inf":
+        col[at] = np.inf
+    elif fault == "complex":
+        col[at] += 1e-9j * scale
+    else:
+        col[at] += 1e-9 * scale
+    bad = circulant(lat21, col, well)
+    for call in (eigh, lambda h: oscillator_basis(h, lat21, "frame")):
+        with pytest.raises(ValueError) as record:
+            call(bad)
+        with pytest.raises(ValueError) as dense:
+            call(bad.mat)
+        assert str(record.value) == str(dense.value)
+    if fault == "asymmetric":
+        assert "not symmetric" in str(record.value)
+
+
+@pytest.mark.parametrize(
+    ("kind", "d"),
+    [("frame", 21), ("frame", 101), ("harper", 21), ("harper", 101), ("harper", 1001)],
+)
+def test_a_moved_well_pair_is_refused_from_the_record(d, kind):
+    # the well moved by 1e-6 at n = ±3 stays even, so X = 0, but it no longer
+    # commutes with F: ‖FH - HF‖_F is about 2e-6, above 1e-9·‖H‖_F at these d
+    lat = make_lattice(d)
+    op = _record(kind, lat)
+    well = op.well.copy()
+    well[lat.pos([-3, 3])] += 1e-6
+    moved = circulant(lat, op.first_column, well)
+    with pytest.raises(ValueError, match="does not commute with the Fourier") as err:
+        oscillator_basis(moved, lat, kind)
+    assert "mat" not in vars(moved)
+    reading = _commutator(spectral._real_symmetric(moved), lat)
+    assert f"= {reading:.3e})" in str(err.value)
+    dense = _dense_commutator(moved.mat, lat)
+    assert abs(reading - dense) < 1e-14 * np.linalg.norm(moved.mat)
 
 
 def test_alternation_counts_keep_a_floor_per_column():

@@ -281,18 +281,25 @@ def _raising_sign_broken(monkeypatch, ctx):
     )
 
 
+def _with_matrix(ctx, mat, **changes):
+    """Put in ``ctx`` a copy of the Hamiltonian's record, with ``changes`` to
+    its fields, whose dense matrix reads ``mat``."""
+    moved = replace(ctx.fh.op, **changes)
+    vars(moved)["mat"] = mat
+    ctx.fh = replace(ctx.fh, op=moved)
+
+
 def _tau_moved(monkeypatch, ctx):
-    fh = ctx.fh
-    tau = fh.tau.copy()
-    tau[1] += 1e-11
-    ctx.fh = replace(fh, tau=tau)
+    # the hop τ₁ (c at k = ±1) moves in the record but not in its dense matrix
+    col = ctx.fh.op.first_column.copy()
+    col[ctx.lat.pos([-1, 1])] += 1e-11
+    _with_matrix(ctx, ctx.fh.op.mat, first_column=col)
 
 
 def _hamiltonian_entry_moved(monkeypatch, ctx):
-    fh = ctx.fh
-    mat = fh.op.mat.copy()
+    mat = ctx.fh.op.mat.copy()
     mat[1, 3] += 1e-10
-    ctx.fh = replace(fh, op=Operator(ctx.lat, mat))
+    _with_matrix(ctx, mat)
 
 
 def _edit_parts(monkeypatch, edit):
@@ -439,17 +446,17 @@ def _apply_output_moved(monkeypatch, ctx):
 
 
 def _circulant_entry_moved(size, label):
-    """A fault that moves entry (0, 1) of every materialized circulant by ``size(mat)``."""
+    """A fault that moves entry (0, 1) of every circulant's dense matrix by ``size(mat)``."""
 
     def fault(monkeypatch, ctx):
-        real = CirculantSpec.materialize
+        real = CirculantSpec.mat.func
 
         def faulty(spec):
-            mat = real(spec).mat.copy()
+            mat = real(spec).copy()
             mat[0, 1] += size(mat)
-            return Operator(spec.lattice, mat)
+            return mat
 
-        monkeypatch.setattr(CirculantSpec, "materialize", faulty)
+        monkeypatch.setattr(CirculantSpec, "mat", property(faulty))
 
     fault.__name__ = f"_circulant_entry_moved_by_{label}"
     return fault
