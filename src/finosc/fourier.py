@@ -155,12 +155,11 @@ class CirculantSpec:
         return self.rows(self.lattice.indices)
 
     def rows(self, n) -> np.ndarray:
-        """Rows at grid indices n, each a window of c read backwards twice over."""
-        lat, n = self.lattice, np.asarray(n)
-        backwards = np.tile(self.first_column[::-1], 2)
-        windows = np.lib.stride_tricks.sliding_window_view(backwards, lat.d)
-        out = windows[-n % lat.d].astype(np.result_type(windows, self.well), copy=False)
-        out[np.arange(len(n)), lat.pos(n)] += self.well[lat.pos(n)]
+        """Rows at grid indices n: entry m is w[n]·δ_nm + c[n - m]."""
+        lat, at = self.lattice, self.lattice.pos(n)
+        out = self.first_column[lat.pos(np.asarray(n)[:, None] - lat.indices)]
+        out = out.astype(np.result_type(out, self.well), copy=False)
+        out[np.arange(len(at)), at] += self.well[at]
         return out
 
     def eigenvalues(self) -> np.ndarray:
