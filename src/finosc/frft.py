@@ -9,18 +9,18 @@ operator at α = 1, additive in α, and 4-periodic.  Two bases (frame and
 Harper) give two inequivalent families; both are exactly unitary since the
 eigenvectors are orthonormal.
 
-A kernel is its d phases e^{-iπmα/2}, from ``reference._eigenphases`` as
-the continuous oracle's are.  Every request is applied in factored form,
-V·(phases ⊙ Vᵀx), in O(d²), and no kernel holds a d×d matrix: the dense
-V·diag(phases)·Vᵀ is built in O(d³) on each read of ``FrftKernel.op``, an
-oracle for tests and ``verify``.  Each basis keeps at most ``CACHE_SIZE``
-kernels, keyed by α and evicted least recently used first, so a repeated
-order skips recomputing its phases.
+A kernel is its basis and its d phases e^{-iπmα/2}, from
+``reference._eigenphases`` as the continuous oracle's are; they depend on α
+and d alone, so one LRU of ``CACHE_SIZE`` (α, d) pairs serves every basis.
+Every request is applied in factored form, V·(phases ⊙ Vᵀx), in O(d²), and
+no kernel holds a d×d matrix: the dense V·diag(phases)·Vᵀ is built in O(d³)
+on each read of ``FrftKernel.op``, an oracle for tests and ``verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +29,14 @@ from .reference import _eigenphases
 from .spectral import SpectralBasis
 
 CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _phases(alpha: float, d: int) -> np.ndarray:
+    """e^{-iπmα/2} for m = 0..d-1, read-only; a non-finite α is never cached."""
+    phases = _eigenphases(alpha, d)
+    phases.flags.writeable = False
+    return phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,23 +54,10 @@ class FrftKernel:
 
 
 def frft_kernel(basis: SpectralBasis, alpha: float) -> FrftKernel:
-    """Order-α kernel for the given eigenbasis, cached per (basis, α).
-
-    A repeated request returns the same object.  A NaN or infinite order is
-    refused, so no such key enters the cache.
-    """
+    """Order-α kernel for the given eigenbasis, sharing its phases with every
+    basis of the same size.  A NaN or infinite order is refused."""
     key = float(alpha)
-    cache = basis._kernel_cache
-    kern = cache.get(key)
-    if kern is not None:
-        cache.move_to_end(key)
-        return kern
-    phases = _eigenphases(key, basis.lattice.d)
-    kern = FrftKernel(basis=basis, alpha=key, phases=phases)
-    cache[key] = kern
-    if len(cache) > CACHE_SIZE:
-        cache.popitem(last=False)
-    return kern
+    return FrftKernel(basis, key, _phases(key, basis.lattice.d))
 
 
 def apply_frft(kernel: FrftKernel, sig: Signal) -> Signal:
@@ -70,11 +65,13 @@ def apply_frft(kernel: FrftKernel, sig: Signal) -> Signal:
     if sig.lattice != lat:
         raise ValueError("signal belongs to a different lattice")
     # Two real products on the (d, 2) float view of the complex signal: a
-    # complex matmul would upcast V to a complex copy on every call.
+    # complex matmul would upcast V to a complex copy on every call.  The
+    # phases scale the coefficients in place, through their complex view.
     vecs = kernel.basis.vectors
     x = np.ascontiguousarray(sig.amp, dtype=complex).view(np.float64).reshape(-1, 2)
-    coef = (vecs.T @ x).view(complex).ravel() * kernel.phases
-    out = vecs @ coef.view(np.float64).reshape(-1, 2)
+    coef = np.dot(vecs.T, x)
+    coef.view(complex)[:, 0] *= kernel.phases
+    out = np.dot(vecs, coef)
     return Signal(lat, out.view(complex).ravel())
 
 

@@ -166,6 +166,7 @@ def coherent_deviation_table(
     frame: CoherentFrame, a_indices, b_indices, window: int = 8
 ) -> np.ndarray:
     """max_{|n| ≤ window} |discrete state - continuous samples| per (a, b)."""
+    window = _as_int(window, "window")
     if window < 0:
         raise ValueError(f"window must be non-negative, got {window}")
     lat = frame.lattice

@@ -28,8 +28,7 @@ Any mismatch raises; there is no quiet fallback.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,8 +193,6 @@ class SpectralBasis:
     alternations: np.ndarray
     parities: np.ndarray
     fourier_indices: np.ndarray
-    # LRU of FRFT kernels (see frft.py), empty at construction
-    _kernel_cache: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False)
 
     def vector(self, m: int) -> Signal:
         m = _as_int(m, "quantum number")

@@ -1,5 +1,8 @@
 """Fractional transform families from the two eigenbases."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from finosc import (
     rectangular_signal,
 )
 from finosc.cli import main
-from finosc.frft import CACHE_SIZE
+from finosc.frft import CACHE_SIZE, _phases
 from finosc.reference import _eigenphases
 
 
@@ -66,9 +69,11 @@ def test_period_four(frame_basis21):
         assert np.max(np.abs(K1 - K2)) < 1e-12
 
 
-def test_kernel_cache_returns_the_same_object(frame_basis21):
-    assert frft_kernel(frame_basis21, 0.5) is frft_kernel(frame_basis21, 0.5)
-    assert frft_kernel(frame_basis21, 0.5) is not frft_kernel(frame_basis21, 0.75)
+def test_a_repeated_order_reuses_its_phases(frame_basis21):
+    first, again = frft_kernel(frame_basis21, 0.5), frft_kernel(frame_basis21, 0.5)
+    assert again.phases is first.phases
+    assert (again.basis, again.alpha) == (first.basis, first.alpha) == (frame_basis21, 0.5)
+    assert frft_kernel(frame_basis21, 0.75).phases is not first.phases
 
 
 def test_eigenvectors_pick_up_their_phase(frame_basis21):
@@ -94,9 +99,15 @@ def test_apply_checks_the_lattice(lat5, frame_basis21):
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
 def test_kernel_refuses_non_finite_orders(lat5, alpha):
     basis = oscillator_basis(harper_hamiltonian(lat5), lat5, "harper")
+    frft_kernel(basis, 0.5)
+    size = _phases.cache_info().currsize
     with pytest.raises(ValueError, match="finite"):
         frft_kernel(basis, alpha)
-    assert basis._kernel_cache == {}
+    assert _phases.cache_info().currsize == size
+    _phases.cache_clear()
+    with pytest.raises(ValueError, match="finite"):
+        frft_kernel(basis, alpha)
+    assert _phases.cache_info().currsize == 0
 
 
 def test_rectangular_signal_support(lat21):
@@ -138,58 +149,95 @@ def test_first_request_builds_no_dense_matrix(lat21):
     assert [a.shape for a in _held_arrays(kern)] == [(21,)]
 
 
-def test_second_request_returns_the_same_kernel_and_output(lat21):
+def test_second_request_shares_the_phases_and_the_output(lat21):
     basis = _fresh_harper_basis(lat21)
     x = Signal(lat21, np.random.default_rng(3).standard_normal(21) + 0.5j)
     first = frft_kernel(basis, 0.3)
     out = apply_frft(first, x).amp
     second = frft_kernel(basis, 0.3)
-    assert second is first
+    assert second.phases is first.phases
     assert np.array_equal(apply_frft(second, x).amp, out)
     first.op  # the dense oracle is built on read and not kept
     assert set(vars(first)) == {"basis", "alpha", "phases"}
 
 
+def _phases_of(basis, orders):
+    return [frft_kernel(basis, alpha).phases for alpha in orders]
+
+
 def test_cache_keeps_the_last_eight_orders(lat21):
     basis = _fresh_harper_basis(lat21)
     orders = [0.1 * k - 2.0 for k in range(50)]
-    for alpha in orders:
-        frft_kernel(basis, alpha)
+    _phases.cache_clear()
+    held = _phases_of(basis, orders)
     assert CACHE_SIZE == 8
-    assert list(basis._kernel_cache) == orders[-CACHE_SIZE:]
+    assert _phases.cache_info().currsize == CACHE_SIZE
+    # oldest first, so no hit moves an order ahead of one still to be read
+    again = _phases_of(basis, orders[-CACHE_SIZE:])
+    assert all(a is b for a, b in zip(again, held[-CACHE_SIZE:]))
+    assert frft_kernel(basis, orders[-CACHE_SIZE - 1]).phases is not held[-CACHE_SIZE - 1]
 
 
-def test_cached_kernels_hold_no_array_larger_than_d(lat21):
+def test_kernels_and_cached_phases_hold_no_array_larger_than_d(lat21):
     basis = _fresh_harper_basis(lat21)
     x = Signal(lat21, np.ones(21))
     for k in range(50):
         for _ in range(2):  # a miss, then a hit
-            apply_frft(frft_kernel(basis, 0.1 * k - 2.0), x)
-    for kern in basis._kernel_cache.values():
-        assert max(a.size for a in _held_arrays(kern)) <= 21
+            kern = frft_kernel(basis, 0.1 * k - 2.0)
+            apply_frft(kern, x)
+            assert max(a.size for a in _held_arrays(kern)) <= 21
+    assert kern.phases.shape == (21,) and not kern.phases.flags.writeable
 
 
 def test_a_hit_keeps_its_order_from_eviction(lat21):
     basis = _fresh_harper_basis(lat21)
-    for k in range(CACHE_SIZE):
-        frft_kernel(basis, 0.1 * k)
+    _phases.cache_clear()
+    held = _phases_of(basis, [0.1 * k for k in range(CACHE_SIZE)])
     frft_kernel(basis, 0.0)  # now the most recently used
     frft_kernel(basis, 5.0)  # evicts order 0.1, the least recently used
-    assert 0.0 in basis._kernel_cache
-    assert 0.1 not in basis._kernel_cache
-    assert len(basis._kernel_cache) == CACHE_SIZE
+    assert _phases.cache_info().currsize == CACHE_SIZE
+    assert frft_kernel(basis, 0.0).phases is held[0]
+    assert frft_kernel(basis, 0.1).phases is not held[1]
 
 
 def test_an_evicted_order_comes_back_equal(lat21):
     basis = _fresh_harper_basis(lat21)
+    _phases.cache_clear()
     first = frft_kernel(basis, 0.37)
     mat = first.op.mat
-    for k in range(CACHE_SIZE):
-        frft_kernel(basis, 1.0 + 0.1 * k)
-    assert 0.37 not in basis._kernel_cache
+    _phases_of(basis, [1.0 + 0.1 * k for k in range(CACHE_SIZE)])
     again = frft_kernel(basis, 0.37)
-    assert again is not first
+    assert again.phases is not first.phases
+    assert np.array_equal(again.phases, first.phases)
     assert np.max(np.abs(again.op.mat - mat)) < 1e-13
+
+
+def test_one_order_shares_its_read_only_phases_across_bases(frame_basis21, harper_basis21):
+    frame = frft_kernel(frame_basis21, 0.61)
+    harper = frft_kernel(harper_basis21, 0.61)
+    assert harper.phases is frame.phases
+    assert not frame.phases.flags.writeable
+    with pytest.raises(ValueError):
+        frame.phases[0] = 0.0
+    # the apply reads the shared phases and leaves them as they were
+    apply_frft(frame, Signal(frame_basis21.lattice, np.arange(21.0) + 1j))
+    assert np.array_equal(harper.phases, _eigenphases(0.61, 21))
+
+
+def test_a_basis_is_freed_once_it_and_its_kernels_go(lat21):
+    # no reference cycle: reference counting alone frees the basis
+    basis = _fresh_harper_basis(lat21)
+    alive = weakref.ref(basis)
+    kernels = [frft_kernel(basis, 0.1 * k) for k in range(3)]
+    apply_frft(kernels[0], Signal(lat21, np.ones(21)))
+    gc.disable()
+    try:
+        del basis
+        assert alive() is not None  # its kernels still hold it
+        del kernels
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="module")

@@ -217,6 +217,18 @@ def test_deviation_table_refuses_a_negative_window(lat21):
     assert coherent_deviation_table(frame, (1,), (1,), window=0).shape == (1, 1)
 
 
+@pytest.mark.parametrize("window", [np.nan, 2.5, True], ids=["nan", "2.5", "True"])
+def test_deviation_table_refuses_a_non_integer_window(lat21, window):
+    # NaN used to reach NumPy's reduction error; 2.5 and True gave tables
+    frame = coherent_frame(lat21)
+    with pytest.raises(ValueError, match=f"^window must be an integer, got {window!r}$"):
+        coherent_deviation_table(frame, (1,), (1,), window=window)
+    assert np.array_equal(
+        coherent_deviation_table(frame, (1,), (1,), window=np.int64(3)),
+        coherent_deviation_table(frame, (1,), (1,), window=3),
+    )
+
+
 def test_mehta_against_direct_wrap_sum(lat21):
     for m in (0, 1, 4, 9):
         phi = mehta_function(lat21, m).amp

@@ -221,19 +221,33 @@ _NAMES = (
 )
 
 
+_SIZE_FREE = ("lattice: size validation", "reference: Hermite recurrence")
+
+
 def test_verify_21_prints_every_check_in_order(capsys):
     assert main(["verify", "--d", "21"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "172 checks: 172 passed, 0 failed"
+    assert lines[-1] == "168 checks: 168 passed, 0 failed"
     seen = [re.match(r"ok   d=(\d+) +(\w+: [^:]+):", line).groups() for line in lines[:-1]]
-    # the comparative-accuracy check starts at d = 11
+    # the comparative-accuracy check starts at d = 11, and the two checks
+    # that do not depend on d run at the first size only
     want = [
         (str(d), name)
         for d in (5, 7, 21)
         for name in _NAMES
-        if d >= 11 or name != "frft: comparative accuracy"
+        if (d >= 11 or name != "frft: comparative accuracy")
+        and (d == 5 or name not in _SIZE_FREE)
     ]
     assert seen == want
+
+
+@pytest.mark.parametrize("sizes", [[21], [5, 7], [7, 21, 5]])
+def test_size_free_checks_run_once_at_the_first_size(sizes):
+    lines = []
+    assert run_suite(sizes, emit=lines.append)[1] == 0
+    for name in _SIZE_FREE:
+        runs = [line for line in lines if f" {name}: " in line]
+        assert len(runs) == 1 and runs[0].startswith(f"ok   d={sizes[0]:<4d} ")
 
 
 def test_verify_output_stays_in_the_basic_plane(capsys):
