@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, Operator, Signal
+from .lattice import Lattice, Operator, Signal, _as_int
 
 
 def _root(k, period: int, sign: float = 1.0) -> np.ndarray:
@@ -133,12 +133,12 @@ def closed_form_coordinate_transforms(lat: Lattice) -> tuple[Signal, Signal]:
 
 def transform_of_coordinate_at(lat: Lattice, j: int) -> complex:
     """F[q] at an arbitrary integer frequency j (d-periodic in j)."""
-    return complex(_coordinate_transforms(lat, [j])[0][0])
+    return complex(_coordinate_transforms(lat, [_as_int(j, "frequency")])[0][0])
 
 
 def transform_of_coordinate_squared_at(lat: Lattice, j: int) -> float:
     """F[q²] at an arbitrary integer frequency j (d-periodic in j)."""
-    return float(_coordinate_transforms(lat, [j])[1][0])
+    return float(_coordinate_transforms(lat, [_as_int(j, "frequency")])[1][0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -129,7 +129,7 @@ def inner_product(a: Signal, b: Signal) -> complex:
 def basis_signal(lat: Lattice, n: int) -> Signal:
     """Unit sample ε_n: one at grid index n (periodically reduced), zero elsewhere."""
     amp = np.zeros(lat.d)
-    amp[(n + lat.s) % lat.d] = 1.0
+    amp[(_as_int(n, "index") + lat.s) % lat.d] = 1.0
     return Signal(lat, amp)
 
 

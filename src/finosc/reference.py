@@ -208,11 +208,13 @@ def mehta_function(lat: Lattice, m: int, tol: float = 1e-18) -> Signal:
     """Periodized Hermite-Gaussian Φ_m(n) = Σ_ℓ Ψ_m((ℓd+n)√δ), unnormalized.
 
     The wrap sum is truncated so that the omitted terms stay far below
-    ``tol`` (see ``_periodized_table``).
+    ``tol`` (see ``_periodized_table``), which must lie in (0, 1).
     """
     m = _as_int(m, "order")
     if m < 0:
         raise ValueError(f"order must be non-negative, got {m}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     return Signal(lat, _periodized_table(lat, m, tol)[m])
 
 

@@ -6,10 +6,12 @@ orthogonality defect ‖VᵀV - I‖_F must stay small, or ``ConvergenceError``
 is raised.
 
 An oscillator Hamiltonian commutes with the Fourier operator F, hence with
-the parity flip F², so it splits exactly into an even block on the s+1
+the parity flip J = F², so it splits exactly into an even block on the s+1
 vectors δ_0, (δ_n + δ_{-n})/√2 and an odd block on the s vectors
-(δ_n - δ_{-n})/√2.  In this parity frame both blocks come from the rows
-n = 0..s of H and of its mirror, gathered from (w, c) for the record
+(δ_n - δ_{-n})/√2.  Commuting with J is a precondition of the basis build,
+checked once: max|H - JHJ| above 1e-10·max(1, max|H|) is refused with
+"matrix does not commute with the parity flip".  Both blocks come from the
+rows n = 0..s of H and of its mirror, gathered from (w, c) for the record
 diag(w) + C(c), so no d×d H is built; a dense H is sliced.  F is the real
 cosine block C on the even vectors and -i times the real sine block S on
 the odd ones.  So every audit runs at half size in real arithmetic: the
@@ -18,12 +20,12 @@ bᵀCb or -i·bᵀSb for the block vector b; no dense F is formed.  Each block
 is diagonalized by LAPACK on its own, its vectors are mirrored onto the
 grid, and the two are interleaved into the label order.  The basis is
 audited once, from the blocks: each residual ‖Hv - λv‖ and the defect
-‖VᵀV - I‖_F of the whole basis follow exactly from the block eigenpairs
-and the coupling X (see ``_parity_readings``), so no d×d product is formed
-either.  A basis is accepted only after three independent labelings agree
-for every vector: the parity under n → -n, the Fourier eigenvalue (-i)^m,
-and the sign alternation count wherever float precision can resolve it.
-Any mismatch raises; there is no quiet fallback.
+‖VᵀV - I‖_F of the whole basis are those of the block eigenpairs (see
+``_parity_readings``), so no d×d product is formed either.  A basis is
+accepted only after three independent labelings agree for every vector:
+the parity under n → -n, the Fourier eigenvalue (-i)^m, and the sign
+alternation count wherever float precision can resolve it.  Any mismatch
+raises; there is no quiet fallback.
 """
 
 from __future__ import annotations
@@ -203,72 +205,56 @@ class SpectralBasis:
 
 def _parity_blocks(
     top: np.ndarray, mirror: np.ndarray, s: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks E, O and X of QᵀHQ in the parity frame, from rows of H.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks E and O of QᵀHQ in the parity frame, from rows of H.
 
     ``top`` and ``mirror`` are the rows j = 0..s of H and of JHJ, J the flip
-    n → -n; Q is the frame of ``fourier.dft_parity_blocks``.  Their mean, the
-    centro-symmetric half ½(H + JHJ), gives E[j, k] = H[j, k] + H[j, -k] (row
-    and column 0 scaled by √½) and O[j, k] = H[j, k] - H[j, -k], j, k = 1..s.
-    Its other half ½(H - JHJ) gives the even-odd coupling X the same way, so
-    X is exactly zero when H commutes with the flip, and H is then its own
-    centro-symmetric half.
+    n → -n; Q is the frame of ``fourier.dft_parity_blocks``.  Between them
+    they hold every entry of H, so max|top - mirror| is max|H - JHJ|, and H
+    must commute with the flip to within 1e-10·max(1, max|H|) or ValueError
+    is raised.  The centro-symmetric half ½(H + JHJ) is kept, as
+    ``_real_symmetric`` keeps the symmetric half, and gives
+    E[j, k] = H[j, k] + H[j, -k] (row and column 0 scaled by √½) and
+    O[j, k] = H[j, k] - H[j, -k], j, k = 1..s.
     """
-    sym, anti = 0.5 * (top + mirror), 0.5 * (top - mirror)
+    flip = float(np.max(np.abs(top - mirror)))
+    scale = max(1.0, float(np.max(np.abs(top))), float(np.max(np.abs(mirror))))
+    if flip > SYMMETRY_TOL * scale:
+        raise ValueError(
+            f"matrix does not commute with the parity flip "
+            f"(max|H - JHJ| = {flip:.3e}); labels need Fourier invariance"
+        )
+    sym = 0.5 * (top + mirror)
     even = sym[:, s:] + sym[:, s::-1]
     even[0] *= np.sqrt(0.5)
     even[:, 0] *= np.sqrt(0.5)
-    odd = sym[1:, s + 1:] - sym[1:, s - 1::-1]
-    coupling = anti[:, s + 1:] - anti[:, s - 1::-1]
-    coupling[0] *= np.sqrt(0.5)
-    return even, odd, coupling
+    return even, sym[1:, s + 1:] - sym[1:, s - 1::-1]
 
 
-def _fourier_commutator(cos, sin, even, odd, coupling) -> float:
+def _fourier_commutator(cos, sin, even, odd) -> float:
     """‖FH - HF‖_F from the parity-frame blocks of F and H.
 
-    With F = diag(C, -iS) and H = [[E, X], [Xᵀ, O]] in the parity frame,
-    and C, S, X real,
-
-        ‖FH - HF‖²_F = ‖CE - EC‖² + ‖SO - OS‖² + 2‖CX‖² + 2‖XS‖²
-
-    exactly: the off-diagonal blocks are CX + iXS and its transpose, whose
-    real and imaginary parts add in square.  Every block is symmetric but X,
-    so EC = (CE)ᵀ and OS = (SO)ᵀ.
+    With F = diag(C, -iS) and H = diag(E, O) in the parity frame, and every
+    block real and symmetric, ‖FH - HF‖²_F = ‖CE - EC‖² + ‖SO - OS‖², with
+    EC = (CE)ᵀ and OS = (SO)ᵀ.
     """
     ce, so = cos @ even, sin @ odd
-    return float(np.sqrt(
-        np.linalg.norm(ce - ce.T) ** 2 + np.linalg.norm(so - so.T) ** 2
-        + 2.0 * np.linalg.norm(cos @ coupling) ** 2
-        + 2.0 * np.linalg.norm(coupling @ sin) ** 2
-    ))
+    return float(np.hypot(np.linalg.norm(ce - ce.T), np.linalg.norm(so - so.T)))
 
 
-def _parity_readings(even, odd, coupling, even_pairs, odd_pairs):
+def _parity_readings(even, odd, even_pairs, odd_pairs):
     """The audit readings of the whole basis, taken at half size.
 
     Returns the residual ‖Hv - λv‖ of each even and of each odd column and
     the defect ‖VᵀV - I‖_F, for the basis V = Q·diag(B_e, B_o) that the
-    block eigenpairs (λ, b) give.  They are exact: QᵀHQ = [[E, X], [Xᵀ, O]]
-    for symmetric H, and Q is orthogonal, so ‖Hv - λv‖ = ‖QᵀHQ·Qᵀv - λ·Qᵀv‖
-    with Qᵀv = (b, 0) for an even column and (0, b) for an odd one:
-
-        even:  ‖Hv - λv‖² = ‖(E - λ)b‖² + ‖Xᵀb‖²
-        odd:   ‖Hv - λv‖² = ‖(O - λ)b‖² + ‖Xb‖²
-        ‖VᵀV - I‖²_F = ‖B_eᵀB_e - I‖²_F + ‖B_oᵀB_o - I‖²_F
-
-    The coupling X is zero for a centro-symmetric H; where it is not, it
-    enters each residual just as it enters the dense one.  Neither a
-    column permutation nor a sign change moves these readings.
+    block eigenpairs (λ, b) give.  They are exact: QᵀHQ = diag(E, O) and Q
+    is orthogonal, so each residual is ‖(E - λ)b‖ or ‖(O - λ)b‖, and
+    ‖VᵀV - I‖²_F = ‖B_eᵀB_e - I‖²_F + ‖B_oᵀB_o - I‖²_F.  Neither a column
+    permutation nor a sign change moves these readings.
     """
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = even_pairs, odd_pairs
-    even_resid, even_defect = _readings(even, even_vals, even_vecs)
-    odd_resid, odd_defect = _readings(odd, odd_vals, odd_vecs)
-    return (
-        np.hypot(even_resid, np.linalg.norm(coupling.T @ even_vecs, axis=0)),
-        np.hypot(odd_resid, np.linalg.norm(coupling @ odd_vecs, axis=0)),
-        float(np.hypot(even_defect, odd_defect)),
-    )
+    even_resid, even_defect = _readings(even, *even_pairs)
+    odd_resid, odd_defect = _readings(odd, *odd_pairs)
+    return even_resid, odd_resid, float(np.hypot(even_defect, odd_defect))
 
 
 def _mirror(even_vecs: np.ndarray, odd_vecs: np.ndarray) -> np.ndarray:
@@ -332,18 +318,15 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     taken on the n ≥ 0 half: 2·count(v[n ≥ 0]) + m mod 2, equal to the count
     over the whole vector.
 
-    Everything runs in the parity frame.  The blocks E and O come from rows
-    0..s of H and JHJ, gathered from (w, c) for a record and sliced from a
-    dense H, and the Fourier invariance H needs is audited there: with C and
-    S the cosine and sine blocks of F and X the even-odd coupling of H,
-    ‖FH - HF‖²_F = ‖CE - EC‖² + ‖SO - OS‖² + 2‖CX‖² + 2‖XS‖² exactly, and
-    it must stay below 1e-9·max(1, ‖H‖_F).  X is zero for a centro-symmetric
-    H, so the same number audits the split.  ⟨v, Fv⟩ is bᵀCb for an even
-    block vector b and -i·bᵀSb for an odd one.  The eigenpairs are audited
-    once, in the same frame, with the exact readings of ``_parity_readings``:
-    each column's residual ‖Hv - λv‖ must stay below 1e-10·max(1, ‖its
-    block‖_F), which is at most ‖H‖_F, and ‖VᵀV - I‖_F below 1e-10, or
-    ``ConvergenceError`` is raised.
+    Everything runs in the parity frame of the module docstring.  H must
+    commute with the flip J: max|H - JHJ| above 1e-10·max(1, max|H|) is
+    refused with "matrix does not commute with the parity flip".  It must
+    commute with F too: ‖FH - HF‖²_F = ‖CE - EC‖² + ‖SO - OS‖², read from
+    the blocks E, O of H and C, S of F, must stay below 1e-9·max(1, ‖H‖_F).
+    The eigenpairs are audited once, with the exact readings of
+    ``_parity_readings``: each column's residual ‖Hv - λv‖ must stay below
+    1e-10·max(1, ‖its block‖_F), which is at most ‖H‖_F, and ‖VᵀV - I‖_F
+    below 1e-10, or ``ConvergenceError`` is raised.
 
     Eigenvalues must be simple within each block (adjacent gap above 1e-10).
     Any label inconsistency raises instead of degrading.
@@ -356,15 +339,15 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     h = _real_symmetric(op)
     if isinstance(h, CirculantSpec):
         j = np.arange(s + 1)
-        even, odd, coupling = _parity_blocks(h.rows(j), h.rows(-j)[:, ::-1], s)
+        even, odd = _parity_blocks(h.rows(j), h.rows(-j)[:, ::-1], s)
     elif h.shape == (d, d):
-        even, odd, coupling = _parity_blocks(h[s:], h[s::-1, ::-1], s)
+        even, odd = _parity_blocks(h[s:], h[s::-1, ::-1], s)
     else:
         raise ValueError("matrix size does not match the lattice")
     cos, sin = dft_parity_blocks(lat)
-    comm = _fourier_commutator(cos, sin, even, odd, coupling)
-    # Q is orthogonal, so ‖H‖²_F = ‖E‖² + ‖O‖² + 2‖X‖²
-    norm = np.sqrt(np.sum(even**2) + np.sum(odd**2) + 2.0 * np.sum(coupling**2))
+    comm = _fourier_commutator(cos, sin, even, odd)
+    # Q is orthogonal, so ‖H‖²_F = ‖E‖² + ‖O‖²
+    norm = np.sqrt(np.sum(even**2) + np.sum(odd**2))
     if comm > 1e-9 * max(1.0, norm):
         raise ValueError(
             f"matrix does not commute with the Fourier operator "
@@ -373,7 +356,7 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
 
     # the blocks are exactly symmetric, so LAPACK takes them as they are
     solved = [np.linalg.eigh(even), np.linalg.eigh(odd)]
-    even_resid, odd_resid, defect = _parity_readings(even, odd, coupling, *solved)
+    even_resid, odd_resid, defect = _parity_readings(even, odd, *solved)
     _check(defect, (even_resid, even), (odd_resid, odd))
 
     vals = np.empty(d)

@@ -7,6 +7,7 @@ import pytest
 
 from finosc import (
     PhasePoint,
+    basis_signal,
     coherent_deviation_table,
     coherent_frame,
     continuous_frft_oracle,
@@ -19,6 +20,8 @@ from finosc import (
     mehta_function,
     oscillator_basis,
     phase_point,
+    transform_of_coordinate_at,
+    transform_of_coordinate_squared_at,
 )
 
 
@@ -54,6 +57,13 @@ _CALLS = {
         "M",
     ),
     "SpectralBasis.vector": (lambda lat, fr, b: b.vector(1.5), "quantum number"),
+    "transform_of_coordinate_at": (
+        lambda lat, fr, b: transform_of_coordinate_at(lat, 2.5), "frequency"
+    ),
+    "transform_of_coordinate_squared_at": (
+        lambda lat, fr, b: transform_of_coordinate_squared_at(lat, 2.5), "frequency"
+    ),
+    "basis_signal": (lambda lat, fr, b: basis_signal(lat, 2.5), "index"),
 }
 
 
@@ -69,6 +79,14 @@ def test_bool_is_refused_and_numpy_integers_are_accepted(lat, frame, basis):
         phase_point(lat, True, 0)
     with pytest.raises(ValueError, match="dimension must be an integer"):
         make_lattice(True)
+    with pytest.raises(ValueError, match="frequency must be an integer, got True"):
+        transform_of_coordinate_at(lat, True)
+    with pytest.raises(ValueError, match="frequency must be an integer, got True"):
+        transform_of_coordinate_squared_at(lat, True)
+    with pytest.raises(ValueError, match="index must be an integer, got True"):
+        basis_signal(lat, True)
+    assert np.array_equal(basis_signal(lat, np.int64(3)).amp, basis_signal(lat, 3).amp)
+    assert transform_of_coordinate_at(lat, np.int32(3)) == transform_of_coordinate_at(lat, 3)
     p = phase_point(lat, np.int64(3), np.int32(-2))
     assert (p.a_idx, p.b_idx) == (3, -2) and type(p.a_idx) is int
     assert PhasePoint(lat, np.int64(3), 0).a_idx == 3

@@ -251,6 +251,13 @@ def test_mehta_order_range(lat5):
         mehta_function(lat5, -1)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, 1.0, 2.0])
+def test_mehta_refuses_a_tol_outside_the_unit_interval(lat5, tol):
+    # refused up front, not as a ZeroDivisionError or a NaN truncation later
+    with pytest.raises(ValueError, match=r"^tol must be in \(0, 1\), got "):
+        mehta_function(lat5, 2, tol)
+
+
 def test_deviation_report_anchors(lat21, frame_basis21, harper_basis21):
     ladder = ladder_states(coherent_frame(lat21), 21)
     rep = deviation_report(lat21, frame_basis21, harper_basis21, ladder)

@@ -273,10 +273,10 @@ def test_basis_ground_is_nodeless_and_positive(frame_basis21, harper_basis21):
 
 # ---------------------------------------------------------------- parity-frame audits
 #
-# oscillator_basis computes every audit from the parity-frame blocks: H's
-# even, odd and coupling blocks E, O, X, and F's cosine and sine blocks C, S.
-# The tests below pin each number against its dense d×d counterpart and
-# make each audit raise.
+# oscillator_basis refuses an H that does not commute with the parity flip
+# J, then computes every audit from the parity-frame blocks: H's even and
+# odd blocks E, O, and F's cosine and sine blocks C, S.  The tests below pin
+# each number against its dense d×d counterpart and make each audit raise.
 
 def _block_vectors(basis):
     """The parity-frame coordinates of the labelled vectors, even and odd."""
@@ -307,13 +307,24 @@ def _dense_commutator(h, lat):
     return float(np.linalg.norm(f @ h - h @ f))
 
 
+def _dense_flip(h):
+    return float(np.max(np.abs(h - h[::-1, ::-1])))
+
+
 @pytest.mark.parametrize("d", [21, 101])
 @pytest.mark.parametrize("power", [2, 1])
 def test_commutator_audit_refuses_a_non_fourier_hamiltonian(d, power):
     # power 2: diag(q²) keeps H parity-even but breaks Fourier invariance;
-    # power 1: diag(q) breaks parity too, so the coupling block X is nonzero
+    # power 1: diag(q) is odd under the flip, which is refused before the
+    # commutator is read, with the dense max|H - JHJ| = 2e-6·s·√δ
     lat = make_lattice(d)
     h = frame_hamiltonian(lat).op.mat + 1e-6 * np.diag(lat.points**power)
+    if power == 1:
+        with pytest.raises(ValueError, match="does not commute with the parity flip") as err:
+            oscillator_basis(h, lat, "frame")
+        assert f"(max|H - JHJ| = {_dense_flip(h):.3e})" in str(err.value)
+        assert f"{_dense_flip(h):.3e}" == {21: "1.094e-05", 101: "2.494e-05"}[d]
+        return
     with pytest.raises(ValueError, match="does not commute with the Fourier") as err:
         oscillator_basis(h, lat, "frame")
     dense = _dense_commutator(h, lat)
@@ -329,9 +340,12 @@ def test_block_commutator_is_the_dense_one(d, centro):
     rng = np.random.default_rng(d)
     h = rng.standard_normal((d, d))
     h = h + h.T
-    if centro:
-        h = h + h[::-1, ::-1]
-    assert np.any(spectral._parity_blocks(*_rows(h, lat.s), lat.s)[2]) != centro
+    if not centro:
+        with pytest.raises(ValueError, match="does not commute with the parity flip") as err:
+            _commutator(h, lat)
+        assert f"(max|H - JHJ| = {_dense_flip(h):.3e})" in str(err.value)
+        return
+    h = h + h[::-1, ::-1]
     dense = _dense_commutator(h, lat)
     assert abs(_commutator(h, lat) - dense) < 1e-12 * dense
 
@@ -358,11 +372,13 @@ def test_parity_blocks_are_the_dense_change_of_frame(lat21):
     rng = np.random.default_rng(3)
     h = rng.standard_normal((d, d))
     h = h + h.T
-    even, odd, coupling = spectral._parity_blocks(*_rows(h, s), s)
+    h = h + h[::-1, ::-1]
+    even, odd = spectral._parity_blocks(*_rows(h, s), s)
     hq = q.T @ h @ q
     assert np.max(np.abs(hq[: s + 1, : s + 1] - even)) < 1e-14
     assert np.max(np.abs(hq[s + 1:, s + 1:] - odd)) < 1e-14
-    assert np.max(np.abs(hq[: s + 1, s + 1:] - coupling)) < 1e-14
+    # a centro-symmetric H does not couple the even and odd vectors
+    assert np.max(np.abs(hq[: s + 1, s + 1:])) < 1e-14
     cos, sin = dft_parity_blocks(lat21)
     fq = q.T @ dft_operator(lat21).mat @ q
     assert np.max(np.abs(fq[: s + 1, : s + 1] - cos)) < 1e-15
@@ -469,9 +485,9 @@ def test_parity_readings_are_the_dense_readings(d, kind):
     op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
     h = spectral._real_symmetric(op).mat
     basis = oscillator_basis(op, lat, kind)
-    even, odd, coupling = _blocks(op, lat)
+    even, odd = _blocks(op, lat)
     even_resid, odd_resid, defect = spectral._parity_readings(
-        even, odd, coupling, np.linalg.eigh(even), np.linalg.eigh(odd)
+        even, odd, np.linalg.eigh(even), np.linalg.eigh(odd)
     )
     dense_resid, dense_defect = spectral._readings(h, basis.values, basis.vectors)
     scale = np.linalg.norm(h)
@@ -485,19 +501,25 @@ def test_parity_readings_are_the_dense_readings(d, kind):
 def test_a_small_parity_coupling_is_judged_as_the_dense_audit_judges_it(
     frame_basis21, frame21, lat21, eps, refused
 ):
-    # v₀ v₁ᵀ + v₁ v₀ᵀ is odd under the flip, so it lands in X alone: E, O and
-    # the basis are unchanged, and each of v₀, v₁ keeps a residual eps·‖H‖_F.
-    # ‖FH - HF‖_F grows by about 2·eps·‖H‖_F, inside the commutator audit
+    # v₀ v₁ᵀ + v₁ v₀ᵀ is odd under the flip: max|H - JHJ| is about 40·eps,
+    # against a bound 1e-10·max|H| = 1.8e-9, so it is refused at eps = 3e-10.
+    # At 3e-11 the centro-symmetric half, the unperturbed H, is kept: the
+    # basis is unchanged, and each of v₀, v₁ keeps a dense residual eps·‖H‖_F
     h = frame21.op.mat.real
     v = frame_basis21.vectors
     scale = np.linalg.norm(h)
     h = h + eps * scale * (np.outer(v[:, 0], v[:, 1]) + np.outer(v[:, 1], v[:, 0]))
-    assert np.any(_blocks(h, lat21)[2])
     if refused:
-        with pytest.raises(ConvergenceError, match="eigenpair residual 1.681e-08 too large"):
+        with pytest.raises(
+            ValueError,
+            match=r"does not commute with the parity flip \(max\|H - JHJ\| = 1.190e-08\)",
+        ):
             oscillator_basis(h, lat21, "frame")
+        assert f"{_dense_flip(h):.3e}" == "1.190e-08"
         return
     basis = oscillator_basis(h, lat21, "frame")
+    for field in ("values", "vectors", "alternations", "parities", "fourier_indices"):
+        assert np.array_equal(getattr(basis, field), getattr(frame_basis21, field))
     v, vals = basis.vectors, basis.values
     resid = np.max(np.linalg.norm(h @ v - v * vals, axis=0))
     assert f"{resid / scale:.1e}" == "3.0e-11"
@@ -553,7 +575,7 @@ def test_parity_blocks_are_exactly_symmetric(d, kind):
     # are used without a further symmetrization
     lat = make_lattice(d)
     op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
-    even, odd, _ = _blocks(op, lat)
+    even, odd = _blocks(op, lat)
     assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
 
 
@@ -566,13 +588,13 @@ def test_relabelled_parity_blocks_are_exactly_symmetric(frame_basis21, lat21):
     cases[3][[2, 4]] = cases[3][[4, 2]]
     cases[4][[2, 6]] = cases[4][[6, 2]]
     for values in cases:
-        even, odd, _ = _blocks(_relabelled(frame_basis21, values), lat21)
+        even, odd = _blocks(_relabelled(frame_basis21, values), lat21)
         assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
 
 
 def _record(kind, lat):
     """The record diag(w) + C(c) of a kind: the two oscillators, or a random
-    symmetric one whose well is even (X = 0) or not (X ≠ 0)."""
+    symmetric one whose well is even (H commutes with the flip) or not."""
     if kind == "frame":
         return frame_hamiltonian(lat).op
     if kind == "harper":
@@ -589,11 +611,19 @@ def _record(kind, lat):
 def test_gathered_blocks_are_the_blocks_sliced_from_the_matrix(d, kind):
     lat = make_lattice(d)
     op = _record(kind, lat)
+    if kind == "uneven":
+        with pytest.raises(ValueError, match="does not commute with the parity flip") as record:
+            _blocks(op, lat)
+        with pytest.raises(ValueError) as dense:
+            spectral._parity_blocks(*_rows(op.mat, lat.s), lat.s)
+        assert str(record.value) == str(dense.value)
+        assert f"(max|H - JHJ| = {_dense_flip(op.mat):.3e})" in str(record.value)
+        return
     gathered = _blocks(op, lat)
     sliced = spectral._parity_blocks(*_rows(op.mat, lat.s), lat.s)
+    assert len(gathered) == len(sliced) == 2
     for block, want in zip(gathered, sliced):
         assert np.array_equal(block, want)
-    assert np.any(gathered[2]) == (kind == "uneven")
 
 
 @pytest.mark.parametrize("kind", ["frame", "harper"])
@@ -633,13 +663,15 @@ def test_a_bad_record_is_refused_as_its_dense_matrix_is(lat21, fault):
         assert "not symmetric" in str(record.value)
 
 
-@pytest.mark.parametrize(
-    ("kind", "d"),
-    [("frame", 21), ("frame", 101), ("harper", 21), ("harper", 101), ("harper", 1001)],
-)
+_MOVED_WELL_CASES = [
+    ("frame", 21), ("frame", 101), ("harper", 21), ("harper", 101), ("harper", 1001)
+]
+
+
+@pytest.mark.parametrize(("kind", "d"), _MOVED_WELL_CASES)
 def test_a_moved_well_pair_is_refused_from_the_record(d, kind):
-    # the well moved by 1e-6 at n = ±3 stays even, so X = 0, but it no longer
-    # commutes with F: ‖FH - HF‖_F is about 2e-6, above 1e-9·‖H‖_F at these d
+    # the well moved by 1e-6 at n = ±3 stays even, so H still commutes with
+    # the flip, but not with F: ‖FH - HF‖_F is about 2e-6, above 1e-9·‖H‖_F
     lat = make_lattice(d)
     op = _record(kind, lat)
     well = op.well.copy()
@@ -652,6 +684,39 @@ def test_a_moved_well_pair_is_refused_from_the_record(d, kind):
     assert f"= {reading:.3e})" in str(err.value)
     dense = _dense_commutator(moved.mat, lat)
     assert abs(reading - dense) < 1e-14 * np.linalg.norm(moved.mat)
+
+
+def _moved_at_three(op, lat, by):
+    """The record with its well moved by ``by`` at n = 3 alone."""
+    well = op.well.copy()
+    well[lat.pos(3)] += by
+    return circulant(lat, op.first_column, well)
+
+
+@pytest.mark.parametrize(("kind", "d"), _MOVED_WELL_CASES)
+def test_a_well_moved_at_one_side_is_refused_from_the_record(d, kind):
+    # the well moved by 1e-6 at n = 3 alone no longer commutes with the flip,
+    # far beyond 1e-10·max|H|; the refusal comes before any d×d H is built
+    lat = make_lattice(d)
+    moved = _moved_at_three(_record(kind, lat), lat, 1e-6)
+    with pytest.raises(ValueError, match="does not commute with the parity flip") as err:
+        oscillator_basis(moved, lat, kind)
+    assert "mat" not in vars(moved)
+    assert f"(max|H - JHJ| = {_dense_flip(moved.mat):.3e})" in str(err.value)
+
+
+@pytest.mark.parametrize(("kind", "d"), _MOVED_WELL_CASES)
+def test_a_tiny_odd_well_move_gives_the_basis_of_the_centro_symmetric_half(d, kind):
+    lat = make_lattice(d)
+    op = _record(kind, lat)
+    moved = _moved_at_three(op, lat, 1e-13 * float(np.max(np.abs(op.mat))))
+    basis = oscillator_basis(moved, lat, kind)
+    w = moved.well
+    half = oscillator_basis(circulant(lat, op.first_column, 0.5 * (w + w[::-1])), lat, kind)
+    assert np.max(np.abs(basis.values - half.values)) < 1e-12
+    assert np.max(np.abs(basis.vectors - half.vectors)) < 1e-12
+    for field in ("alternations", "parities", "fourier_indices"):
+        assert np.array_equal(getattr(basis, field), getattr(half, field))
 
 
 def test_alternation_counts_keep_a_floor_per_column():
