@@ -8,6 +8,10 @@ fractional Fourier transforms those bases define, together with continuous
 references (Hermite functions, a fractional transform from exact Hermite
 coefficients) used to measure how close the discrete constructions come to
 the line.
+
+The invariant suite (``finosc.verify``) is loaded on first use: reading
+``finosc.run_suite`` or ``finosc.verify`` imports it, so ``import finosc``
+and every command but ``verify`` skip compiling it.
 """
 
 from .fourier import (
@@ -84,7 +88,6 @@ from .thetagauss import (
     jacobi_theta3,
     theta_gaussian,
 )
-from .verify import run_suite
 
 __version__ = "0.1.0"
 
@@ -154,3 +157,16 @@ __all__ = [
     "transform_of_coordinate_squared_at",
     "wielandt_hoffman_gap",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the suite is imported on first use and then bound in this
+    # namespace, so later lookups (and anything that rebinds the name, such
+    # as a tracer's wrapper) go straight through the package
+    if name in ("run_suite", "verify"):
+        import importlib
+
+        verify = importlib.import_module(".verify", __name__)
+        globals()["run_suite"] = verify.run_suite
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -110,7 +110,7 @@ class Signal:
 
     def __getitem__(self, n: int):
         # periodic access: n and n + d hit the same stored element
-        return self.amp[(n + self.lattice.s) % self.lattice.d]
+        return self.amp[(_as_int(n, "index") + self.lattice.s) % self.lattice.d]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))

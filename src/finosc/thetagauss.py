@@ -103,13 +103,14 @@ def theta_gaussian(lat: Lattice, kappa: float, tol: float = 1e-18) -> ThetaGauss
     kappa : float
         Width parameter, must be positive and finite.
     tol : float
-        Target size of the first omitted series term; the truncation order is
-        the smallest L achieving it at the worst grid index.
+        Target size of the first omitted series term, in (0, 1); the
+        truncation order is the smallest L achieving it at the worst grid
+        index.
     """
     if not 0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     # an extreme width overflows the series rate or scale; the samples or
     # their squared norm then leave the float range and are refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -134,10 +135,12 @@ def jacobi_theta3(z, t: float, tol: float = 1e-18):
     ``z`` is a float or an array of floats; an array gives the array of
     values, each bit for bit the scalar call at that z, from one pass over
     the series.  t must be positive; the series is truncated once its terms
-    drop below tol.
+    drop below tol, which must lie in (0, 1).
     """
     if not t > 0:
         raise ValueError(f"theta nome parameter t must be positive, got {t}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     z = np.asarray(z, dtype=float)
     total = np.ones_like(z)
     alpha = 1

@@ -64,6 +64,7 @@ _CALLS = {
         lambda lat, fr, b: transform_of_coordinate_squared_at(lat, 2.5), "frequency"
     ),
     "basis_signal": (lambda lat, fr, b: basis_signal(lat, 2.5), "index"),
+    "Signal.__getitem__": (lambda lat, fr, b: basis_signal(lat, 1)[2.5], "index"),
 }
 
 
@@ -85,6 +86,9 @@ def test_bool_is_refused_and_numpy_integers_are_accepted(lat, frame, basis):
         transform_of_coordinate_squared_at(lat, True)
     with pytest.raises(ValueError, match="index must be an integer, got True"):
         basis_signal(lat, True)
+    with pytest.raises(ValueError, match="index must be an integer, got True"):
+        basis_signal(lat, 1)[True]
+    assert basis_signal(lat, 1)[np.int64(1)] == 1.0
     assert np.array_equal(basis_signal(lat, np.int64(3)).amp, basis_signal(lat, 3).amp)
     assert transform_of_coordinate_at(lat, np.int32(3)) == transform_of_coordinate_at(lat, 3)
     p = phase_point(lat, np.int64(3), np.int32(-2))

@@ -75,6 +75,19 @@ def test_rejects_bad_parameters(lat5):
         theta_gaussian(lat5, 1.0, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, 1.0, 2.0])
+@pytest.mark.parametrize("call", [
+    lambda lat, tol: theta_gaussian(lat, 1.0, tol=tol),
+    lambda lat, tol: ground_state(lat, tol=tol),
+    lambda lat, tol: jacobi_theta3(0.1, 0.5, tol),
+], ids=["theta_gaussian", "ground_state", "jacobi_theta3"])
+def test_refuses_a_tol_outside_the_unit_interval(lat21, call, tol):
+    # refused up front: a tol of 1 or more truncated to nothing or failed
+    # the normalizer check, and one of 0, below or NaN summed 100,000 terms
+    with pytest.raises(ValueError, match=r"^tol must be in \(0, 1\), got "):
+        call(lat21, tol)
+
+
 # 1e308·π overflows the spatial rate, so its samples would be NaN; at 1e-310
 # the frequency scale 1/√(κd) is finite but its square is not
 @pytest.mark.parametrize("kappa", [np.inf, np.nan, 1e308, 1e-310])
