@@ -141,6 +141,25 @@ def transform_of_coordinate_squared_at(lat: Lattice, j: int) -> float:
     return float(_coordinate_transforms(lat, [_as_int(j, "frequency")])[1][0])
 
 
+def cyclic_windows(lat: Lattice, col: np.ndarray, sign: int) -> np.ndarray:
+    """The d×d table col[pos(n + sign·m)], n, m = -s..s in storage order, as a
+    read-only view: sign = -1 gives the circulant (Toeplitz) table and +1 the
+    Hankel one.
+
+    Every row is a window of the one array ext[t] = col[pos(t - 2s)], of
+    length 2d - 1: row n starts at t = n + s for the Hankel table and runs
+    backwards from t = n + 3s for the circulant one.  No index table is
+    formed; copy the view (a fancy index does) before handing it to BLAS.
+    """
+    s = lat.s
+    ext = np.concatenate([col[s + 1:], col, col[:s]])
+    step = ext.strides[0]
+    start, strides = (2 * s * step, (step, -step)) if sign < 0 else (0, (step, step))
+    table = np.ndarray((lat.d, lat.d), ext.dtype, ext, start, strides)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class CirculantSpec:
     """A = diag(w) + C(c), entry (n, m) = w[n]·δ_nm + c[(n-m) mod d], n = -s..s;
@@ -156,8 +175,8 @@ class CirculantSpec:
 
     def rows(self, n) -> np.ndarray:
         """Rows at grid indices n: entry m is w[n]·δ_nm + c[n - m]."""
-        lat, at = self.lattice, self.lattice.pos(n)
-        out = self.first_column[lat.pos(np.asarray(n)[:, None] - lat.indices)]
+        at = self.lattice.pos(n)
+        out = cyclic_windows(self.lattice, self.first_column, -1)[at]
         out = out.astype(np.result_type(out, self.well), copy=False)
         out[np.arange(len(at)), at] += self.well[at]
         return out

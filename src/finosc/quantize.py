@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import Lattice, Operator, Signal, _as_int
-from .fourier import CirculantSpec, circulant, equidistant_circulant
+from .fourier import CirculantSpec, circulant, cyclic_windows, equidistant_circulant
 from .phasespace import CoherentFrame, PhasePoint
 from .thetagauss import ground_state
 from . import spectral
@@ -74,14 +74,14 @@ def _separable_parts(
     """(well, hop) of the symbol f_α(α) + f_β(β), both parts sampled on the grid.
 
     A_f[n, m] = well[n]·δ_nm + hop[pos(n - m)] exactly (module docstring).
-    ``well`` and R are direct cyclic sums, one gather each, over positive
-    weights g² and g·g; the symbol sum over b is one FFT on the centred grid.
+    ``well`` and R are direct cyclic sums over positive weights g² and g·g,
+    each one product with a circulant or Hankel table copied from its
+    windows; the symbol sum over b is one FFT on the centred grid.
     """
     lat = frame.lattice
     g = frame.ground.amp
-    idx = lat.indices
-    well = (g * g)[lat.pos(idx[:, None] - idx[None, :])] @ f_alpha
-    corr = g[lat.pos(idx[:, None] + idx[None, :])] @ g  # R(k) = Σ_a g(a)·g(a+k)
+    well = cyclic_windows(lat, g * g, -1).copy() @ f_alpha
+    corr = cyclic_windows(lat, g, 1).copy() @ g  # R(k) = Σ_a g(a)·g(a+k)
     # ifft(x)[k] = (1/d)·Σ_j x[j]·e^{2πijk/d}, with j and k reduced mod d
     spectrum = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f_beta)))
     hop = spectrum * corr

@@ -14,6 +14,14 @@ unit L²(ℝ) norm to approximately unit ℓ² norm on the grid.
 The periodized samples Φ_m(n) = Σ_ℓ Ψ_m((ℓd+n)√δ) give the classical
 approximate Fourier eigenvectors; Φ_0 equals π^(-1/4)·g₁ term by term.
 
+The recurrence runs in blocks of ``_BLOCK`` orders (``_hermite_blocks``), and
+every reader of many orders takes them a block at a time: the basis sign fix
+in ``spectral``, ``deviation_report`` (a block of Ψ_m and of Φ_m, each over
+its points), and ``_hermite_rows``, which keeps only the orders asked for.
+Whole tables are formed only where they are returned: ``_sample_table`` (the
+tests' oracle, d × d), ``_periodized_table`` (mmax+1 rows, not the 7× larger
+table of its wrapped points) and the M rows of the transform oracle.
+
 The fractional transform oracle expands a line profile in the Ψ_m basis,
 with coefficients ⟨Ψ_m, ψ⟩ the profile gives in closed form, and applies the
 continuous eigenphases e^{-iπmα/2} from ``_eigenphases``, as the discrete
@@ -32,6 +40,7 @@ from .phasespace import CoherentFrame, PhasePoint, _coherent_amplitudes
 
 _FAR = 708.0  # π^{-1/4}·e^{-x²/2} is a normal float up to x²/2 = 708
 _LN512 = 512.0 * math.log(2.0)
+_BLOCK = 32  # orders, or basis columns, per block of a streamed pass
 
 
 def _eigenphases(alpha: float, count: int) -> np.ndarray:
@@ -42,12 +51,14 @@ def _eigenphases(alpha: float, count: int) -> np.ndarray:
     return np.exp(-0.5j * np.pi * math.fmod(alpha, 4.0) * np.arange(count))
 
 
-def _hermite_rows(orders, x) -> np.ndarray:
-    """Ψ_m(x) for each m in ``orders``, shape (len(orders),) + x.shape.
+def _hermite_blocks(top: int, x):
+    """Ψ_0..Ψ_top at x in blocks of ``_BLOCK`` orders: yields (first, block)
+    with block[i] = Ψ_{first+i}(x), shape (≤ _BLOCK,) + x.shape.
 
-    One pass of the recurrence up to the highest order, keeping two rows
-    and updating them in place; the orders may come in any order and
-    repeat, and only the rows asked for are held.
+    One pass of the recurrence that writes each order in place into one
+    reused block, so a pass holds _BLOCK rows however high it runs.  The
+    next block overwrites it: read it, and do not write to it, before asking
+    for the next one.
 
     Where x²/2 > 708, e^{-x²/2} underflows but Ψ_m(x) need not, so such a
     point carries its rows as mantissa·2^e with its own integer e ≤ 0, a
@@ -56,14 +67,10 @@ def _hermite_rows(orders, x) -> np.ndarray:
     both exactly.  Rows read out as mantissa·2^e, or 0 while e ≤ -1024
     (every such value is below 2^-512).  Points with e = 0 do the plain
     recurrence bit for bit; a call with no far point skips the bookkeeping.
+    Neither the block size nor the other points change a point's bits,
+    except that the bookkeeping period follows the farthest point.
     """
-    slots = {}
-    for i, m in enumerate(orders):
-        if m < 0:
-            raise ValueError(f"order must be non-negative, got {m}")
-        slots.setdefault(m, []).append(i)
     x = np.asarray(x, dtype=float)
-    out = np.empty((len(orders),) + x.shape)
     half = 0.5 * x * x
     exps = None
     if half.max(initial=0.0) > _FAR:
@@ -73,30 +80,56 @@ def _hermite_rows(orders, x) -> np.ndarray:
         exps = -512 * lift.astype(np.int64)
         # one step grows max(|cur|, |prev|) at most (1 + √2·|x|)-fold
         every = max(1, int(256 / math.log2(1 + math.sqrt(2) * np.abs(x).max())))
-    cur = np.pi ** (-0.25) * np.exp(-half)
-    prev = np.zeros_like(x)
-    top = max(slots)
+    size = min(_BLOCK, top + 1)
+    # rows[2 + i] holds order first + i of the block (its mantissa where e is
+    # kept) and rows 0, 1 the two orders before it, so each step writes its
+    # order in place
+    rows = np.empty((size + 2,) + x.shape)
+    rows[1] = 0.0
+    rows[2] = np.pi ** (-0.25) * np.exp(-half)
+    block = rows[2:] if exps is None else np.empty((size,) + x.shape)
+    spare = np.empty_like(x)
+    views = [rows[i, ...] for i in range(size + 2)]  # 0-d for a scalar x
     for k in range(top + 1):
-        if exps is not None and k % every == 0:
-            big = np.maximum(np.abs(cur), np.abs(prev)) > 2.0**256
-            if k == 0 or big.any():  # k = 0 sets the first read-out factors
-                down = np.where(big, 2.0**-512, 1.0)
-                cur *= down
-                prev *= down
-                exps += 512 * big
-                scale = np.where(exps < -512, 0.0, np.ldexp(1.0, exps))
-        for i in slots.get(k, ()):
-            if exps is None:
-                out[i] = cur
-            else:
-                np.multiply(cur, scale, out=out[i, ...])
-        if k == top:
-            break
-        nxt = x * np.sqrt(2.0 / (k + 1))
-        nxt *= cur
-        prev *= np.sqrt(k / (k + 1.0))
-        nxt -= prev
-        prev, cur = cur, nxt
+        j = k % size
+        if k and not j:
+            rows[:2] = rows[size:]
+        prev, cur = views[j + 1], views[j + 2]
+        if k:
+            np.multiply(x, math.sqrt(2.0 / k), out=cur)
+            cur *= prev
+            cur -= np.multiply(views[j], math.sqrt((k - 1) / k), out=spare)
+        if exps is not None:
+            if k % every == 0:
+                big = np.maximum(np.abs(cur), np.abs(prev)) > 2.0**256
+                if k == 0 or big.any():  # k = 0 sets the first read-out factors
+                    down = np.where(big, 2.0**-512, 1.0)
+                    cur *= down
+                    prev *= down
+                    exps += 512 * big
+                    scale = np.where(exps < -512, 0.0, np.ldexp(1.0, exps))
+            np.multiply(cur, scale, out=block[j, ...])
+        if j == size - 1 or k == top:
+            yield k - j, block[: j + 1]
+
+
+def _hermite_rows(orders, x) -> np.ndarray:
+    """Ψ_m(x) for each m in ``orders``, shape (len(orders),) + x.shape.
+
+    One pass of ``_hermite_blocks`` up to the highest order; the orders may
+    come in any order and repeat, and only the rows asked for are held.
+    """
+    slots = {}
+    for i, m in enumerate(orders):
+        if m < 0:
+            raise ValueError(f"order must be non-negative, got {m}")
+        slots.setdefault(m, []).append(i)
+    x = np.asarray(x, dtype=float)
+    out = np.empty((len(orders),) + x.shape)
+    for first, block in _hermite_blocks(max(slots), x):
+        for m in range(first, first + len(block)):
+            for i in slots.get(m, ()):
+                out[i] = block[m - first]
     return out
 
 
@@ -187,28 +220,35 @@ def coherent_deviation_table(
     return np.max(np.abs(disc[..., sel] - cont[..., sel]), axis=-1)
 
 
-def _periodized_table(lat: Lattice, mmax: int, tol: float = 1e-18) -> np.ndarray:
-    """Rows Φ_0..Φ_mmax of the periodized Hermite-Gaussians, shape (mmax+1, d).
+def _periodized_blocks(lat: Lattice, mmax: int, tol: float = 1e-18):
+    """Φ_0..Φ_mmax of the periodized Hermite-Gaussians in blocks: yields
+    (first, block) with block[i] = Φ_{first+i}, one new array per block.
 
     Terms beyond the classical turning point √(2m+1) decay like a Gaussian in
     the excess distance; the wrap sum keeps every ℓ whose argument stays
     within a generous margin past the turning point of the highest order,
-    which puts the omitted terms of every row far below ``tol``.
+    which puts the omitted terms of every row far below ``tol``.  Only one
+    block of the Hermite values over the wrapped points is held at a time.
     """
     margin = np.sqrt(2.0 * np.log(1.0 / tol)) + 2.0
     x_cut = np.sqrt(2.0 * mmax + 1.0) + margin
     lmax = int(np.ceil((x_cut / lat.sqrt_delta + lat.s) / lat.d)) + 1
     ell = np.arange(-lmax, lmax + 1)
     args = (ell[:, None] * lat.d + lat.indices[None, :]) * lat.sqrt_delta
-    vals = _hermite_all(mmax, args.ravel()).reshape((mmax + 1,) + args.shape)
-    return vals.sum(axis=1)
+    for first, vals in _hermite_blocks(mmax, args.ravel()):
+        yield first, vals.reshape((len(vals),) + args.shape).sum(axis=1)
+
+
+def _periodized_table(lat: Lattice, mmax: int, tol: float = 1e-18) -> np.ndarray:
+    """Rows Φ_0..Φ_mmax of the periodized Hermite-Gaussians, shape (mmax+1, d)."""
+    return np.concatenate([block for _, block in _periodized_blocks(lat, mmax, tol)])
 
 
 def mehta_function(lat: Lattice, m: int, tol: float = 1e-18) -> Signal:
     """Periodized Hermite-Gaussian Φ_m(n) = Σ_ℓ Ψ_m((ℓd+n)√δ), unnormalized.
 
     The wrap sum is truncated so that the omitted terms stay far below
-    ``tol`` (see ``_periodized_table``), which must lie in (0, 1).
+    ``tol`` (see ``_periodized_blocks``), which must lie in (0, 1).
     """
     m = _as_int(m, "order")
     if m < 0:
@@ -240,18 +280,24 @@ def deviation_report(lat: Lattice, frame_basis, harper_basis, ladder) -> Deviati
     d = lat.d
     if len(ladder) != d:
         raise ValueError(f"expected {d} ladder states, got {len(ladder)}")
-    targets = _sample_table(lat)
-    phi = _periodized_table(lat, d - 1)
-    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-    phi[np.sum(phi * targets, axis=1) < 0.0] *= -1.0
-
-    def sup_dev(rows):
-        return np.max(np.abs(rows - targets), axis=1)
-
-    delta_f = sup_dev(frame_basis.vectors.T)
-    delta_h = sup_dev(harper_basis.vectors.T)
-    delta_m = sup_dev(phi)
-    delta_r = sup_dev(np.stack([state.amp for state in ladder]))
+    deltas = np.empty((4, d))
+    scale = lat.delta**0.25
+    # every step is per order, so blocks of orders give the bits of whole tables
+    blocks = zip(_hermite_blocks(d - 1, lat.points), _periodized_blocks(lat, d - 1))
+    for (first, herm), (_, phi) in blocks:
+        rows = slice(first, first + len(herm))
+        targets = scale * herm
+        phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+        phi[np.sum(phi * targets, axis=1) < 0.0] *= -1.0
+        families = (
+            frame_basis.vectors[:, rows].T,
+            harper_basis.vectors[:, rows].T,
+            phi,
+            np.stack([state.amp for state in ladder[rows]]),
+        )
+        for delta, family in zip(deltas, families):
+            delta[rows] = np.max(np.abs(family - targets), axis=1)
+    delta_f, delta_h, delta_m, delta_r = deltas
     return DeviationReport(
         lattice=lat, delta_f=delta_f, delta_h=delta_h, delta_m=delta_m, delta_r=delta_r
     )

@@ -11,10 +11,10 @@ vectors δ_0, (δ_n + δ_{-n})/√2 and an odd block on the s vectors
 (δ_n - δ_{-n})/√2.  Commuting with J is a precondition of the basis build,
 checked once: max|H - JHJ| above 1e-10·max(1, max|H|) is refused with
 "matrix does not commute with the parity flip".  Both blocks come from the
-rows n = 0..s of H and of its mirror, gathered from (w, c) for the record
-diag(w) + C(c), so no d×d H is built; a dense H is sliced.  F is the real
-cosine block C on the even vectors and -i times the real sine block S on
-the odd ones.  So every audit runs at half size in real arithmetic: the
+rows n = 0..s of H and of its mirror, copied from windows of (w, c) for
+the record diag(w) + C(c), so no d×d H is built; a dense H is sliced.  F is
+the real cosine block C on the even vectors and -i times the real sine
+block S on the odd ones.  So every audit runs at half size in real arithmetic: the
 commutator ‖FH - HF‖_F comes exactly from the blocks, and ⟨v, Fv⟩ is
 bᵀCb or -i·bᵀSb for the block vector b; no dense F is formed.  Each block
 is diagonalized by LAPACK on its own, its vectors are mirrored onto the
@@ -26,6 +26,13 @@ accepted only after three independent labelings agree for every vector:
 the parity under n → -n, the Fourier eigenvalue (-i)^m, and the sign
 alternation count wherever float precision can resolve it.  Any mismatch
 raises; there is no quiet fallback.
+
+A basis build forms one d×d array, the returned V.  Before V it holds the
+half-size blocks E, O, C and S and the block eigenpairs, and ⟨v, Fv⟩ is read
+then, so that only the block vectors are left when V is formed.  After it,
+the alternation counts, the sign fix and the parity check run over blocks of
+``reference._BLOCK`` columns.  The traced peak of a build is 1.8 d² doubles
+at d = 1001, V included.
 """
 
 from __future__ import annotations
@@ -82,8 +89,12 @@ def _readings(
     sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Each column's residual ‖A·v - λ·v‖ and the defect ‖VᵀV - I‖_F."""
-    resid = np.linalg.norm(sym @ vecs - vecs * vals, axis=0)
-    return resid, float(np.linalg.norm(vecs.T @ vecs - np.eye(len(vals))))
+    resid = sym @ vecs
+    resid -= vecs * vals
+    resid = np.linalg.norm(resid, axis=0)
+    gram = vecs.T @ vecs
+    gram.flat[:: len(vals) + 1] -= 1.0  # subtracting I leaves the rest as it is
+    return resid, float(np.linalg.norm(gram))
 
 
 def _check(defect: float, *pairs) -> None:
@@ -150,12 +161,21 @@ def sign_alternations(v) -> int:
 
 
 def _alternation_counts(vecs: np.ndarray) -> np.ndarray:
-    """``sign_alternations`` of every column of a real matrix, in one pass.
+    """``sign_alternations`` of every column of a real matrix.
 
     Entries below 1e-12 of the column's max magnitude are skipped, and a
     change is counted where an entry and the previous kept entry of its
-    column have a negative product; an all-zero column counts none.
+    column have a negative product; an all-zero column counts none.  The
+    columns are taken in blocks of ``reference._BLOCK``, so the temporaries
+    stay that many columns wide.
     """
+    step = reference._BLOCK
+    blocks = range(0, vecs.shape[1], step)
+    return np.concatenate([_block_counts(vecs[:, c : c + step]) for c in blocks])
+
+
+def _block_counts(vecs: np.ndarray) -> np.ndarray:
+    """``_alternation_counts`` of one block of columns."""
     mags = np.abs(vecs)
     kept = mags >= ZERO_SKIP * np.max(mags, axis=0)
     rows = np.arange(len(vecs))[:, None]
@@ -203,28 +223,37 @@ class SpectralBasis:
         return Signal(self.lattice, self.vectors[:, m].copy())
 
 
-def _parity_blocks(
-    top: np.ndarray, mirror: np.ndarray, s: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _parity_blocks(h, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The blocks E and O of QᵀHQ in the parity frame, from rows of H.
 
-    ``top`` and ``mirror`` are the rows j = 0..s of H and of JHJ, J the flip
-    n → -n; Q is the frame of ``fourier.dft_parity_blocks``.  Between them
-    they hold every entry of H, so max|top - mirror| is max|H - JHJ|, and H
-    must commute with the flip to within 1e-10·max(1, max|H|) or ValueError
-    is raised.  The centro-symmetric half ½(H + JHJ) is kept, as
-    ``_real_symmetric`` keeps the symmetric half, and gives
+    H is a record diag(w) + C(c), whose rows are copied from its windows, or
+    a dense d×d array, which is sliced.  The rows j = 0..s of H and of JHJ,
+    J the flip n → -n, are held only until the blocks are formed; Q is the
+    frame of ``fourier.dft_parity_blocks``.  Between them the two hold every
+    entry of H, so max|top - mirror| is max|H - JHJ|, and H must commute
+    with the flip to within 1e-10·max(1, max|H|) or ValueError is raised.
+    The centro-symmetric half ½(H + JHJ) is kept, as ``_real_symmetric``
+    keeps the symmetric half, and gives
     E[j, k] = H[j, k] + H[j, -k] (row and column 0 scaled by √½) and
     O[j, k] = H[j, k] - H[j, -k], j, k = 1..s.
     """
-    flip = float(np.max(np.abs(top - mirror)))
-    scale = max(1.0, float(np.max(np.abs(top))), float(np.max(np.abs(mirror))))
+    if isinstance(h, CirculantSpec):
+        j = np.arange(s + 1)
+        top, mirror = h.rows(j), h.rows(-j)[:, ::-1]
+    else:
+        top, mirror = h[s:], h[s::-1, ::-1]
+    # one buffer serves every reading, then holds ½(H + JHJ)
+    sym = np.abs(top)
+    scale = max(1.0, float(np.max(sym)), float(np.max(np.abs(mirror, out=sym))))
+    flip = float(np.max(np.abs(np.subtract(top, mirror, out=sym), out=sym)))
     if flip > SYMMETRY_TOL * scale:
         raise ValueError(
             f"matrix does not commute with the parity flip "
             f"(max|H - JHJ| = {flip:.3e}); labels need Fourier invariance"
         )
-    sym = 0.5 * (top + mirror)
+    np.add(top, mirror, out=sym)
+    sym *= 0.5
+    del top, mirror
     even = sym[:, s:] + sym[:, s::-1]
     even[0] *= np.sqrt(0.5)
     even[:, 0] *= np.sqrt(0.5)
@@ -238,8 +267,11 @@ def _fourier_commutator(cos, sin, even, odd) -> float:
     block real and symmetric, ‖FH - HF‖²_F = ‖CE - EC‖² + ‖SO - OS‖², with
     EC = (CE)ᵀ and OS = (SO)ᵀ.
     """
-    ce, so = cos @ even, sin @ odd
-    return float(np.hypot(np.linalg.norm(ce - ce.T), np.linalg.norm(so - so.T)))
+    ce = cos @ even
+    even_part = np.linalg.norm(ce - ce.T)
+    del ce
+    so = sin @ odd
+    return float(np.hypot(even_part, np.linalg.norm(so - so.T)))
 
 
 def _parity_readings(even, odd, even_pairs, odd_pairs):
@@ -337,13 +369,9 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
         raise ValueError("operator belongs to a different lattice")
     d, s = lat.d, lat.s
     h = _real_symmetric(op)
-    if isinstance(h, CirculantSpec):
-        j = np.arange(s + 1)
-        even, odd = _parity_blocks(h.rows(j), h.rows(-j)[:, ::-1], s)
-    elif h.shape == (d, d):
-        even, odd = _parity_blocks(h[s:], h[s::-1, ::-1], s)
-    else:
+    if not isinstance(h, CirculantSpec) and h.shape != (d, d):
         raise ValueError("matrix size does not match the lattice")
+    even, odd = _parity_blocks(h, s)
     cos, sin = dft_parity_blocks(lat)
     comm = _fourier_commutator(cos, sin, even, odd)
     # Q is orthogonal, so ‖H‖²_F = ‖E‖² + ‖O‖²
@@ -356,14 +384,17 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
 
     # the blocks are exactly symmetric, so LAPACK takes them as they are
     solved = [np.linalg.eigh(even), np.linalg.eigh(odd)]
+    ordered = [(w[::-1], v[:, ::-1]) for w, v in solved] if kind == "harper" else solved
+    # ⟨v, Fv⟩ is read from the block vectors, which the sign fix leaves as
+    # they are, so F's blocks go before the audit and H's before V is formed
+    z = _fourier_expectations(cos, sin, ordered[0][1], ordered[1][1])
+    del cos, sin
     even_resid, odd_resid, defect = _parity_readings(even, odd, *solved)
     _check(defect, (even_resid, even), (odd_resid, odd))
+    del even, odd, solved
 
     vals = np.empty(d)
-    block_vecs = []
-    for first, (bvals, bvecs) in enumerate(solved):
-        if kind == "harper":
-            bvals, bvecs = bvals[::-1], bvecs[:, ::-1]
+    for first, (bvals, _) in enumerate(ordered):
         gap = float(np.min(np.abs(np.diff(bvals))))
         if gap < GAP_TOL:
             raise RuntimeError(
@@ -371,9 +402,8 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
                 f"{'odd' if first else 'even'} block; labels would be meaningless"
             )
         vals[first::2] = bvals
-        block_vecs.append(bvecs)
-    even_vecs, odd_vecs = block_vecs
-    vecs = _mirror(even_vecs, odd_vecs)
+    vecs = _mirror(ordered[0][1], ordered[1][1])
+    del ordered
     labels = np.arange(d)
     parities = labels % 2
     # each change on the n >= 0 half has its mirror image, and an odd vector
@@ -385,17 +415,20 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
             f"({alternations[0]} sign alternations)"
         )
 
-    # sign-fix against the sampled Hermite functions; where the reference
-    # overlap vanishes numerically, pin the largest entry positive instead
-    overlaps = np.einsum("mn,nm->m", reference._sample_table(lat), vecs)
-    peaks = vecs[np.argmax(np.abs(vecs), axis=0), labels]
-    vecs *= np.where(np.abs(overlaps) > ZERO_SKIP, np.sign(overlaps), np.sign(peaks))
+    # sign-fix against the sampled Hermite functions, a block of orders at a
+    # time; where the reference overlap vanishes numerically, pin the largest
+    # entry positive instead
+    scale = lat.delta**0.25
+    for first, herm in reference._hermite_blocks(d - 1, lat.points):
+        cols = slice(first, first + len(herm))
+        block = vecs[:, cols]
+        overlaps = np.einsum("mn,nm->m", scale * herm, block)
+        peaks = block[np.argmax(np.abs(block), axis=0), np.arange(len(herm))]
+        block *= np.where(np.abs(overlaps) > ZERO_SKIP, np.sign(overlaps), np.sign(peaks))
+        m = _first(np.any(block[::-1] != block * (1 - 2 * parities[cols]), axis=0))
+        if m is not None:
+            raise RuntimeError(f"vector {first + m} is not of parity {(first + m) % 2}")
 
-    m = _first(np.any(vecs[::-1] != vecs * (1 - 2 * parities), axis=0))
-    if m is not None:
-        raise RuntimeError(f"vector {m} is not of parity {m % 2}")
-    # the sign fix leaves ⟨v, Fv⟩ unchanged, so the block vectors serve
-    z = _fourier_expectations(cos, sin, even_vecs, odd_vecs)
     dists = np.abs(z[:, None] - _FOURIER_ROOTS[None, :])
     fourier_indices = np.argmin(dists, axis=1)
     m = _first(np.min(dists, axis=1) > FOURIER_AMBIGUITY)

@@ -15,7 +15,7 @@ from finosc import (
     transform_of_coordinate_at,
     transform_of_coordinate_squared_at,
 )
-from finosc.fourier import _root, _root_table
+from finosc.fourier import _root, _root_table, cyclic_windows
 
 from conftest import naive_dft
 
@@ -158,6 +158,35 @@ def test_well_plus_circulant_entries_and_rows(d):
     picks = np.array([0, -lat.s, lat.s, 1, -1])
     assert np.array_equal(spec.rows(picks), want[lat.pos(picks)])
     assert not np.any(circulant(lat, col).well)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex column", "complex well"])
+@pytest.mark.parametrize("d", [5, 7, 21, 101])
+def test_rows_are_the_index_gather(d, kind):
+    # rows are windows of one array; they read what an index table gathers,
+    # for indices in any order, repeated, negative or beyond -s..s
+    lat = make_lattice(d)
+    rng = np.random.default_rng(d)
+    col, well = rng.standard_normal(d), rng.standard_normal(d)
+    if kind == "complex column":
+        col = col + 1j * rng.standard_normal(d)
+    if kind == "complex well":
+        well = well + 1j * rng.standard_normal(d)
+    spec = circulant(lat, col, well)
+    n = lat.indices
+    for picks in (np.array([2, -lat.s, 0, 2, lat.s, -1, -1]),
+                  np.array([lat.s + 1, -lat.s - 1, d + 2, -d, 0]),
+                  n[::-1]):
+        at = lat.pos(picks)
+        want = col[lat.pos(picks[:, None] - n)].astype(np.result_type(col, well))
+        want[np.arange(len(picks)), at] += well[at]
+        got = spec.rows(picks)
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    for sign in (-1, 1):
+        table = cyclic_windows(lat, col, sign)
+        assert not table.flags.writeable
+        assert np.array_equal(table, col[lat.pos(n[:, None] + sign * n)])
 
 
 @pytest.mark.parametrize("d", [5, 21])

@@ -1,5 +1,7 @@
 """Frame quantization: the oscillator, its traces, and the ladder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,20 @@ def test_central_hop_coefficient_closed_form():
 def test_well_samples_increase_outward(frame21):
     lat = frame21.lattice
     assert np.all(np.diff(frame21.op.well[lat.pos(np.arange(lat.s + 1))]) > 0.0)
+
+
+def test_frame_hamiltonian_builds_one_table_at_a_time():
+    # the well and R each read one d×d circulant or Hankel table, copied
+    # from its windows for the product; no index table is formed
+    d = 1001
+    lat = make_lattice(d)
+    tracemalloc.start()
+    try:
+        frame_hamiltonian(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * d * d
 
 
 @pytest.mark.parametrize("d", [1801, 2001, 3001])

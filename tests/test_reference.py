@@ -50,10 +50,12 @@ def hermite_table_loop(mmax, x):
     return out
 
 
+@pytest.mark.parametrize("block", [1, 7, 32, "m + 1"])
 @pytest.mark.parametrize("m", [0, 1, 5, 50, 300])
-def test_hermite_gaussian_is_the_table_row_bit_for_bit(m):
-    # the two-row recurrence does the arithmetic of a row-by-row table loop
-    # in the same order
+def test_hermite_gaussian_is_the_table_row_bit_for_bit(m, block, monkeypatch):
+    # the block recurrence does the arithmetic of a row-by-row table loop
+    # in the same order, whatever the size of the blocks it writes
+    monkeypatch.setattr(reference, "_BLOCK", m + 1 if block == "m + 1" else block)
     x = np.linspace(-25.0, 25.0, 2001)
     assert np.array_equal(hermite_gaussian(m, x), _hermite_all(m, x)[m])
     assert np.array_equal(_hermite_all(m, x), hermite_table_loop(m, x))
@@ -81,6 +83,31 @@ def test_one_pass_hermite_rows_are_the_single_orders_bit_for_bit(d):
     for m, row in zip((5, 50, 300), _hermite_rows((5, 50, 300), x)):
         assert np.array_equal(row, loop[m])
     assert _hermite_rows((7,), np.array(1.5))[0] == hermite_gaussian(7, 1.5)
+
+
+@pytest.mark.parametrize("block", [1, 7, 32, 38, 701])
+def test_far_point_blocks_are_the_one_block_pass_bit_for_bit(block, monkeypatch):
+    # past |x| ≈ 37.6 the rows carry exponents, rescaled by 2^512 at steps
+    # k ≡ 0 mod 38 on this grid (int(256 / log2(1 + √2·70)) = 38): block 38
+    # starts a block at every such step, and block 1 at every step.  The
+    # near points are the plain loop; the far ones, whose start values
+    # underflow, match a single block of all 701 orders
+    x = np.linspace(-70.0, 70.0, 1401)
+    whole = _hermite_all(700, x)
+    monkeypatch.setattr(reference, "_BLOCK", block)
+    table = _hermite_all(700, x)
+    assert np.array_equal(table, whole)
+    near = 0.5 * x * x <= 708.0
+    assert np.array_equal(table[:, near], hermite_table_loop(700, x[near]))
+    # just past its turning point √1401 ≈ 37.4, Ψ_700 lies between 1e-11
+    # and 1e-2, far above its start value e^{-x²/2} < 3e-314: only rows
+    # whose exponents were raised by 2^512 reach it
+    edge = table[700, (np.abs(x) > 38.0) & (np.abs(x) < 40.0)]
+    assert np.all(np.abs(edge) > 1e-12) and np.all(np.abs(edge) < 1e-1)
+    rows = _hermite_rows((700, 38, 37, 38, 0), x)
+    assert np.array_equal(rows, whole[[700, 38, 37, 38, 0]])
+    firsts = [first for first, _ in reference._hermite_blocks(700, x)]
+    assert firsts == list(range(0, 701, block))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 12, 20])
@@ -139,11 +166,14 @@ def test_periodized_table_is_the_plain_recurrence_where_it_is_exact(monkeypatch)
     # the far images carry exponents; at every odd d <= 301 the wrap sums
     # match the same sums over the plain table loop, which lets e^{-x²/2}
     # underflow, to far below any value of interest
+    def one_block(top, x):
+        yield 0, hermite_table_loop(top, x)
+
     for d in range(5, 302, 2):
         lat = make_lattice(d)
         table = reference._periodized_table(lat, d - 1)
         with monkeypatch.context() as patch:
-            patch.setattr(reference, "_hermite_all", hermite_table_loop)
+            patch.setattr(reference, "_hermite_blocks", one_block)
             loop = reference._periodized_table(lat, d - 1)
         assert np.max(np.abs(table - loop)) < 1e-250, d
 
@@ -295,6 +325,28 @@ def test_deviation_report_equals_the_per_order_loop(d):
         ]
         got = [rep.delta_f[m], rep.delta_h[m], rep.delta_m[m], rep.delta_r[m]]
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [5, 21, 51])
+def test_deviation_report_reads_the_whole_tables_in_any_block_size(d, monkeypatch):
+    # the report runs over blocks of orders; every step is per order, so it
+    # reads the bits of the whole-table computation written out here
+    lat = make_lattice(d)
+    fb = oscillator_basis(frame_hamiltonian(lat).op, lat, "frame")
+    hb = oscillator_basis(harper_hamiltonian(lat), lat, "harper")
+    ladder = ladder_states(coherent_frame(lat), d)
+    targets = _sample_table(lat)
+    phi = reference._periodized_table(lat, d - 1)
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    phi[np.sum(phi * targets, axis=1) < 0.0] *= -1.0
+    families = (fb.vectors.T, hb.vectors.T, phi, np.stack([f.amp for f in ladder]))
+    want = [np.max(np.abs(rows - targets), axis=1) for rows in families]
+    for block in (1, 7, 32, d):
+        monkeypatch.setattr(reference, "_BLOCK", block)
+        rep = deviation_report(lat, fb, hb, ladder)
+        got = (rep.delta_f, rep.delta_h, rep.delta_m, rep.delta_r)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), block
 
 
 def test_deviation_report_rejects_short_ladder(lat21, frame_basis21, harper_basis21):

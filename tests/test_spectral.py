@@ -1,10 +1,11 @@
 """Audited LAPACK eigensolver, the finite-difference oscillator, and label audits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from finosc import (
-    CirculantSpec,
     ConvergenceError,
     Operator,
     Signal,
@@ -286,19 +287,10 @@ def _block_vectors(basis):
     return even, np.sqrt(2.0) * v[s + 1:, 1::2]
 
 
-def _rows(h, s):
-    """Rows j = 0..s of H and of JHJ, as oscillator_basis takes them: gathered
-    from (w, c) for a record, sliced from a dense H."""
-    if isinstance(h, CirculantSpec):
-        j = np.arange(s + 1)
-        return h.rows(j), h.rows(-j)[:, ::-1]
-    return h[s:], h[s::-1, ::-1]
-
-
 def _commutator(h, lat):
     cos, sin = dft_parity_blocks(lat)
     return spectral._fourier_commutator(
-        cos, sin, *spectral._parity_blocks(*_rows(h, lat.s), lat.s)
+        cos, sin, *spectral._parity_blocks(h, lat.s)
     )
 
 
@@ -373,7 +365,7 @@ def test_parity_blocks_are_the_dense_change_of_frame(lat21):
     h = rng.standard_normal((d, d))
     h = h + h.T
     h = h + h[::-1, ::-1]
-    even, odd = spectral._parity_blocks(*_rows(h, s), s)
+    even, odd = spectral._parity_blocks(h, s)
     hq = q.T @ h @ q
     assert np.max(np.abs(hq[: s + 1, : s + 1] - even)) < 1e-14
     assert np.max(np.abs(hq[s + 1:, s + 1:] - odd)) < 1e-14
@@ -473,7 +465,7 @@ def test_eigenpair_audit_raises(frame_basis21, frame21):
 
 
 def _blocks(op, lat):
-    return spectral._parity_blocks(*_rows(spectral._real_symmetric(op), lat.s), lat.s)
+    return spectral._parity_blocks(spectral._real_symmetric(op), lat.s)
 
 
 @pytest.mark.parametrize("kind", ["frame", "harper"])
@@ -606,6 +598,39 @@ def _record(kind, lat):
     return circulant(lat, col + col[::-1], well)
 
 
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+@pytest.mark.parametrize("d", [5, 21, 101])
+def test_a_basis_has_the_same_bits_in_any_block_size(d, kind, monkeypatch):
+    # the sign fix, the peaks, the parity check and the alternation counts
+    # run over blocks of columns; each step is per column
+    lat = make_lattice(d)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    monkeypatch.setattr(reference, "_BLOCK", d)
+    whole = oscillator_basis(op, lat, kind)
+    for block in (1, 7, 32):
+        monkeypatch.setattr(reference, "_BLOCK", block)
+        basis = oscillator_basis(op, lat, kind)
+        for field in ("values", "vectors", "alternations", "parities", "fourier_indices"):
+            assert np.array_equal(getattr(basis, field), getattr(whole, field)), (block, field)
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+def test_a_basis_build_holds_little_beyond_its_vectors(kind):
+    # V itself is one d×d array; the build adds the half-size blocks of H and
+    # F and of the eigenvectors, and temporaries a block of columns wide,
+    # but no further d×d array
+    d = 1001
+    lat = make_lattice(d)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    tracemalloc.start()
+    try:
+        oscillator_basis(op, lat, kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * d * d
+
+
 @pytest.mark.parametrize("kind", ["frame", "harper", "even", "uneven"])
 @pytest.mark.parametrize("d", [5, 21, 101, 301, 1001])
 def test_gathered_blocks_are_the_blocks_sliced_from_the_matrix(d, kind):
@@ -615,12 +640,12 @@ def test_gathered_blocks_are_the_blocks_sliced_from_the_matrix(d, kind):
         with pytest.raises(ValueError, match="does not commute with the parity flip") as record:
             _blocks(op, lat)
         with pytest.raises(ValueError) as dense:
-            spectral._parity_blocks(*_rows(op.mat, lat.s), lat.s)
+            spectral._parity_blocks(op.mat, lat.s)
         assert str(record.value) == str(dense.value)
         assert f"(max|H - JHJ| = {_dense_flip(op.mat):.3e})" in str(record.value)
         return
     gathered = _blocks(op, lat)
-    sliced = spectral._parity_blocks(*_rows(op.mat, lat.s), lat.s)
+    sliced = spectral._parity_blocks(op.mat, lat.s)
     assert len(gathered) == len(sliced) == 2
     for block, want in zip(gathered, sliced):
         assert np.array_equal(block, want)
