@@ -205,6 +205,10 @@ def cmd_compare(cfg) -> int:
     frame = coherent_frame(lat)
     frame_basis = _labeled_basis(lat, "frame")
     harper_basis = _labeled_basis(lat, "harper")
+    # the report reads signed vectors; a basis signs them on the first read,
+    # holding two copies of V meanwhile, so that read comes before the ladder
+    for basis in (frame_basis, harper_basis):
+        basis.vectors
     ladder = ladder_states(frame, lat.d)
     if cfg.normalize_ladder:
         ladder = [Signal(lat, f.amp / np.linalg.norm(f.amp)) for f in ladder]

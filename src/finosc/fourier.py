@@ -72,16 +72,23 @@ def dft_parity_blocks(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     (δ_j - δ_{-j})/√2, j = 1..s.  On them F is the cosine block
     C[j, k] = 2·cos(2πjk/d)/√d (row and column 0 scaled by √½) and -i times
     the sine block S[j, k] = 2·sin(2πjk/d)/√d, j, k = 1..s; F couples no even
-    vector to an odd one.  Both blocks are real symmetric and gathered from
-    the same roots as ``dft_operator``.
+    vector to an odd one.  Both blocks are real symmetric, with the bits of
+    ``dft_operator``'s entries: its roots are divided by √d entry by entry,
+    and dividing the d roots before the gather gives the same quotients.
+    C and S are gathered, at jk mod d, from the real and the imaginary parts
+    of those d quotients, so no complex table of the block's size is formed.
     """
     j = np.arange(lat.s + 1)
-    roots = _root(np.outer(j, j), lat.d, -1.0)
-    roots /= np.sqrt(lat.d)
-    cos = 2.0 * roots.real
+    k = np.outer(j, j)
+    k %= lat.d
+    roots = _root_table(lat.d, -1.0) / np.sqrt(lat.d)
+    cos = roots.real[k]
+    cos *= 2.0
     cos[0] *= np.sqrt(0.5)
     cos[:, 0] *= np.sqrt(0.5)
-    return cos, -2.0 * roots.imag[1:, 1:]
+    sin = roots.imag[k[1:, 1:]]
+    sin *= -2.0
+    return cos, sin
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,13 +104,27 @@ class FourierProjectors:
 
 def fourier_projectors(lat: Lattice) -> FourierProjectors:
     """π_m = (1/4)·Σ_k i^{mk}·F^k, m = 0..3, as the real closed forms
-    (I + J ± 2·Re F)/4 for m = 0, 2 and (I - J ∓ 2·Im F)/4 for m = 1, 3."""
+    (I + J ± 2·Re F)/4 for m = 0, 2 and (I - J ∓ 2·Im F)/4 for m = 1, 3.
+
+    Each π is built in its own array by in-place steps, the entrywise
+    operations of the closed form in its order: I ± J, then ± 2·Re F or
+    ∓ 2·Im F, whose doubling is done once in F, then the division by 4.  So
+    F and the four π's are the only d×d arrays held.
+    """
+    d = lat.d
     F = dft_operator(lat).mat
-    eye = np.eye(lat.d)
-    even, odd = eye + eye[::-1], eye - eye[::-1]
-    re, im = 2.0 * F.real, 2.0 * F.imag
-    pi = (even + re, odd - im, even - re, odd + im)
-    return FourierProjectors(lattice=lat, pi=tuple(Operator(lat, p / 4.0) for p in pi))
+    np.multiply(F.real, 2.0, out=F.real)
+    np.multiply(F.imag, 2.0, out=F.imag)
+    flip = (np.arange(d), np.arange(d)[::-1])
+    pi = []
+    for parity, combine, part in ((1.0, np.add, F.real), (-1.0, np.subtract, F.imag),
+                                  (1.0, np.subtract, F.real), (-1.0, np.add, F.imag)):
+        p = np.eye(d)
+        p[flip] += parity  # I ± J
+        combine(p, part, out=p)
+        p /= 4.0
+        pi.append(Operator(lat, p))
+    return FourierProjectors(lattice=lat, pi=tuple(pi))
 
 
 def _coordinate_transforms(lat: Lattice, j) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,14 @@ and d alone, so one LRU of ``CACHE_SIZE`` (α, d) pairs serves every basis.
 Every request is applied in factored form, V·(phases ⊙ Vᵀx), in O(d²), and
 no kernel holds a d×d matrix: the dense V·diag(phases)·Vᵀ is built in O(d³)
 on each read of ``FrftKernel.op``, an oracle for tests and ``verify``.
+
+Both read V with whichever column signs the basis holds, so neither makes a
+basis fix its signs (a Hermite pass to order d - 1, run on the first read of
+``SpectralBasis.vectors``).  The result is exact either way: negating column
+m negates row m of the coefficients Vᵀx, and in each product of the second
+call, V[n, m]·c[m], both factors change sign, so every term, and every sum
+BLAS forms from the terms in its fixed order, keeps its bits.  The same
+holds for each term V[n, m]·phase_m·V[k, m] of ``op``.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ class FrftKernel:
     @property
     def op(self) -> Operator:
         """The dense kernel V·diag(phases)·Vᵀ, built afresh on each read."""
-        vecs = self.basis.vectors
+        vecs = self.basis._held_vectors()
         mat = (vecs * self.phases[None, :]) @ vecs.T
         return Operator(self.basis.lattice, mat)
 
@@ -67,7 +75,7 @@ def apply_frft(kernel: FrftKernel, sig: Signal) -> Signal:
     # Two real products on the (d, 2) float view of the complex signal: a
     # complex matmul would upcast V to a complex copy on every call.  The
     # phases scale the coefficients in place, through their complex view.
-    vecs = kernel.basis.vectors
+    vecs = kernel.basis._held_vectors()
     x = np.ascontiguousarray(sig.amp, dtype=complex).view(np.float64).reshape(-1, 2)
     coef = np.dot(vecs.T, x)
     coef.view(complex)[:, 0] *= kernel.phases

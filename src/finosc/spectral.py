@@ -30,9 +30,17 @@ raises; there is no quiet fallback.
 A basis build forms one d×d array, the returned V.  Before V it holds the
 half-size blocks E, O, C and S and the block eigenpairs, and ⟨v, Fv⟩ is read
 then, so that only the block vectors are left when V is formed.  After it,
-the alternation counts, the sign fix and the parity check run over blocks of
+the alternation counts and the parity check run over blocks of
 ``reference._BLOCK`` columns.  The traced peak of a build is 1.8 d² doubles
 at d = 1001, V included.
+
+Every label and audit is blind to the sign of a column, and LAPACK leaves
+those signs arbitrary.  The convention that each overlap with ⁴√δ·Ψ_m is
+positive costs one pass of the Hermite recurrence to order d - 1, so a
+basis pays it when ``vectors`` is first read, not when it is built (see
+``SpectralBasis``).  Until then it holds V as mirrored from the block
+vectors, which every reader that sees a column v only through v·vᵀ, such as
+the fractional Fourier transform, takes as it is.
 """
 
 from __future__ import annotations
@@ -190,6 +198,32 @@ def _block_counts(vecs: np.ndarray) -> np.ndarray:
 _FOURIER_ROOTS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
+@dataclass(frozen=True)
+class _Mirrored:
+    """V as mirrored from the block eigenvectors, its column signs not yet fixed."""
+
+    vecs: np.ndarray
+
+
+def _signed(vecs: np.ndarray, lat: Lattice) -> np.ndarray:
+    """A new array of the columns of ``vecs``, column m signed so that its
+    overlap with ⁴√δ·Ψ_m is positive; where that overlap vanishes
+    numerically, its largest entry is made positive instead.  ``vecs`` is
+    only read.  One pass of the Hermite recurrence, a block of orders (and
+    of columns) at a time.
+    """
+    signed = np.empty_like(vecs)
+    scale = lat.delta**0.25
+    for first, herm in reference._hermite_blocks(lat.d - 1, lat.points):
+        cols = slice(first, first + len(herm))
+        block = vecs[:, cols]
+        overlaps = np.einsum("mn,nm->m", scale * herm, block)
+        peaks = block[np.argmax(np.abs(block), axis=0), np.arange(len(herm))]
+        signs = np.where(np.abs(overlaps) > ZERO_SKIP, np.sign(overlaps), np.sign(peaks))
+        np.multiply(block, signs, out=signed[:, cols])
+    return signed
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Orthonormal eigenbasis ordered by quantum number, with audited labels.
@@ -206,15 +240,38 @@ class SpectralBasis:
     for the most oscillatory vectors at large d, whose faintest genuine
     lobes sink below the relative counting floor; such counts fall short of
     m by an even amount and are reported as measured.
+
+    ``oscillator_basis`` hands back V as mirrored from its block vectors,
+    with the signs LAPACK gave them.  The first read of ``vectors`` fixes
+    the signs (``_signed``) in a new array, which then replaces the held one
+    in a single attribute swap: an array a caller already holds is never
+    written, a concurrent reader sees the old V or the new one, and two
+    first reads that race build equal arrays.  A record built with an array
+    takes it as its signed vectors.
     """
 
     lattice: Lattice
     kind: str
     values: np.ndarray
-    vectors: np.ndarray
+    _vectors: np.ndarray | _Mirrored
     alternations: np.ndarray
     parities: np.ndarray
     fourier_indices: np.ndarray
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """V, its column signs fixed on the first read."""
+        held = self._vectors
+        if isinstance(held, _Mirrored):
+            held = _signed(held.vecs, self.lattice)
+            object.__setattr__(self, "_vectors", held)
+        return held
+
+    def _held_vectors(self) -> np.ndarray:
+        """V with whichever column signs the basis holds, fixed or not, for a
+        reader that sees each column v only through v·vᵀ."""
+        held = self._vectors
+        return held.vecs if isinstance(held, _Mirrored) else held
 
     def vector(self, m: int) -> Signal:
         m = _as_int(m, "quantum number")
@@ -339,8 +396,9 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     the eigenvalues are strictly monotone in m (ascending for 'frame',
     descending for 'harper'; the first even vector must be nodeless).
     Interleaving the two blocks gives the alternation ordering wherever the
-    count is resolvable, and extends it where it is not.  Each vector's sign
-    makes its overlap with ⁴√δ·Ψ_m positive.  Each label is then audited
+    count is resolvable, and extends it where it is not.  Each vector's sign,
+    fixed when ``vectors`` is first read, makes its overlap with ⁴√δ·Ψ_m
+    positive; no label depends on it.  Each label is audited
     three ways: parity must equal m mod 2, the Fourier eigenvalue must equal
     (-i)^m (this pins m mod 4 and catches any within-block misordering), and
     the measured alternation count must equal m wherever resolvable.  A
@@ -385,8 +443,8 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     # the blocks are exactly symmetric, so LAPACK takes them as they are
     solved = [np.linalg.eigh(even), np.linalg.eigh(odd)]
     ordered = [(w[::-1], v[:, ::-1]) for w, v in solved] if kind == "harper" else solved
-    # ⟨v, Fv⟩ is read from the block vectors, which the sign fix leaves as
-    # they are, so F's blocks go before the audit and H's before V is formed
+    # ⟨v, Fv⟩ is read from the block vectors, whose signs do not move it, so
+    # F's blocks go before the audit and H's before V is formed
     z = _fourier_expectations(cos, sin, ordered[0][1], ordered[1][1])
     del cos, sin
     even_resid, odd_resid, defect = _parity_readings(even, odd, *solved)
@@ -415,16 +473,11 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
             f"({alternations[0]} sign alternations)"
         )
 
-    # sign-fix against the sampled Hermite functions, a block of orders at a
-    # time; where the reference overlap vanishes numerically, pin the largest
-    # entry positive instead
-    scale = lat.delta**0.25
-    for first, herm in reference._hermite_blocks(d - 1, lat.points):
-        cols = slice(first, first + len(herm))
+    # a column and its mirror image change sign together, so the parity
+    # check runs before the signs are fixed
+    for first in range(0, d, reference._BLOCK):
+        cols = slice(first, first + reference._BLOCK)
         block = vecs[:, cols]
-        overlaps = np.einsum("mn,nm->m", scale * herm, block)
-        peaks = block[np.argmax(np.abs(block), axis=0), np.arange(len(herm))]
-        block *= np.where(np.abs(overlaps) > ZERO_SKIP, np.sign(overlaps), np.sign(peaks))
         m = _first(np.any(block[::-1] != block * (1 - 2 * parities[cols]), axis=0))
         if m is not None:
             raise RuntimeError(f"vector {first + m} is not of parity {(first + m) % 2}")
@@ -452,7 +505,7 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
         lattice=lat,
         kind=kind,
         values=vals,
-        vectors=vecs,
+        _vectors=_Mirrored(vecs),
         alternations=alternations,
         parities=parities,
         fourier_indices=fourier_indices,

@@ -145,6 +145,26 @@ def test_compare_normalized_ladder_differs(capsys):
     assert dr_norm[0] == dr_raw[0]
 
 
+def test_compare_signs_both_bases_before_it_builds_the_ladder(monkeypatch, capsys):
+    # a first read of V holds it twice for a moment; with the ladder's d
+    # states alive too, that moment would set the command's peak
+    built = []
+    build, ladder = cli.oscillator_basis, cli.ladder_states
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def checked(*args):
+        assert [type(b._vectors) for b in built] == [np.ndarray, np.ndarray]
+        return ladder(*args)
+
+    monkeypatch.setattr(cli, "oscillator_basis", recorded)
+    monkeypatch.setattr(cli, "ladder_states", checked)
+    code, out, _ = run_cli(capsys, "compare", "--d", "21")
+    assert code == 0 and len(built) == 2
+
+
 def test_frft_both_methods_layout(capsys):
     code, out, err = run_cli(capsys, "frft")
     assert code == 0

@@ -1,6 +1,8 @@
 """Fractional transform families from the two eigenbases."""
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from finosc import (
     Signal,
+    SpectralBasis,
     apply_frft,
     continuous_frft_oracle,
     dft_operator,
@@ -18,6 +21,7 @@ from finosc import (
     make_lattice,
     oscillator_basis,
     rectangular_signal,
+    reference,
 )
 from finosc.cli import main
 from finosc.frft import CACHE_SIZE, _phases
@@ -305,3 +309,85 @@ def test_kernel_oracle_and_cli_refuse_a_non_finite_order_alike(harper_basis21, c
     assert str(kernel.value) == str(oracle.value) == message
     assert main(["frft", f"--alpha={alpha}"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _outputs(basis, lat):
+    rng = np.random.default_rng(7)
+    signals = [
+        Signal(lat, rng.standard_normal(lat.d) + 1j * rng.standard_normal(lat.d)),
+        Signal(lat, rng.standard_normal(lat.d)),
+        rectangular_signal(lat),
+    ]
+    outs = []
+    for alpha in (0.0, 1.0, 2.0, -1.3, 0.37, 5.1):
+        kern = frft_kernel(basis, alpha)
+        outs.append(kern.op.mat)
+        outs += [apply_frft(kern, sig).amp for sig in signals]
+    return outs
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+@pytest.mark.parametrize("d", [5, 21, 101, 151])
+def test_the_transform_is_bitwise_blind_to_column_signs(d, kind):
+    # a negated column negates its coefficient row exactly, and both factors
+    # of each product of the second call, so no bit of a sum moves
+    lat = make_lattice(d)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    basis = oscillator_basis(op, lat, kind)
+    held = basis._held_vectors()
+    unsigned = _outputs(basis, lat)
+    flips = np.where(np.random.default_rng(d).random(d) < 0.5, -1.0, 1.0)
+    twin = SpectralBasis(lat, kind, basis.values, held * flips,
+                         basis.alternations, basis.parities, basis.fourier_indices)
+    signed = basis.vectors
+    assert np.any(signed != held)
+    for outs in (_outputs(twin, lat), _outputs(basis, lat)):
+        for a, b in zip(outs, unsigned):
+            assert np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def test_spectrum_and_the_transform_run_no_hermite_pass(monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("a Hermite pass ran")
+
+    monkeypatch.setattr(reference, "_hermite_blocks", refused)
+    for method in ("frame", "harper"):
+        assert main(["spectrum", "--d", "51", "--method", method]) == 0
+    assert main(["frft", "--d", "51", "--alpha", "0.7", "--signal", "gauss:1.3"]) == 0
+    lat = make_lattice(51)
+    basis = oscillator_basis(harper_hamiltonian(lat), lat, "harper")
+    apply_frft(frft_kernel(basis, 0.3), rectangular_signal(lat))
+    frft_kernel(basis, 0.3).op
+    capsys.readouterr()
+
+
+def test_a_transform_running_beside_the_first_read_keeps_its_bits(lat21):
+    # the first read builds the signed V in a new array, so a transform that
+    # holds the old one never reads a half-signed matrix; more threads than
+    # cores, switching often
+    sig = rectangular_signal(lat21)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            basis = oscillator_basis(frame_hamiltonian(lat21).op, lat21, "frame")
+            kern = frft_kernel(basis, 0.37)
+            want = apply_frft(kern, sig).amp
+            start = threading.Barrier(4, timeout=10)
+            outs = []
+
+            def transform():
+                start.wait()
+                outs.extend(apply_frft(kern, sig).amp for _ in range(200))
+
+            workers = [threading.Thread(target=transform) for _ in range(3)]
+            for t in workers:
+                t.start()
+            start.wait()
+            basis.vectors
+            for t in workers:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in workers)
+            assert len(outs) == 600 and all(np.array_equal(out, want) for out in outs)
+    finally:
+        sys.setswitchinterval(switch)

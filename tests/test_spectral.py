@@ -1,6 +1,10 @@
 """Audited LAPACK eigensolver, the finite-difference oscillator, and label audits."""
 
+import gc
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -602,11 +606,13 @@ def _record(kind, lat):
 @pytest.mark.parametrize("d", [5, 21, 101])
 def test_a_basis_has_the_same_bits_in_any_block_size(d, kind, monkeypatch):
     # the sign fix, the peaks, the parity check and the alternation counts
-    # run over blocks of columns; each step is per column
+    # run over blocks of columns; each step is per column.  Each basis fixes
+    # its signs on the first read of its vectors, under the block size set then
     lat = make_lattice(d)
     op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
     monkeypatch.setattr(reference, "_BLOCK", d)
     whole = oscillator_basis(op, lat, kind)
+    whole.vectors  # signed now, in one block
     for block in (1, 7, 32):
         monkeypatch.setattr(reference, "_BLOCK", block)
         basis = oscillator_basis(op, lat, kind)
@@ -766,16 +772,127 @@ def test_half_grid_count_equals_the_full_count(d, kind):
         assert basis.alternations[m] == full
 
 
-def test_basis_is_a_frozen_record_with_an_identity_hash(frame_basis21):
-    b = frame_basis21
-    fields = ("lattice", "kind", "values", "vectors", "alternations",
+def test_basis_is_a_frozen_record_with_an_identity_hash(lat21, frame21):
+    # a basis of its own: a shared one may have had its signs fixed already
+    b = oscillator_basis(frame21.op, lat21, "frame")
+    fields = ("lattice", "kind", "values", "_vectors", "alternations",
               "parities", "fourier_indices")
+    # the record holds its labelled basis and nothing else; V waits, as
+    # mirrored from its blocks, for its first read
+    assert tuple(vars(b)) == fields
+    assert isinstance(b._vectors, spectral._Mirrored)
+    vecs = b.vectors
+    assert tuple(vars(b)) == fields and b._vectors is vecs and b.vectors is vecs
     twin = SpectralBasis(*(getattr(b, f) for f in fields))
     assert twin != b and hash(twin) == object.__hash__(twin)
-    # the record holds its labelled basis and nothing else
-    assert tuple(vars(twin)) == fields
+    # a record built with an array takes it as its signed vectors
+    assert twin.vectors is vecs and twin._held_vectors() is vecs
     assert np.array_equal(twin.vector(3).amp, b.vectors[:, 3])
     with pytest.raises(AttributeError):
         twin.values = b.values
+    with pytest.raises(AttributeError):
+        twin.vectors = vecs
     with pytest.raises(TypeError):
         SpectralBasis(*(getattr(b, f) for f in fields), {})
+
+
+def _hermite_pass_refused(*args):
+    raise AssertionError("a Hermite pass ran")
+
+
+def _sign_rule(lat, vecs):
+    # the convention written out over the whole sample table: column m of V
+    # times the sign of its overlap with ⁴√δ·Ψ_m, or, where that overlap is
+    # at most ZERO_SKIP, the sign of its largest entry
+    overlaps = np.einsum("mn,nm->m", reference._sample_table(lat), vecs)
+    peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(lat.d)]
+    return vecs * np.where(np.abs(overlaps) > spectral.ZERO_SKIP, np.sign(overlaps), np.sign(peaks))
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+@pytest.mark.parametrize("d", [5, 7, 21, 101, 303])
+def test_first_read_signs_the_held_columns_by_the_hermite_overlaps(d, kind):
+    lat = make_lattice(d)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    basis = oscillator_basis(op, lat, kind)
+    held = basis._held_vectors().copy()
+    assert np.array_equal(basis.vectors, _sign_rule(lat, held))
+    # the rule is its own fixed point, so a signed basis is signed again as is
+    assert np.array_equal(_sign_rule(lat, basis.vectors), basis.vectors)
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+def test_a_basis_build_runs_no_hermite_pass(monkeypatch, kind):
+    lat = make_lattice(51)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    hermite = reference._hermite_blocks
+    monkeypatch.setattr(reference, "_hermite_blocks", _hermite_pass_refused)
+    basis = oscillator_basis(op, lat, kind)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return hermite(*args)
+
+    monkeypatch.setattr(reference, "_hermite_blocks", counted)
+    vecs = basis.vectors
+    assert calls == [lat.d - 1]
+    assert basis.vectors is vecs and basis.vector(7).amp[0] == vecs[0, 7]
+    assert calls == [lat.d - 1]
+
+
+@pytest.mark.parametrize("kind", ["frame", "harper"])
+def test_vector_accessor_is_the_signed_column(kind):
+    # on a fresh basis the accessor is the first read
+    lat = make_lattice(21)
+    op = frame_hamiltonian(lat).op if kind == "frame" else harper_hamiltonian(lat)
+    fresh = [oscillator_basis(op, lat, kind) for _ in range(lat.d)]
+    signed = oscillator_basis(op, lat, kind).vectors
+    for m, basis in enumerate(fresh):
+        v = basis.vector(m).amp
+        assert np.array_equal(v, signed[:, m]) and np.array_equal(v, basis.vectors[:, m])
+
+
+def test_the_first_read_writes_no_array_and_leaves_one_behind(lat21, frame21):
+    basis = oscillator_basis(frame21.op, lat21, "frame")
+    held = basis._held_vectors()
+    before = held.copy()
+    gone = weakref.ref(held)
+    vecs = basis.vectors
+    # half the columns change sign, in a new array; the held one is intact
+    assert vecs is not held and np.any(vecs != held)
+    assert np.array_equal(held, before)
+    del held
+    gc.collect()
+    assert gone() is None
+    assert basis._held_vectors() is vecs
+
+
+def test_first_reads_that_race_build_equal_arrays(lat21, frame21):
+    # more readers than cores, switching often: whichever read's array the
+    # basis keeps, every reader gets the same bits and the held V is intact
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            basis = oscillator_basis(frame21.op, lat21, "frame")
+            held = basis._held_vectors()
+            before = held.copy()
+            start = threading.Barrier(4, timeout=10)
+            seen = []
+
+            def read():
+                start.wait()
+                seen.append(basis.vectors)
+
+            readers = [threading.Thread(target=read) for _ in range(4)]
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in readers)
+            assert len(seen) == 4 and all(np.array_equal(v, seen[0]) for v in seen)
+            assert any(basis.vectors is v for v in seen)
+            assert np.array_equal(held, before)
+    finally:
+        sys.setswitchinterval(switch)
