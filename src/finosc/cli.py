@@ -209,10 +209,10 @@ def cmd_compare(cfg) -> int:
     # holding two copies of V meanwhile, so that read comes before the ladder
     for basis in (frame_basis, harper_basis):
         basis.vectors
-    ladder = ladder_states(frame, lat.d)
+    ladder = ladder_states(frame)
     if cfg.normalize_ladder:
         ladder = [Signal(lat, f.amp / np.linalg.norm(f.amp)) for f in ladder]
-    rep = deviation_report(lat, frame_basis, harper_basis, ladder)
+    rep = deviation_report(frame_basis, harper_basis, ladder)
     cols = (np.arange(lat.d), rep.delta_f, rep.delta_h, rep.delta_m, rep.delta_r)
     return _emit_table(("m", "delta_f", "delta_h", "delta_m", "delta_r"), cols, cfg)
 

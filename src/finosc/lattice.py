@@ -18,25 +18,23 @@ from functools import cached_property
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Lattice:
     """Grid descriptor: dimension d = 2s+1, half-width s, spacing² δ = 2π/d.
 
-    Two lattices are interchangeable exactly when their dimensions match, so
-    equality and hashing look only at d.
+    The record holds d alone; s, δ and the grids derive from it, so two
+    lattices are equal, and hash equal, exactly when their dimensions match.
     """
 
     d: int
-    s: int
-    delta: float
 
-    def __eq__(self, other):
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return self.d == other.d
+    @cached_property
+    def s(self) -> int:
+        return (self.d - 1) // 2
 
-    def __hash__(self):
-        return hash(("Lattice", self.d))
+    @cached_property
+    def delta(self) -> float:
+        return 2.0 * np.pi / self.d
 
     @property
     def sqrt_delta(self) -> float:
@@ -88,7 +86,7 @@ def make_lattice(d: int) -> Lattice:
         raise ValueError(f"dimension must be odd, got {d}")
     if d < 5:
         raise ValueError(f"dimension must be at least 5, got {d}")
-    return Lattice(d=d, s=(d - 1) // 2, delta=2.0 * np.pi / d)
+    return Lattice(d)
 
 
 class Signal:

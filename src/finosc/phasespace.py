@@ -94,13 +94,13 @@ def _displacement_parts(lat: Lattice, a, b) -> tuple[np.ndarray, np.ndarray]:
     return lat.pos(n - a[..., None]), vals
 
 
-def displacement(lat: Lattice, p: PhasePoint) -> Operator:
-    """Matrix of D(α, β): the one-point scatter of ``_displacement_parts``.
+def displacement(p: PhasePoint) -> Operator:
+    """Matrix of D(α, β) on the lattice of ``p``: the one-point scatter of
+    ``_displacement_parts``.
 
     Row n gets e^{-iαβ/2}·e^{iβ·n√δ} at column (n - a) mod d.
     """
-    if p.lattice != lat:
-        raise ValueError("phase point belongs to a different lattice")
+    lat = p.lattice
     cols, vals = _displacement_parts(lat, p.a_idx, p.b_idx)
     mat = np.zeros((lat.d, lat.d), dtype=complex)
     mat[lat.pos(lat.indices), cols] = vals
@@ -127,13 +127,12 @@ class CoherentFrame:
     at flat index p = (a + s)·d + (b + s), the deterministic row-major sweep
     used by every quantization sum.  It costs d³ complex numbers, so only
     the brute-force oracles (``frame_quantize``, ``frame_operator``) and
-    small-grid checks read it.
+    small-grid checks read it.  The frame lives on the lattice of its
+    ground state.
     """
 
-    def __init__(self, lattice: Lattice, ground: GroundState):
-        if ground.lattice != lattice:
-            raise ValueError("ground state belongs to a different lattice")
-        self.lattice = lattice
+    def __init__(self, ground: GroundState):
+        self.lattice = ground.lattice
         self.ground = ground
 
     @cached_property
@@ -175,7 +174,7 @@ class CoherentFrame:
 
 def coherent_frame(lat: Lattice) -> CoherentFrame:
     """The coherent family of ``lat``, stored as its ground state."""
-    return CoherentFrame(lat, ground_state(lat))
+    return CoherentFrame(ground_state(lat))
 
 
 def _overlaps(frame: CoherentFrame, a1, b1, a2, b2) -> np.ndarray:

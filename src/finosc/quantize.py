@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Lattice, Operator, Signal, _as_int
+from .lattice import Lattice, Operator, Signal
 from .fourier import CirculantSpec, circulant, cyclic_windows, equidistant_circulant
 from .phasespace import CoherentFrame, PhasePoint
 from .thetagauss import ground_state
@@ -113,7 +113,7 @@ class FrameHamiltonian:
 def frame_hamiltonian(lat: Lattice) -> FrameHamiltonian:
     """The quantized energy (α² + β²)/2 less the half-quantum, as (w, c)."""
     half_q2 = 0.5 * lat.points**2
-    frame = CoherentFrame(lat, ground_state(lat))
+    frame = CoherentFrame(ground_state(lat))
     well, hop = _separable_parts(frame, half_q2, half_q2)
     # both parts read at |n|, so H is exactly symmetric and centro-symmetric
     at = lat.pos(np.abs(lat.indices))
@@ -191,8 +191,9 @@ def raising_operator(frame: CoherentFrame) -> CirculantSpec:
     return circulant(lat, _real(hop, "hop coefficients of the raising operator"), well)
 
 
-def ladder_states(frame: CoherentFrame, count: int) -> list[Signal]:
-    """f̃_0 = g and f̃_{n+1} = a⁺ f̃_n / √(n+1), not re-normalized.
+def ladder_states(frame: CoherentFrame) -> list[Signal]:
+    """The d states f̃_0 = g and f̃_{n+1} = a⁺ f̃_n / √(n+1), n < d - 1,
+    not re-normalized.
 
     The drift of f̃_n away from unit norm is part of what the ladder
     comparison is meant to expose, so no normalization is applied.  The
@@ -202,13 +203,10 @@ def ladder_states(frame: CoherentFrame, count: int) -> list[Signal]:
     runs under ``np.errstate``, so no RuntimeWarning escapes.
     """
     lat = frame.lattice
-    count = _as_int(count, "count")
-    if not 1 <= count <= lat.d:
-        raise ValueError(f"count must be in 1..{lat.d}, got {count}")
     ap = raising_operator(frame).mat
     states = [Signal(lat, frame.ground.amp.copy())]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(count - 1):
+        for n in range(lat.d - 1):
             nxt = ap @ states[-1].amp / np.sqrt(n + 1.0)
             if not (np.all(np.isfinite(nxt)) and np.isfinite(nxt @ nxt)):
                 raise ArithmeticError(

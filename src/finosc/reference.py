@@ -37,10 +37,20 @@ import numpy as np
 
 from .lattice import Lattice, Signal, _as_int
 from .phasespace import CoherentFrame, PhasePoint, _coherent_amplitudes
+from .thetagauss import _TOL
 
 _FAR = 708.0  # π^{-1/4}·e^{-x²/2} is a normal float up to x²/2 = 708
 _LN512 = 512.0 * math.log(2.0)
 _BLOCK = 32  # orders, or basis columns, per block of a streamed pass
+_WINDOW = 8  # half-width, in grid steps, of the coherent deviation window
+
+
+def _hermite_count(M) -> int:
+    """M as a count of Hermite orders, refused unless it is a positive int."""
+    M = _as_int(M, "M")
+    if M < 1:
+        raise ValueError(f"need at least one Hermite order, got M={M}")
+    return M
 
 
 def _eigenphases(alpha: float, count: int) -> np.ndarray:
@@ -183,28 +193,21 @@ def _displaced_ground_amplitudes(lat: Lattice, a, b) -> np.ndarray:
     ) * env
 
 
-def displaced_ground_sample(lat: Lattice, p: PhasePoint) -> Signal:
-    """Samples of the displaced continuous ground state,
+def displaced_ground_sample(p: PhasePoint) -> Signal:
+    """Samples of the displaced continuous ground state on the lattice of ``p``,
 
     ⁴√δ·e^{-iαβ/2}·e^{iβ·n√δ}·Ψ_0(n√δ - α),
 
     the line-side twin of the coherent state at the same phase-space point.
     """
-    if p.lattice != lat:
-        raise ValueError("phase point belongs to a different lattice")
+    lat = p.lattice
     return Signal(lat, _displaced_ground_amplitudes(lat, p.a_idx, p.b_idx))
 
 
-def coherent_deviation_table(
-    frame: CoherentFrame, a_indices, b_indices, window: int = 8
-) -> np.ndarray:
-    """max_{|n| ≤ window} |discrete state - continuous samples| per (a, b)."""
-    window = _as_int(window, "window")
-    if window < 0:
-        raise ValueError(f"window must be non-negative, got {window}")
+def coherent_deviation_table(frame: CoherentFrame, a_indices, b_indices) -> np.ndarray:
+    """max_{|n| ≤ 8} |discrete state - continuous samples| per (a, b)."""
     lat = frame.lattice
-    window = min(window, lat.s)
-    sel = np.abs(lat.indices) <= window
+    sel = np.abs(lat.indices) <= _WINDOW
     a = np.array([_as_int(i, "entry of a_indices") for i in a_indices], dtype=int)
     b = np.array([_as_int(i, "entry of b_indices") for i in b_indices], dtype=int)
     for idx in (a, b):
@@ -220,17 +223,17 @@ def coherent_deviation_table(
     return np.max(np.abs(disc[..., sel] - cont[..., sel]), axis=-1)
 
 
-def _periodized_blocks(lat: Lattice, mmax: int, tol: float = 1e-18):
+def _periodized_blocks(lat: Lattice, mmax: int):
     """Φ_0..Φ_mmax of the periodized Hermite-Gaussians in blocks: yields
     (first, block) with block[i] = Φ_{first+i}, one new array per block.
 
     Terms beyond the classical turning point √(2m+1) decay like a Gaussian in
     the excess distance; the wrap sum keeps every ℓ whose argument stays
     within a generous margin past the turning point of the highest order,
-    which puts the omitted terms of every row far below ``tol``.  Only one
+    which puts the omitted terms of every row far below 1e-18.  Only one
     block of the Hermite values over the wrapped points is held at a time.
     """
-    margin = np.sqrt(2.0 * np.log(1.0 / tol)) + 2.0
+    margin = np.sqrt(2.0 * np.log(1.0 / _TOL)) + 2.0
     x_cut = np.sqrt(2.0 * mmax + 1.0) + margin
     lmax = int(np.ceil((x_cut / lat.sqrt_delta + lat.s) / lat.d)) + 1
     ell = np.arange(-lmax, lmax + 1)
@@ -239,23 +242,21 @@ def _periodized_blocks(lat: Lattice, mmax: int, tol: float = 1e-18):
         yield first, vals.reshape((len(vals),) + args.shape).sum(axis=1)
 
 
-def _periodized_table(lat: Lattice, mmax: int, tol: float = 1e-18) -> np.ndarray:
+def _periodized_table(lat: Lattice, mmax: int) -> np.ndarray:
     """Rows Φ_0..Φ_mmax of the periodized Hermite-Gaussians, shape (mmax+1, d)."""
-    return np.concatenate([block for _, block in _periodized_blocks(lat, mmax, tol)])
+    return np.concatenate([block for _, block in _periodized_blocks(lat, mmax)])
 
 
-def mehta_function(lat: Lattice, m: int, tol: float = 1e-18) -> Signal:
+def mehta_function(lat: Lattice, m: int) -> Signal:
     """Periodized Hermite-Gaussian Φ_m(n) = Σ_ℓ Ψ_m((ℓd+n)√δ), unnormalized.
 
     The wrap sum is truncated so that the omitted terms stay far below
-    ``tol`` (see ``_periodized_blocks``), which must lie in (0, 1).
+    1e-18 (see ``_periodized_blocks``).
     """
     m = _as_int(m, "order")
     if m < 0:
         raise ValueError(f"order must be non-negative, got {m}")
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
-    return Signal(lat, _periodized_table(lat, m, tol)[m])
+    return Signal(lat, _periodized_table(lat, m)[m])
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,14 +270,16 @@ class DeviationReport:
     delta_r: np.ndarray  # ladder states from the raising operator
 
 
-def deviation_report(lat: Lattice, frame_basis, harper_basis, ladder) -> DeviationReport:
-    """Compare the four discrete families against the scaled line samples.
+def deviation_report(frame_basis, harper_basis, ladder) -> DeviationReport:
+    """Compare the four discrete families against the scaled line samples,
+    on the lattice of ``frame_basis``.
 
     The eigenbases arrive sign-fixed and unit-norm.  The periodized samples
     Φ_m are normalized (and sign-aligned) here, putting all four families on
     the same footing as the unit-norm targets; ladder states are compared as
     constructed, so their drift includes normalization loss.
     """
+    lat = frame_basis.lattice
     d = lat.d
     if len(ladder) != d:
         raise ValueError(f"expected {d} ladder states, got {len(ladder)}")
@@ -318,7 +321,8 @@ class GaussianProfile:
         return np.exp(-0.5 * self.kappa * np.asarray(x, dtype=float) ** 2)
 
     def coefficients(self, M: int) -> np.ndarray:
-        """⟨Ψ_m, ψ⟩ for m = 0..M-1."""
+        """⟨Ψ_m, ψ⟩ for m = 0..M-1; M must be a positive int."""
+        M = _hermite_count(M)
         c = np.zeros(M)
         c[0] = np.pi**0.25 * math.sqrt(2.0 / (1.0 + self.kappa))
         r = (1.0 - self.kappa) / (1.0 + self.kappa)
@@ -345,7 +349,8 @@ class RectangularProfile:
         return np.where(np.abs(np.asarray(x, dtype=float)) <= self.half_width, 1.0, 0.0)
 
     def coefficients(self, M: int) -> np.ndarray:
-        """⟨Ψ_m, ψ⟩ for m = 0..M-1."""
+        """⟨Ψ_m, ψ⟩ for m = 0..M-1; M must be a positive int."""
+        M = _hermite_count(M)
         h = self.half_width
         edge = _hermite_all(M - 1, np.array([h]))[:, 0]
         c = np.zeros(M)
@@ -388,9 +393,7 @@ def continuous_frft_oracle(psi, alpha: float, lat: Lattice, M: int = 64) -> Sign
     box columns are truncation-limited: at d = 101 and α = 0.5, M = 64 and
     M = 300 differ by 24%.
     """
-    M = _as_int(M, "M")
-    if M < 1:
-        raise ValueError(f"need at least one Hermite order, got M={M}")
+    M = _hermite_count(M)
     phases = _eigenphases(alpha, M)
     coeffs = psi.coefficients(M)
     grid_basis = _hermite_all(M - 1, lat.points)

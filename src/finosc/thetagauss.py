@@ -26,6 +26,8 @@ import numpy as np
 from .lattice import Lattice
 
 _EPS = np.finfo(float).eps
+# first omitted term of every truncated series here and in ``reference``
+_TOL = 1e-18
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,30 +96,25 @@ def frequency_series(lat: Lattice, kappa: float, tol: float):
     return scale * _mirror(half), L, tail
 
 
-def theta_gaussian(lat: Lattice, kappa: float, tol: float = 1e-18) -> ThetaGaussian:
-    """Sample 𝐠_κ on the grid.
+def theta_gaussian(lat: Lattice, kappa: float) -> ThetaGaussian:
+    """Sample 𝐠_κ on the grid, truncated at the smallest L whose first
+    omitted series term is below 1e-18 at the worst grid index.
 
     Parameters
     ----------
     lat : Lattice
     kappa : float
         Width parameter, must be positive and finite.
-    tol : float
-        Target size of the first omitted series term, in (0, 1); the
-        truncation order is the smallest L achieving it at the worst grid
-        index.
     """
     if not 0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
     # an extreme width overflows the series rate or scale; the samples or
     # their squared norm then leave the float range and are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if kappa * lat.d >= 1.0:
-            amp, L, tail = spatial_series(lat, kappa, tol)
+            amp, L, tail = spatial_series(lat, kappa, _TOL)
         else:
-            amp, L, tail = frequency_series(lat, kappa, tol)
+            amp, L, tail = frequency_series(lat, kappa, _TOL)
         finite = np.all(np.isfinite(amp)) and np.isfinite(np.sum(amp * amp))
     if not finite:
         raise ValueError(
@@ -129,24 +126,22 @@ def theta_gaussian(lat: Lattice, kappa: float, tol: float = 1e-18) -> ThetaGauss
     )
 
 
-def jacobi_theta3(z, t: float, tol: float = 1e-18):
+def jacobi_theta3(z, t: float):
     """θ₃(z, it) = 1 + 2·Σ_{α≥1} exp(-πtα²)·cos(2παz) for purely imaginary nome.
 
     ``z`` is a float or an array of floats; an array gives the array of
     values, each bit for bit the scalar call at that z, from one pass over
     the series.  t must be positive; the series is truncated once its terms
-    drop below tol, which must lie in (0, 1).
+    drop below 1e-18.
     """
     if not t > 0:
         raise ValueError(f"theta nome parameter t must be positive, got {t}")
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
     z = np.asarray(z, dtype=float)
     total = np.ones_like(z)
     alpha = 1
     while True:
         w = np.exp(-np.pi * t * alpha * alpha)
-        if 2.0 * w < tol:
+        if 2.0 * w < _TOL:
             break
         total += 2.0 * w * np.cos(2.0 * np.pi * alpha * z)
         alpha += 1
@@ -167,7 +162,7 @@ class GroundState:
         return float(self.amp[self.lattice.pos(j)])
 
 
-def ground_state(lat: Lattice, tol: float = 1e-18) -> GroundState:
+def ground_state(lat: Lattice) -> GroundState:
     """Normalize 𝐠₁, computing 𝐍 two independent ways as a consistency check.
 
     Direct route: 𝐍² = Σ_n 𝐠₁(n√δ)².  Series route:
@@ -175,9 +170,9 @@ def ground_state(lat: Lattice, tol: float = 1e-18) -> GroundState:
     periodicity.  The two must agree to 1e-13; the direct value is the one
     used, so ‖g‖ = 1 to machine precision.
     """
-    tg = theta_gaussian(lat, 1.0, tol)
+    tg = theta_gaussian(lat, 1.0)
     n_direct = float(np.sqrt(np.sum(tg.amp * tg.amp)))
-    R = int(np.ceil(np.sqrt(lat.d * np.log(1.0 / tol) / np.pi))) + 1
+    R = int(np.ceil(np.sqrt(lat.d * np.log(1.0 / _TOL) / np.pi))) + 1
     r = np.arange(-R, R + 1)
     inner = tg.amp[lat.pos(-r)]
     n_series = float(np.sqrt(np.sum(np.exp(-np.pi * r * r / lat.d) * inner)))

@@ -41,7 +41,6 @@ from .phasespace import (
     _overlaps,
     displacement,
     momentum_operator,
-    position_operator,
 )
 from .thetagauss import (
     frequency_series,
@@ -83,7 +82,7 @@ class _Ctx:
 
     @cached_property
     def frame(self):
-        return CoherentFrame(self.lat, self.ground)
+        return CoherentFrame(self.ground)
 
     @cached_property
     def fh(self):
@@ -103,7 +102,7 @@ class _Ctx:
 
     @cached_property
     def ladder(self):
-        return quantize.ladder_states(self.frame, self.lat.d)
+        return quantize.ladder_states(self.frame)
 
     def random_signal(self) -> Signal:
         amp = self.rng.standard_normal(self.d) + 1j * self.rng.standard_normal(
@@ -434,7 +433,7 @@ def _chk_displacement_unitary(ctx):
     _require(worst < 1e-13, f"unitarity off by {worst:.2e}")
     rows = np.arange(lat.d)
     for p, q, c, v in zip(a, b, cols, vals):
-        mat = displacement(lat, PhasePoint(lattice=lat, a_idx=int(p), b_idx=int(q))).mat
+        mat = displacement(PhasePoint(lattice=lat, a_idx=int(p), b_idx=int(q))).mat
         _require(np.count_nonzero(mat) == lat.d, f"displacement ({p}, {q}) is not monomial")
         _require(np.array_equal(mat[rows, c], v), f"displacement ({p}, {q}) is not its parts")
     return f"random displacements unitary ({worst:.1e})"
@@ -941,9 +940,7 @@ def _ground_vector_bound(ctx) -> float:
 
 
 def _chk_deviation_report(ctx):
-    rep = reference.deviation_report(
-        ctx.lat, ctx.frame_basis, ctx.harper_basis, ctx.ladder
-    )
+    rep = reference.deviation_report(ctx.frame_basis, ctx.harper_basis, ctx.ladder)
     for arr in (rep.delta_f, rep.delta_h, rep.delta_m, rep.delta_r):
         _require(bool(np.all(arr >= 0.0)), "negative deviation")
     ground = _ground_vector_bound(ctx)

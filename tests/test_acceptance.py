@@ -363,7 +363,7 @@ def test_acceptance_8_raising_operator():
         fast = raising_operator(frame).mat
         assert not np.iscomplexobj(fast)
         assert np.max(np.abs(fast + fast[::-1, ::-1])) < 1e-11
-        ladder = ladder_states(frame, 21)
+        ladder = ladder_states(frame)
         for n in range(20):
             lhs = fast @ ladder[n].amp
             rhs = np.sqrt(n + 1.0) * ladder[n + 1].amp
@@ -396,8 +396,8 @@ def test_acceptance_9_transform_laws(kind):
 def test_acceptance_10_per_order_wins():
     def body():
         lat, fb, hb = _bases(21)
-        ladder = ladder_states(coherent_frame(lat), 21)
-        rep = deviation_report(lat, fb, hb, ladder)
+        ladder = ladder_states(coherent_frame(lat))
+        rep = deviation_report(fb, hb, ladder)
         assert int(np.sum(rep.delta_f < rep.delta_h)) >= 18
 
     _clause("10 (per-order accuracy wins)", body)

@@ -15,11 +15,11 @@ from finosc import (
     harper_hamiltonian,
     hermite_gaussian,
     hermite_sample,
-    ladder_states,
     make_lattice,
     mehta_function,
     oscillator_basis,
     phase_point,
+    rectangular_profile,
     transform_of_coordinate_at,
     transform_of_coordinate_squared_at,
 )
@@ -51,10 +51,16 @@ _CALLS = {
     "hermite_gaussian": (lambda lat, fr, b: hermite_gaussian(2.5, lat.points), "order"),
     "hermite_sample": (lambda lat, fr, b: hermite_sample(lat, 2.5), "order"),
     "mehta_function": (lambda lat, fr, b: mehta_function(lat, 2.5), "order"),
-    "ladder_states": (lambda lat, fr, b: ladder_states(fr, 2.5), "count"),
     "continuous_frft_oracle": (
         lambda lat, fr, b: continuous_frft_oracle(gaussian_profile(1.0), 0.5, lat, M=2.5),
         "M",
+    ),
+    # these raised a TypeError from inside NumPy
+    "GaussianProfile.coefficients": (
+        lambda lat, fr, b: gaussian_profile(1.0).coefficients(2.5), "M"
+    ),
+    "RectangularProfile.coefficients": (
+        lambda lat, fr, b: rectangular_profile(lat).coefficients(2.5), "M"
     ),
     "SpectralBasis.vector": (lambda lat, fr, b: b.vector(1.5), "quantum number"),
     "transform_of_coordinate_at": (
@@ -88,6 +94,8 @@ def test_bool_is_refused_and_numpy_integers_are_accepted(lat, frame, basis):
         basis_signal(lat, True)
     with pytest.raises(ValueError, match="index must be an integer, got True"):
         basis_signal(lat, 1)[True]
+    with pytest.raises(ValueError, match="M must be an integer, got True"):
+        rectangular_profile(lat).coefficients(True)
     assert basis_signal(lat, 1)[np.int64(1)] == 1.0
     assert np.array_equal(basis_signal(lat, np.int64(3)).amp, basis_signal(lat, 3).amp)
     assert transform_of_coordinate_at(lat, np.int32(3)) == transform_of_coordinate_at(lat, 3)
@@ -95,7 +103,8 @@ def test_bool_is_refused_and_numpy_integers_are_accepted(lat, frame, basis):
     assert (p.a_idx, p.b_idx) == (3, -2) and type(p.a_idx) is int
     assert PhasePoint(lat, np.int64(3), 0).a_idx == 3
     assert np.array_equal(basis.vector(np.int64(2)).amp, basis.vectors[:, 2])
-    assert len(ladder_states(frame, np.int64(3))) == 3
+    for psi in (gaussian_profile(1.0), rectangular_profile(lat)):
+        assert np.array_equal(psi.coefficients(np.int64(7)), psi.coefficients(7))
     assert np.array_equal(
         coherent_deviation_table(frame, np.array([1, 3]), [1]),
         coherent_deviation_table(frame, [1, 3], [1]),

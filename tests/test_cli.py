@@ -457,8 +457,8 @@ def spectrum_rows(d, method):
 
 def compare_rows(d):
     lat = make_lattice(d)
-    rep = deviation_report(lat, labeled(lat, "frame"), labeled(lat, "harper"),
-                           ladder_states(coherent_frame(lat), d))
+    rep = deviation_report(labeled(lat, "frame"), labeled(lat, "harper"),
+                           ladder_states(coherent_frame(lat)))
     rows = [(m, rep.delta_f[m], rep.delta_h[m], rep.delta_m[m], rep.delta_r[m])
             for m in range(d)]
     return ("m", "delta_f", "delta_h", "delta_m", "delta_r"), rows

@@ -1,9 +1,12 @@
 """Grid bookkeeping: index conventions, periodic access, inner product."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from finosc import (
+    Lattice,
     Signal,
     basis_signal,
     coordinate_signal,
@@ -53,6 +56,22 @@ def test_lattice_equality_is_by_dimension(lat5):
     assert lat5 == make_lattice(5)
     assert lat5 != make_lattice(7)
     assert hash(lat5) == hash(make_lattice(5))
+
+
+@pytest.mark.parametrize("d", [5, 7, 21, 101, 3001])
+def test_a_lattice_holds_its_dimension_alone(d):
+    # d is the whole record: s and δ derive from it, bit for bit the values
+    # the constructor once took beside it
+    assert [f.name for f in dataclasses.fields(Lattice)] == ["d"]
+    lat = Lattice(d)
+    assert type(lat.s) is int and lat.s == (d - 1) // 2
+    assert lat.delta.hex() == (2.0 * np.pi / d).hex()
+    assert lat == make_lattice(d) and hash(lat) == hash(make_lattice(d))
+    assert lat != Lattice(d + 2)
+    with pytest.raises(TypeError):
+        Lattice(d, (d - 1) // 2, 2.0 * np.pi / d)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lat.s = 0
 
 
 def test_signal_periodic_indexing(lat5):

@@ -208,8 +208,8 @@ def test_displacement_phases_depend_only_on_the_reduced_integers(d, seed):
     k = rng.integers(np.count_nonzero(same))
     a2, b2 = int(A[same][k]), int(B[same][k])
     n = lat.indices
-    e1 = displacement(lat, phase_point(lat, a, b)).mat[lat.pos(n), lat.pos(n - a)]
-    e2 = displacement(lat, phase_point(lat, a2, b2)).mat[lat.pos(n), lat.pos(n - a2)]
+    e1 = displacement(phase_point(lat, a, b)).mat[lat.pos(n), lat.pos(n - a)]
+    e2 = displacement(phase_point(lat, a2, b2)).mat[lat.pos(n), lat.pos(n - a2)]
     i, j = np.nonzero((b * n[:, None] - b2 * n[None, :]) % d == 0)
     assert len(i) > 0  # n = 0 always pairs with n = 0
     assert np.array_equal(e1[i], e2[j])

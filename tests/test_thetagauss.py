@@ -71,21 +71,19 @@ def test_rejects_bad_parameters(lat5):
         theta_gaussian(lat5, 0.0)
     with pytest.raises(ValueError):
         theta_gaussian(lat5, -1.0)
-    with pytest.raises(ValueError):
-        theta_gaussian(lat5, 1.0, tol=0.0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, 1.0, 2.0])
-@pytest.mark.parametrize("call", [
-    lambda lat, tol: theta_gaussian(lat, 1.0, tol=tol),
-    lambda lat, tol: ground_state(lat, tol=tol),
-    lambda lat, tol: jacobi_theta3(0.1, 0.5, tol),
-], ids=["theta_gaussian", "ground_state", "jacobi_theta3"])
-def test_refuses_a_tol_outside_the_unit_interval(lat21, call, tol):
-    # refused up front: a tol of 1 or more truncated to nothing or failed
-    # the normalizer check, and one of 0, below or NaN summed 100,000 terms
-    with pytest.raises(ValueError, match=r"^tol must be in \(0, 1\), got "):
-        call(lat21, tol)
+@pytest.mark.parametrize("d", [5, 21, 101])
+@pytest.mark.parametrize("kappa", [0.001, 0.01, 0.2, 1.0, 7.3])
+def test_samples_are_the_chosen_series_at_a_fixed_tolerance(d, kappa):
+    # the spatial sum from κd = 1 up, the frequency sum below, each truncated
+    # at a first omitted term of 1e-18
+    lat = make_lattice(d)
+    tg = theta_gaussian(lat, kappa)
+    series = spatial_series if kappa * d >= 1.0 else frequency_series
+    amp, L, tail = series(lat, kappa, 1e-18)
+    assert np.array_equal(tg.amp, amp)
+    assert (tg.truncation, tg.tail_bound) == (L, tail)
 
 
 # 1e308·π overflows the spatial rate, so its samples would be NaN; at 1e-310

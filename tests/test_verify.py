@@ -118,7 +118,7 @@ def test_deviation_report_passes_where_the_envelope_failed(d):
     ctx = _Ctx(d)
     _deviation_check()(ctx)
     ratio = deviation_report(
-        ctx.lat, ctx.frame_basis, ctx.harper_basis, ctx.ladder
+        ctx.frame_basis, ctx.harper_basis, ctx.ladder
     ).delta_f[0] / _ground_vector_bound(ctx)
     assert ratio < 0.1
 
@@ -151,7 +151,7 @@ def test_deviation_report_catches_a_fourier_invariant_change_of_h(d):
     mat = fh.op.mat + 1e-4 * (well + swap)
     ctx.fh = replace(fh, op=Operator(ctx.lat, mat))
     assert ctx.fh.op is not fh.op
-    rep = deviation_report(ctx.lat, ctx.frame_basis, ctx.harper_basis, ctx.ladder)
+    rep = deviation_report(ctx.frame_basis, ctx.harper_basis, ctx.ladder)
     assert rep.delta_f[0] < _ground_vector_bound(ctx)
     with pytest.raises(AssertionError, match="above 1e-6"):
         _deviation_check()(ctx)
@@ -357,10 +357,10 @@ def _edit_dense(monkeypatch, edit):
     """Apply ``edit(mat)`` to every matrix ``displacement`` returns to verify."""
     real = verify.displacement
 
-    def faulty(lat, p):
-        mat = real(lat, p).mat.copy()
+    def faulty(p):
+        mat = real(p).mat.copy()
         edit(mat)
-        return Operator(lat, mat)
+        return Operator(p.lattice, mat)
 
     monkeypatch.setattr(verify, "displacement", faulty)
 
