@@ -274,6 +274,9 @@ def deviation_report(frame_basis, harper_basis, ladder) -> DeviationReport:
     """Compare the four discrete families against the scaled line samples,
     on the lattice of ``frame_basis``.
 
+    The Harper basis and the d ladder states must live on that lattice too;
+    a mismatch is refused by name.
+
     The eigenbases arrive sign-fixed and unit-norm.  The periodized samples
     Φ_m are normalized (and sign-aligned) here, putting all four families on
     the same footing as the unit-norm targets; ladder states are compared as
@@ -281,8 +284,14 @@ def deviation_report(frame_basis, harper_basis, ladder) -> DeviationReport:
     """
     lat = frame_basis.lattice
     d = lat.d
+    if harper_basis.lattice != lat:
+        raise ValueError(
+            f"the Harper basis has d={harper_basis.lattice.d}, the frame basis d={d}"
+        )
     if len(ladder) != d:
         raise ValueError(f"expected {d} ladder states, got {len(ladder)}")
+    if any(state.lattice != lat for state in ladder):
+        raise ValueError(f"the ladder states do not all live on the d={d} lattice")
     deltas = np.empty((4, d))
     scale = lat.delta**0.25
     # every step is per order, so blocks of orders give the bits of whole tables

@@ -322,6 +322,20 @@ def test_deviation_report_rejects_short_ladder(lat21, frame_basis21, harper_basi
         deviation_report(frame_basis21, harper_basis21, ladder)
 
 
+def test_deviation_report_rejects_a_harper_basis_of_another_size(lat21, frame_basis21):
+    lat23 = make_lattice(23)
+    hb23 = oscillator_basis(harper_hamiltonian(lat23), lat23, "harper")
+    ladder = ladder_states(coherent_frame(lat21))
+    with pytest.raises(ValueError, match="Harper basis has d=23, the frame basis d=21"):
+        deviation_report(frame_basis21, hb23, ladder)
+
+
+def test_deviation_report_rejects_a_ladder_of_another_lattice(frame_basis21, harper_basis21):
+    ladder = ladder_states(coherent_frame(make_lattice(23)))[:21]
+    with pytest.raises(ValueError, match="ladder states do not all live on the d=21"):
+        deviation_report(frame_basis21, harper_basis21, ladder)
+
+
 def test_profiles():
     lat = make_lattice(21)
     g = gaussian_profile(2.0)
