@@ -16,7 +16,6 @@ and every command but ``verify`` skip compiling it.
 
 from .fourier import (
     CirculantSpec,
-    FourierProjectors,
     circulant,
     closed_form_coordinate_transforms,
     dft_operator,
@@ -48,7 +47,6 @@ from .phasespace import (
 )
 from .quantize import (
     FrameHamiltonian,
-    PhaseSymbol,
     coherent_expectation,
     frame_hamiltonian,
     frame_quantize,
@@ -82,8 +80,6 @@ from .spectral import (
     sign_alternations,
 )
 from .thetagauss import (
-    GroundState,
-    ThetaGaussian,
     ground_state,
     jacobi_theta3,
     theta_gaussian,
@@ -96,19 +92,15 @@ __all__ = [
     "CoherentFrame",
     "ConvergenceError",
     "DeviationReport",
-    "FourierProjectors",
     "FrameHamiltonian",
     "FrftKernel",
     "GaussianProfile",
-    "GroundState",
     "Lattice",
     "Operator",
     "PhasePoint",
-    "PhaseSymbol",
     "RectangularProfile",
     "Signal",
     "SpectralBasis",
-    "ThetaGaussian",
     "apply_frft",
     "basis_signal",
     "circulant",

@@ -151,7 +151,7 @@ def _parse_signal(lat, spec: str):
             raise ValueError(f"bad width in signal {spec!r}") from None
         if not 0 < kappa < math.inf:
             raise ValueError(f"signal width must be positive and finite, got {kappa}")
-        return Signal(lat, theta_gaussian(lat, kappa).amp), gaussian_profile(kappa)
+        return theta_gaussian(lat, kappa), gaussian_profile(kappa)
     raise ValueError(f"unknown signal {spec!r}; use rect or gauss:<width>")
 
 

@@ -14,6 +14,9 @@ Steiglitz 1982):
 
     π_0, π_2 = (I + J ± 2·Re F)/4,      π_1, π_3 = (I - J ∓ 2·Im F)/4.
 
+``fourier_projectors`` returns them as the plain tuple (π_0, π_1, π_2, π_3)
+of Operators, so ``proj[m]`` is the projector for the eigenvalue (-i)^m.
+
 Circulant operators (entry (n, m) = c[n-m], indices mod d) diagonalize in the
 Fourier basis.  ``CirculantSpec`` holds a well plus a circulant, diag(w) + C(c),
 by (w, c), and builds its dense matrix only when it is read.  The equidistant
@@ -91,19 +94,11 @@ def dft_parity_blocks(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-@dataclass(frozen=True, eq=False)
-class FourierProjectors:
-    """The four spectral projectors of F, ordered by m: eigenvalue (-i)^m."""
+def fourier_projectors(lat: Lattice) -> tuple[Operator, ...]:
+    """The tuple (π_0, π_1, π_2, π_3) of the spectral projectors of F, π_m
+    for the eigenvalue (-i)^m.
 
-    lattice: Lattice
-    pi: tuple  # (π_0, π_1, π_2, π_3) as Operators
-
-    def __getitem__(self, m: int) -> Operator:
-        return self.pi[m % 4]
-
-
-def fourier_projectors(lat: Lattice) -> FourierProjectors:
-    """π_m = (1/4)·Σ_k i^{mk}·F^k, m = 0..3, as the real closed forms
+    π_m = (1/4)·Σ_k i^{mk}·F^k, built as the real closed forms
     (I + J ± 2·Re F)/4 for m = 0, 2 and (I - J ∓ 2·Im F)/4 for m = 1, 3.
 
     Each π is built in its own array by in-place steps, the entrywise
@@ -124,7 +119,7 @@ def fourier_projectors(lat: Lattice) -> FourierProjectors:
         combine(p, part, out=p)
         p /= 4.0
         pi.append(Operator(lat, p))
-    return FourierProjectors(lattice=lat, pi=tuple(pi))
+    return tuple(pi)
 
 
 def _coordinate_transforms(lat: Lattice, j) -> tuple[np.ndarray, np.ndarray]:

@@ -18,15 +18,34 @@ from functools import cached_property
 import numpy as np
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; anything but an int or a NumPy integer (a bool
+    included) is refused with a ValueError that names the argument."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Grid descriptor: dimension d = 2s+1, half-width s, spacing² δ = 2π/d.
 
     The record holds d alone; s, δ and the grids derive from it, so two
     lattices are equal, and hash equal, exactly when their dimensions match.
+    d must be an odd integer ≥ 5; even or tiny dimensions are refused, since
+    the constructions downstream assume a symmetric index range with a center.
     """
 
     d: int
+
+    def __post_init__(self):
+        d = _as_int(self.d, "dimension")
+        if d % 2 == 0:
+            raise ValueError(f"dimension must be odd, got {d}")
+        if d < 5:
+            raise ValueError(f"dimension must be at least 5, got {d}")
+        # frozen: the checked int replaces the given dimension once, here
+        object.__setattr__(self, "d", d)
 
     @cached_property
     def s(self) -> int:
@@ -67,25 +86,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_int(value, name: str) -> int:
-    """``value`` as an int; anything but an int or a NumPy integer (a bool
-    included) is refused with a ValueError that names the argument."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def make_lattice(d: int) -> Lattice:
-    """Build the centered grid with d points.
-
-    d must be an odd integer ≥ 5; even or tiny dimensions are rejected since
-    the constructions downstream assume a symmetric index range with a center.
-    """
-    d = _as_int(d, "dimension")
-    if d % 2 == 0:
-        raise ValueError(f"dimension must be odd, got {d}")
-    if d < 5:
-        raise ValueError(f"dimension must be at least 5, got {d}")
+    """Build the centered grid with d points; ``Lattice`` checks d."""
     return Lattice(d)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fourier import _root, dft_operator
 from .lattice import Lattice, Operator, Signal, _as_int
-from .thetagauss import GroundState, ground_state
+from .thetagauss import ground_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +128,10 @@ class CoherentFrame:
     used by every quantization sum.  It costs d³ complex numbers, so only
     the brute-force oracles (``frame_quantize``, ``frame_operator``) and
     small-grid checks read it.  The frame lives on the lattice of its
-    ground state.
+    ground state, a ``Signal``.
     """
 
-    def __init__(self, ground: GroundState):
+    def __init__(self, ground: Signal):
         self.lattice = ground.lattice
         self.ground = ground
 

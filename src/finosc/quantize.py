@@ -14,10 +14,12 @@ autocorrelation R(k) = Σ_a g(a)·g(a+k), and A_f is a well plus a circulant,
     well[n] = Σ_a f_α(a)·g²(n-a),
     hop[k] = (1/d)·(Σ_b f_β(b)·e^{2πibk/d})·R(k).
 
-One construction gives both operators the package needs: the oscillator H
-quantizes (α² + β²)/2 less the half-quantum, and the raising operator a⁺
-quantizes (α - iβ)/√2, whose iterates from the ground state form the
-ladder of approximate eigenvectors.  Each is returned as the record (well,
+A symbol is a plain function f(α, β), called once per grid point by the
+brute-force ``frame_quantize``.  One construction gives both operators the
+package needs: the oscillator H quantizes ``harmonic_symbol``, (α² + β²)/2,
+less the half-quantum, and the raising operator a⁺ quantizes
+``raising_symbol``, (α - iβ)/√2, whose iterates from the ground state form
+the ladder of approximate eigenvectors.  Each is returned as the record (well,
 hop) with its dense matrix built only when read, and hops below the smallest
 normal float are exact zeros, so no product with them runs on subnormals.
 """
@@ -36,23 +38,19 @@ from .thetagauss import ground_state
 from . import spectral
 
 
-@dataclass(frozen=True)
-class PhaseSymbol:
-    """Scalar function on phase space, evaluated pointwise on the grid."""
-
-    fn: Callable[[float, float], complex]
-    name: str
+def harmonic_symbol(a: float, b: float) -> float:
+    """The oscillator energy (α² + β²)/2."""
+    return 0.5 * (a * a + b * b)
 
 
-def harmonic_symbol() -> PhaseSymbol:
-    return PhaseSymbol(fn=lambda a, b: 0.5 * (a * a + b * b), name="harmonic")
+def raising_symbol(a: float, b: float) -> complex:
+    """The raising symbol (α - iβ)/√2."""
+    return (a - 1j * b) / np.sqrt(2.0)
 
 
-def raising_symbol() -> PhaseSymbol:
-    return PhaseSymbol(fn=lambda a, b: (a - 1j * b) / np.sqrt(2.0), name="raising")
-
-
-def frame_quantize(frame: CoherentFrame, symbol: PhaseSymbol) -> Operator:
+def frame_quantize(
+    frame: CoherentFrame, symbol: Callable[[float, float], complex]
+) -> Operator:
     """A_f = (1/d) Σ_p f(α_p, β_p) |p⟩⟨p|, by direct projector average.
 
     Deliberately brute force, O(d³) in memory and work: it reads the dense
@@ -62,7 +60,7 @@ def frame_quantize(frame: CoherentFrame, symbol: PhaseSymbol) -> Operator:
     lat = frame.lattice
     # the row-major sweep of ``states``: α outer, β inner
     pts = lat.points.tolist()
-    weights = np.array([symbol.fn(a, b) for a in pts for b in pts], dtype=complex)
+    weights = np.array([symbol(a, b) for a in pts for b in pts], dtype=complex)
     states = frame.states
     mat = (states.T * weights) @ states.conj() / lat.d
     return Operator(lat, mat)

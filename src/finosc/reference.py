@@ -157,18 +157,9 @@ def hermite_gaussian(m: int, x):
     return float(row) if row.ndim == 0 else row
 
 
-@dataclass(frozen=True, eq=False)
-class HermiteSample:
+def hermite_sample(lat: Lattice, m: int) -> Signal:
     """⁴√δ·Ψ_m sampled on the grid."""
-
-    lattice: Lattice
-    m: int
-    amp: np.ndarray
-
-
-def hermite_sample(lat: Lattice, m: int) -> HermiteSample:
-    amp = lat.delta**0.25 * hermite_gaussian(m, lat.points)
-    return HermiteSample(lattice=lat, m=m, amp=amp)
+    return Signal(lat, lat.delta**0.25 * hermite_gaussian(m, lat.points))
 
 
 def _sample_table(lat: Lattice) -> np.ndarray:
@@ -315,6 +306,14 @@ def deviation_report(frame_basis, harper_basis, ladder) -> DeviationReport:
     )
 
 
+def _positive_finite(value, name: str) -> float:
+    """``value`` as a float, refused with a ValueError unless it is positive
+    and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GaussianProfile:
     """The line Gaussian e^{-κx²/2}; calling it samples the profile.
@@ -325,6 +324,10 @@ class GaussianProfile:
     """
 
     kappa: float
+
+    def __post_init__(self):
+        # frozen: the checked float replaces the given width once, here
+        object.__setattr__(self, "kappa", _positive_finite(self.kappa, "width parameter"))
 
     def __call__(self, x):
         return np.exp(-0.5 * self.kappa * np.asarray(x, dtype=float) ** 2)
@@ -354,6 +357,12 @@ class RectangularProfile:
 
     half_width: float
 
+    def __post_init__(self):
+        # frozen: the checked float replaces the given half width once, here
+        object.__setattr__(
+            self, "half_width", _positive_finite(self.half_width, "half width")
+        )
+
     def __call__(self, x):
         return np.where(np.abs(np.asarray(x, dtype=float)) <= self.half_width, 1.0, 0.0)
 
@@ -374,9 +383,7 @@ class RectangularProfile:
 def gaussian_profile(kappa: float) -> GaussianProfile:
     """The line Gaussian e^{-κx²/2}, the continuous twin of the width-κ
     periodic Gaussian (which is exactly its wrap sum)."""
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise ValueError(f"width parameter must be positive and finite, got {kappa}")
-    return GaussianProfile(float(kappa))
+    return GaussianProfile(kappa)
 
 
 def rectangular_profile(lat: Lattice) -> RectangularProfile:

@@ -14,40 +14,20 @@ In terms of the classical theta function, 𝐠_κ(n√δ) = (κd)^(-1/2)·θ₃(
 
 Under the finite Fourier transform the family is closed:
 F[𝐠_κ] = κ^(-1/2)·𝐠_{1/κ}; in particular 𝐠₁ is invariant, and its
-normalization 𝐍 = ‖𝐠₁‖ defines the ground state g = 𝐠₁/𝐍.
+normalization 𝐍 = ‖𝐠₁‖ defines the ground state g = 𝐠₁/𝐍.  Both 𝐠_κ and g
+are returned as plain ``Signal``s; the truncation order and error bound of
+a series are returned by ``spatial_series`` and ``frequency_series``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .lattice import Lattice
+from .lattice import Lattice, Signal
 
 _EPS = np.finfo(float).eps
 # first omitted term of every truncated series here and in ``reference``
 _TOL = 1e-18
-
-
-@dataclass(frozen=True, eq=False)
-class ThetaGaussian:
-    """Sampled 𝐠_κ with its truncation order and a total error bound.
-
-    ``tail_bound`` bounds the evaluation error of each sample: the omitted
-    series tail plus the floating-point summation floor.  The two series forms
-    therefore agree within a small multiple of it.
-    """
-
-    lattice: Lattice
-    kappa: float
-    amp: np.ndarray
-    truncation: int
-    tail_bound: float
-
-    def value_at(self, j: int) -> float:
-        """𝐠_κ at integer grid index j, d-periodic in j."""
-        return float(self.amp[self.lattice.pos(j)])
 
 
 def _mirror(half: np.ndarray) -> np.ndarray:
@@ -56,7 +36,13 @@ def _mirror(half: np.ndarray) -> np.ndarray:
 
 
 def spatial_series(lat: Lattice, kappa: float, tol: float):
-    """Evaluate the wrapped sum Σ_ℓ e^{-(κπ/d)(ℓd+n)²}; returns (amp, L, tail)."""
+    """Evaluate the wrapped sum Σ_ℓ e^{-(κπ/d)(ℓd+n)²}; returns (amp, L, tail).
+
+    L is the truncation order, and ``tail`` bounds the evaluation error of
+    each sample: the omitted series tail plus the floating-point summation
+    floor.  The two series forms therefore agree within a small multiple of
+    their bounds.
+    """
     d, s = lat.d, lat.s
     rate = kappa * np.pi / d
     # smallest L whose first omitted term is < tol at the worst index n = ±s
@@ -96,7 +82,7 @@ def frequency_series(lat: Lattice, kappa: float, tol: float):
     return scale * _mirror(half), L, tail
 
 
-def theta_gaussian(lat: Lattice, kappa: float) -> ThetaGaussian:
+def theta_gaussian(lat: Lattice, kappa: float) -> Signal:
     """Sample 𝐠_κ on the grid, truncated at the smallest L whose first
     omitted series term is below 1e-18 at the worst grid index.
 
@@ -112,18 +98,16 @@ def theta_gaussian(lat: Lattice, kappa: float) -> ThetaGaussian:
     # their squared norm then leave the float range and are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if kappa * lat.d >= 1.0:
-            amp, L, tail = spatial_series(lat, kappa, _TOL)
+            amp = spatial_series(lat, kappa, _TOL)[0]
         else:
-            amp, L, tail = frequency_series(lat, kappa, _TOL)
+            amp = frequency_series(lat, kappa, _TOL)[0]
         finite = np.all(np.isfinite(amp)) and np.isfinite(np.sum(amp * amp))
     if not finite:
         raise ValueError(
             f"kappa = {kappa} gives theta Gaussian samples or a squared norm "
             f"that are not finite at d = {lat.d}"
         )
-    return ThetaGaussian(
-        lattice=lat, kappa=float(kappa), amp=amp, truncation=L, tail_bound=tail
-    )
+    return Signal(lat, amp)
 
 
 def jacobi_theta3(z, t: float):
@@ -150,19 +134,7 @@ def jacobi_theta3(z, t: float):
     return float(total) if z.ndim == 0 else total
 
 
-@dataclass(frozen=True, eq=False)
-class GroundState:
-    """g = 𝐠₁/𝐍: the Fourier-invariant unit vector the frames are built on."""
-
-    lattice: Lattice
-    norm: float  # the normalizer 𝐍 = ‖𝐠₁‖
-    amp: np.ndarray
-
-    def value_at(self, j: int) -> float:
-        return float(self.amp[self.lattice.pos(j)])
-
-
-def ground_state(lat: Lattice) -> GroundState:
+def ground_state(lat: Lattice) -> Signal:
     """Normalize 𝐠₁, computing 𝐍 two independent ways as a consistency check.
 
     Direct route: 𝐍² = Σ_n 𝐠₁(n√δ)².  Series route:
@@ -170,14 +142,14 @@ def ground_state(lat: Lattice) -> GroundState:
     periodicity.  The two must agree to 1e-13; the direct value is the one
     used, so ‖g‖ = 1 to machine precision.
     """
-    tg = theta_gaussian(lat, 1.0)
-    n_direct = float(np.sqrt(np.sum(tg.amp * tg.amp)))
+    g1 = theta_gaussian(lat, 1.0).amp
+    n_direct = float(np.sqrt(np.sum(g1 * g1)))
     R = int(np.ceil(np.sqrt(lat.d * np.log(1.0 / _TOL) / np.pi))) + 1
     r = np.arange(-R, R + 1)
-    inner = tg.amp[lat.pos(-r)]
+    inner = g1[lat.pos(-r)]
     n_series = float(np.sqrt(np.sum(np.exp(-np.pi * r * r / lat.d) * inner)))
     if abs(n_direct - n_series) > 1e-13:
         raise ArithmeticError(
             f"normalizer mismatch: direct {n_direct!r} vs series {n_series!r}"
         )
-    return GroundState(lattice=lat, norm=n_direct, amp=tg.amp / n_direct)
+    return Signal(lat, g1 / n_direct)

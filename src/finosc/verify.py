@@ -192,7 +192,7 @@ def _chk_root_of_unity_sum(ctx):
 def _chk_projectors(ctx):
     pr = ctx.projectors
     eye = np.eye(ctx.d)
-    total = sum(p.mat for p in pr.pi)
+    total = sum(p.mat for p in pr)
     dev_sum = np.linalg.norm(total - eye)
     worst = 0.0
     for j in range(4):
@@ -202,8 +202,15 @@ def _chk_projectors(ctx):
         )
         for k in range(j + 1, 4):
             worst = max(worst, np.linalg.norm(pr[j].mat @ pr[k].mat))
-    recon = sum((-1j) ** m * pr[m].mat for m in range(4))
-    dev_rec = np.linalg.norm(recon - ctx.fmat)
+    # Σ(-i)^m·π_m in place: the terms are real or imaginary, so each one is
+    # added to one part, in the order m = 0..3
+    recon = np.zeros((ctx.d, ctx.d), dtype=complex)
+    recon.real += pr[0].mat
+    recon.imag -= pr[1].mat
+    recon.real -= pr[2].mat
+    recon.imag += pr[3].mat
+    recon -= ctx.fmat
+    dev_rec = np.linalg.norm(recon)
     _require(dev_sum < 1e-12, f"Σπ - I = {dev_sum:.2e}")
     _require(worst < 1e-12, f"projector algebra off by {worst:.2e}")
     _require(dev_rec < 1e-12, f"Σ(-i)^m π_m - F = {dev_rec:.2e}")
@@ -212,7 +219,7 @@ def _chk_projectors(ctx):
 
 def _chk_projector_ranks(ctx):
     pr = ctx.projectors
-    traces = [float(np.trace(p.mat).real) for p in pr.pi]
+    traces = [float(np.trace(p.mat).real) for p in pr]
     counts = [int(round(t)) for t in traces]
     worst = max(abs(t - c) for t, c in zip(traces, counts))
     _require(worst < 1e-10, f"trace not integral: {traces}")
@@ -333,8 +340,8 @@ def _chk_theta_product_identity(ctx):
     g1 = theta_gaussian(lat, 1.0)
     g2 = theta_gaussian(lat, 2.0)
     gh = theta_gaussian(lat, 0.5)
-    a = 2.0 * g2.value_at(0) - gh.value_at(0)
-    b = g2.value_at(0) - gh.value_at(0)
+    a = 2.0 * g2[0] - gh[0]
+    b = g2[0] - gh[0]
     # storage order is index order, so g(n) is amp itself and g(2n) a gather
     lhs = g1.amp ** 2
     rhs = a * g2.amp - b * gh.amp[lat.pos(2 * lat.indices)]
@@ -579,15 +586,14 @@ def _chk_overlap_formula(ctx):
 # ---------------------------------------------------------------- quantize
 
 def _chk_quantizer_identity_symbol(ctx):
-    sym = quantize.PhaseSymbol(fn=lambda a, b: 1.0, name="one")
-    amat = quantize.frame_quantize(ctx.frame, sym).mat
+    amat = quantize.frame_quantize(ctx.frame, lambda a, b: 1.0).mat
     dev = float(np.linalg.norm(amat - np.eye(ctx.d)))
     _require(dev < 1e-11, f"unit symbol off identity by {dev:.2e}")
     return f"quantizing 1 gives the identity ({dev:.1e})"
 
 
 def _chk_hamiltonian_fast_path(ctx):
-    brute = quantize.frame_quantize(ctx.frame, quantize.harmonic_symbol()).mat
+    brute = quantize.frame_quantize(ctx.frame, quantize.harmonic_symbol).mat
     brute = brute - 0.5 * np.eye(ctx.d)
     dev = float(np.max(np.abs(brute - ctx.fh.op.mat)))
     _require(dev < 1e-11, f"fast path off brute force by {dev:.2e}")
@@ -695,7 +701,7 @@ def _chk_wielandt_hoffman(ctx):
 def _chk_raising_operator(ctx):
     lat = ctx.lat
     fast = quantize.raising_operator(ctx.frame).mat
-    brute = quantize.frame_quantize(ctx.frame, quantize.raising_symbol()).mat
+    brute = quantize.frame_quantize(ctx.frame, quantize.raising_symbol).mat
     imag = float(np.max(np.abs(brute.imag)))
     _require(imag < 1e-11, f"imaginary parts {imag:.2e}")
     dev = float(np.max(np.abs(fast - brute)))
@@ -703,10 +709,8 @@ def _chk_raising_operator(ctx):
     flip = lat.pos(-lat.indices)
     anti = float(np.max(np.abs(fast + fast[np.ix_(flip, flip)])))
     _require(anti < 1e-11, f"antisymmetry off by {anti:.2e}")
-    adj = quantize.frame_quantize(
-        ctx.frame,
-        quantize.PhaseSymbol(fn=lambda a, b: (a + 1j * b) / np.sqrt(2.0), name="lowering"),
-    ).mat
+    # the lowering symbol (α + iβ)/√2
+    adj = quantize.frame_quantize(ctx.frame, lambda a, b: (a + 1j * b) / np.sqrt(2.0)).mat
     dev_adj = float(np.max(np.abs(brute.conj().T - adj)))
     _require(dev_adj < 1e-12, f"adjoint symbol law off by {dev_adj:.2e}")
     return f"real, antisymmetric, matches brute force ({dev:.1e})"
@@ -960,7 +964,7 @@ def _chk_deviation_report(ctx):
     # are the same vector, so δ_f and δ_h agree up to rounding and which one
     # is smaller is not a property of either basis.
     dims = np.array([round(float(np.trace(p.mat).real))
-                     for p in ctx.projectors.pi])
+                     for p in ctx.projectors])
     tied = dims[np.arange(ctx.d) % 4] == 1
     spread = float(np.max(np.abs(rep.delta_f - rep.delta_h)[tied], initial=0.0))
     _require(spread < 1e-12, f"one-dimensional classes differ by {spread:.2e}")
@@ -1036,29 +1040,35 @@ def _chk_kernel_laws(ctx):
 def _chk_factored_apply(ctx):
     # each apply requests its kernel afresh; only an order's first request
     # computes its phases.  All meet K·x = (V·diag(phases))·(Vᵀx)
-    # formed in complex arithmetic, where the apply runs two real products
+    # formed in complex arithmetic, where the apply runs two real products;
+    # V·diag(phases) is formed 256 rows at a time, never as a d×d array
     sig = ctx.random_signal()
     signals = (sig, Signal(ctx.lat, sig.amp.real.copy()))
     worst = 0.0
     for basis in (ctx.frame_basis, ctx.harper_basis):
         vecs = basis.vectors
+        coeffs = [vecs.T @ x.amp for x in signals]
         for alpha in (-1.3, 0.37, 2.5, 5.1):
             outs = [
                 frft.apply_frft(frft.frft_kernel(basis, alpha), x).amp
                 for _ in range(2)
                 for x in signals
             ]
-            scaled = vecs * frft.frft_kernel(basis, alpha).phases
-            for x, out in zip(signals * 2, outs):
-                dev = float(np.linalg.norm(out - scaled @ (vecs.T @ x.amp)))
+            phases = frft.frft_kernel(basis, alpha).phases
+            wants = [np.empty(ctx.d, dtype=complex) for _ in signals]
+            for r in range(0, ctx.d, 256):
+                scaled = vecs[r:r + 256] * phases
+                for want, y in zip(wants, coeffs):
+                    want[r:r + 256] = scaled @ y
+            for x, want, out in zip(signals * 2, wants * 2, outs):
+                dev = float(np.linalg.norm(out - want))
                 worst = max(worst, dev / x.norm())
     _require(worst < 1e-13, f"factored apply off by {worst:.2e} relative")
     return f"V·(phases ⊙ Vᵀx) equals K·x on first and repeated requests ({worst:.1e})"
 
 
 def _chk_kernel_on_gaussian(ctx):
-    tg = theta_gaussian(ctx.lat, 10.0)
-    sig = Signal(ctx.lat, tg.amp.astype(complex))
+    sig = theta_gaussian(ctx.lat, 10.0)
     out = frft.apply_frft(frft.frft_kernel(ctx.frame_basis, 1.0), sig)
     target = theta_gaussian(ctx.lat, 0.1).amp / np.sqrt(10.0)
     dev = float(np.max(np.abs(out.amp - target)))
@@ -1083,10 +1093,7 @@ def _chk_comparative_accuracy(ctx):
     lat = ctx.lat
     scale = lat.delta ** 0.25
     cases = [
-        (
-            Signal(lat, theta_gaussian(lat, 10.0).amp.astype(complex)),
-            reference.gaussian_profile(10.0),
-        ),
+        (theta_gaussian(lat, 10.0), reference.gaussian_profile(10.0)),
         (frft.rectangular_signal(lat), reference.rectangular_profile(lat)),
     ]
     details = []

@@ -37,7 +37,6 @@ from finosc import (
     theta_gaussian,
     trace_ratio,
     wielandt_hoffman_gap,
-    Signal,
 )
 
 # Rows are position shifts a, columns momentum shifts b, both over SHIFTS.
@@ -125,8 +124,11 @@ def test_acceptance_2_gaussian_fidelity():
             theta_gaussian(lat, 1.0).amp - np.exp(-0.5 * lat.points**2)
         )))
         assert 1.3e-8 / 2.0 <= sup <= 1.3e-8 * 2.0
-        norm = ground_state(lat).norm
+        # 𝐍 = ‖𝐠₁‖ as ground_state computes it
+        a = theta_gaussian(lat, 1.0).amp
+        norm = float(np.sqrt(np.sum(a * a)))
         assert abs(norm - (21.0 / 2.0) ** 0.25) < 1e-12
+        assert np.array_equal(ground_state(lat).amp, a / norm)
 
     _clause("2 (periodic Gaussian fidelity)", body)
 
@@ -138,10 +140,10 @@ def test_acceptance_3_square_identity(d):
         g1 = theta_gaussian(lat, 1.0)
         g2 = theta_gaussian(lat, 2.0)
         gh = theta_gaussian(lat, 0.5)
-        a = 2.0 * g2.value_at(0) - gh.value_at(0)
-        b = g2.value_at(0) - gh.value_at(0)
+        a = 2.0 * g2[0] - gh[0]
+        b = g2[0] - gh[0]
         res = max(
-            abs(g1.value_at(n) ** 2 - (a * g2.value_at(n) - b * gh.value_at(2 * n)))
+            abs(g1[n] ** 2 - (a * g2[n] - b * gh[2 * n]))
             for n in lat.indices
         )
         assert res < 1e-13
@@ -232,7 +234,7 @@ def test_acceptance_5_fast_equals_brute(d):
     def body():
         lat = make_lattice(d)
         frame = coherent_frame(lat)
-        brute = frame_quantize(frame, harmonic_symbol()).mat
+        brute = frame_quantize(frame, harmonic_symbol).mat
         fast = frame_hamiltonian(lat).op.mat
         assert np.max(np.abs(brute - 0.5 * np.eye(d) - fast)) < 1e-11
 
@@ -358,7 +360,7 @@ def test_acceptance_8_raising_operator():
     def body():
         lat = make_lattice(21)
         frame = coherent_frame(lat)
-        brute = frame_quantize(frame, raising_symbol()).mat
+        brute = frame_quantize(frame, raising_symbol).mat
         assert float(np.max(np.abs(brute.imag))) < 1e-11
         fast = raising_operator(frame).mat
         assert not np.iscomplexobj(fast)
@@ -407,7 +409,7 @@ def test_acceptance_10_signal_transforms_beat_harper():
     def body():
         lat, fb, hb = _bases(21)
         cases = [
-            (Signal(lat, theta_gaussian(lat, 10.0).amp), gaussian_profile(10.0)),
+            (theta_gaussian(lat, 10.0), gaussian_profile(10.0)),
             (rectangular_signal(lat), rectangular_profile(lat)),
         ]
         for sig, profile in cases:

@@ -68,8 +68,7 @@ def test_projectors_resolve_identity(lat5):
         assert np.max(np.abs(F @ pm - (-1j) ** m * pm)) < 1e-13
         for k in range(m + 1, 4):
             assert np.max(np.abs(pm @ proj[k].mat)) < 1e-14
-    # index is 4-periodic
-    assert proj[5] is proj[1]
+    assert isinstance(proj, tuple) and len(proj) == 4
 
 
 def _power_sum_projectors(F):

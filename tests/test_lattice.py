@@ -23,15 +23,25 @@ def test_make_lattice_basic(lat21):
     assert lat21.sqrt_delta == pytest.approx(np.sqrt(lat21.delta))
 
 
-@pytest.mark.parametrize("bad", [4, 2, 3, 1, -5, 0])
+def _refusals(d):
+    """The messages with which the record and the factory refuse d."""
+    messages = []
+    for build in (Lattice, make_lattice):
+        with pytest.raises(ValueError) as err:
+            build(d)
+        messages.append(str(err.value))
+    return messages
+
+
+@pytest.mark.parametrize("bad", [4, 2, 3, 1, -5, 0, -7])
 def test_make_lattice_rejects_bad_sizes(bad):
-    with pytest.raises(ValueError):
-        make_lattice(bad)
+    want = "odd" if bad % 2 == 0 else "at least 5"
+    assert _refusals(bad) == [f"dimension must be {want}, got {bad}"] * 2
 
 
 def test_make_lattice_rejects_non_integer():
-    with pytest.raises(ValueError):
-        make_lattice(21.5)
+    for bad in (21.5, 2.5, True):
+        assert _refusals(bad) == [f"dimension must be an integer, got {bad!r}"] * 2
 
 
 def test_points_are_centered_and_ascending(lat5):
@@ -72,6 +82,11 @@ def test_a_lattice_holds_its_dimension_alone(d):
         Lattice(d, (d - 1) // 2, 2.0 * np.pi / d)
     with pytest.raises(dataclasses.FrozenInstanceError):
         lat.s = 0
+
+
+def test_a_lattice_stores_its_checked_int():
+    lat = Lattice(np.int64(21))
+    assert type(lat.d) is int and lat == make_lattice(21)
 
 
 def test_signal_periodic_indexing(lat5):

@@ -32,6 +32,10 @@ def test_star_import_binds_run_suite():
     assert names["run_suite"] is finosc.verify.run_suite
 
 
+def test_every_exported_name_is_bound():
+    assert [name for name in finosc.__all__ if not hasattr(finosc, name)] == []
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         finosc.no_such_name

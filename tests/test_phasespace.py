@@ -5,6 +5,7 @@ import pytest
 
 from finosc import (
     CoherentFrame,
+    Signal,
     coherent_frame,
     dft_operator,
     displacement,
@@ -247,3 +248,10 @@ def test_a_frame_lives_on_the_lattice_of_its_ground_state(lat5):
     g = ground_state(lat5)
     frame = CoherentFrame(g)
     assert frame.lattice is g.lattice and frame.ground is g
+
+
+def test_a_frame_takes_a_plain_signal(lat5):
+    g = Signal(lat5, ground_state(lat5).amp.copy())
+    frame = CoherentFrame(g)
+    assert frame.ground is g
+    assert np.array_equal(frame.states, coherent_frame(lat5).states)

@@ -5,6 +5,9 @@ import pytest
 from numpy.polynomial.hermite import hermval
 
 from finosc import (
+    GaussianProfile,
+    RectangularProfile,
+    Signal,
     coherent_deviation_table,
     coherent_frame,
     continuous_frft_oracle,
@@ -182,7 +185,13 @@ def test_hermite_sample_scaling(lat21):
     hs = hermite_sample(lat21, 0)
     want = lat21.delta**0.25 * np.pi**-0.25 * np.exp(-0.5 * lat21.points**2)
     assert np.max(np.abs(hs.amp - want)) < 1e-16
-    assert hs.m == 0
+
+
+@pytest.mark.parametrize("m", [0, 5, 20])
+def test_hermite_sample_is_a_signal_of_the_scaled_samples(lat21, m):
+    hs = hermite_sample(lat21, m)
+    assert isinstance(hs, Signal) and hs.lattice == lat21
+    assert np.array_equal(hs.amp, lat21.delta**0.25 * hermite_gaussian(m, lat21.points))
 
 
 def test_displaced_sample_formula(lat21):
@@ -349,10 +358,25 @@ def test_profiles():
     assert np.array_equal(vals, inside.astype(float))
 
 
-@pytest.mark.parametrize("kappa", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -1.0, -3.0, 0.0])
 def test_gaussian_profile_refuses_a_bad_width(kappa):
-    with pytest.raises(ValueError, match="width parameter must be positive and finite"):
-        gaussian_profile(kappa)
+    # the record refuses as the factory does, with the same message
+    for build in (GaussianProfile, gaussian_profile):
+        with pytest.raises(ValueError) as err:
+            build(kappa)
+        assert str(err.value) == f"width parameter must be positive and finite, got {kappa}"
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, -1.0, 0.0])
+def test_rectangular_record_refuses_a_bad_half_width(h):
+    with pytest.raises(ValueError, match="half width must be positive and finite"):
+        RectangularProfile(h)
+
+
+def test_profiles_store_their_checked_floats(lat21):
+    assert type(GaussianProfile(2).kappa) is float
+    assert type(RectangularProfile(np.float32(0.5)).half_width) is float
+    assert rectangular_profile(lat21).half_width == 1.5 * lat21.sqrt_delta
 
 
 @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finosc import (
+    Signal,
     dft_operator,
     ground_state,
     jacobi_theta3,
@@ -11,6 +12,12 @@ from finosc import (
     theta_gaussian,
 )
 from finosc.thetagauss import frequency_series, spatial_series
+
+
+def normalizer(lat):
+    """𝐍 = ‖𝐠₁‖, computed as ``ground_state`` computes it."""
+    a = theta_gaussian(lat, 1.0).amp
+    return float(np.sqrt(np.sum(a * a)))
 
 
 def periodized_gaussian(lat, kappa, terms=80):
@@ -44,15 +51,16 @@ def test_samples_are_even_and_positive(lat21):
     tg = theta_gaussian(lat21, 1.0)
     assert np.all(tg.amp > 0)
     assert np.array_equal(tg.amp, tg.amp[::-1])
-    # periodic accessor
-    assert tg.value_at(22) == tg.value_at(1)
+    # periodic access
+    assert tg[22] == tg[1]
 
 
 def test_tail_bound_is_honest(lat5):
     tg = theta_gaussian(lat5, 1.0)
     ref = periodized_gaussian(lat5, 1.0)
-    assert tg.tail_bound > 0
-    assert np.max(np.abs(tg.amp - ref)) <= 10.0 * tg.tail_bound
+    _, _, tail = spatial_series(lat5, 1.0, 1e-18)
+    assert tail > 0
+    assert np.max(np.abs(tg.amp - ref)) <= 10.0 * tail
 
 
 @pytest.mark.parametrize("series", [frequency_series, spatial_series])
@@ -81,9 +89,9 @@ def test_samples_are_the_chosen_series_at_a_fixed_tolerance(d, kappa):
     lat = make_lattice(d)
     tg = theta_gaussian(lat, kappa)
     series = spatial_series if kappa * d >= 1.0 else frequency_series
-    amp, L, tail = series(lat, kappa, 1e-18)
+    amp = series(lat, kappa, 1e-18)[0]
+    assert isinstance(tg, Signal) and tg.lattice == lat
     assert np.array_equal(tg.amp, amp)
-    assert (tg.truncation, tg.tail_bound) == (L, tail)
 
 
 # 1e308·π overflows the spatial rate, so its samples would be NaN; at 1e-310
@@ -108,18 +116,18 @@ def test_square_expands_over_half_and_double_width(d):
     g1 = theta_gaussian(lat, 1.0)
     g2 = theta_gaussian(lat, 2.0)
     gh = theta_gaussian(lat, 0.5)
-    a = 2.0 * g2.value_at(0) - gh.value_at(0)
-    b = g2.value_at(0) - gh.value_at(0)
+    a = 2.0 * g2[0] - gh[0]
+    b = g2[0] - gh[0]
     for n in lat.indices:
-        rhs = a * g2.value_at(n) - b * gh.value_at(2 * n)
-        assert g1.value_at(n) ** 2 == pytest.approx(rhs, abs=1e-13)
+        rhs = a * g2[n] - b * gh[2 * n]
+        assert g1[n] ** 2 == pytest.approx(rhs, abs=1e-13)
 
 
 def test_center_values_at_21(lat21):
     # the width-2 sample is 1 to machine precision at the center, the
     # width-1/2 one exceeds it by about 1e-14
-    g2c = theta_gaussian(lat21, 2.0).value_at(0)
-    ghc = theta_gaussian(lat21, 0.5).value_at(0)
+    g2c = theta_gaussian(lat21, 2.0)[0]
+    ghc = theta_gaussian(lat21, 0.5)[0]
     assert abs(g2c - 1.0) < 1e-15
     assert 0.0 < ghc - 1.0 < 1e-13
 
@@ -167,17 +175,20 @@ def test_theta3_rejects_bad_nome():
 
 def test_ground_state_properties(lat21):
     g = ground_state(lat21)
+    assert isinstance(g, Signal) and g.lattice == lat21
     assert np.linalg.norm(g.amp) == pytest.approx(1.0, abs=1e-15)
     assert np.array_equal(g.amp, g.amp[::-1])
     F = dft_operator(lat21).mat
     assert np.max(np.abs(F @ g.amp - g.amp)) < 1e-12
     # the normalizer approaches (d/2)^(1/4) from above as the wrap tail fades
-    assert g.norm - (21.0 / 2.0) ** 0.25 == pytest.approx(1.6875e-14, abs=5e-15)
-    assert np.max(np.abs(g.amp * g.norm - theta_gaussian(lat21, 1.0).amp)) < 1e-15
+    norm = normalizer(lat21)
+    assert norm - (21.0 / 2.0) ** 0.25 == pytest.approx(1.6875e-14, abs=5e-15)
+    assert np.max(np.abs(g.amp * norm - theta_gaussian(lat21, 1.0).amp)) < 1e-15
+    assert np.array_equal(g.amp, theta_gaussian(lat21, 1.0).amp / norm)
 
 
 def test_ground_state_small_d_normalizer(lat5):
     g = ground_state(lat5)
     # at d=5 the wrap contribution is visible in the normalizer
-    assert g.norm > (5.0 / 2.0) ** 0.25
+    assert normalizer(lat5) > (5.0 / 2.0) ** 0.25
     assert np.linalg.norm(g.amp) == pytest.approx(1.0, abs=1e-15)

@@ -289,9 +289,10 @@ def _raising_sign_broken(monkeypatch, ctx):
 
     fast, brute = quantize.raising_operator, quantize.frame_quantize
     monkeypatch.setattr(quantize, "raising_operator", lambda fr: flip(fast(fr)))
+    raising = quantize.raising_symbol
     monkeypatch.setattr(
         quantize, "frame_quantize",
-        lambda fr, sym: flip(brute(fr, sym)) if sym.name == "raising" else brute(fr, sym),
+        lambda fr, sym: flip(brute(fr, sym)) if sym is raising else brute(fr, sym),
     )
 
 
@@ -386,9 +387,9 @@ def _quantizer_weight_moved(monkeypatch, ctx):
 
     def faulty(frame, symbol):
         def fn(a, b):
-            return symbol.fn(a, b) + (1e-9 if a == b == 0.0 else 0.0)
+            return symbol(a, b) + (1e-9 if a == b == 0.0 else 0.0)
 
-        return real(frame, quantize.PhaseSymbol(fn=fn, name=symbol.name))
+        return real(frame, fn)
 
     monkeypatch.setattr(quantize, "frame_quantize", faulty)
 
@@ -405,10 +406,9 @@ def _root_off(monkeypatch, ctx):
 
 
 def _ground_moved(monkeypatch, ctx):
-    g = ctx.ground
-    amp = g.amp.copy()
+    amp = ctx.ground.amp.copy()
     amp[ctx.lat.s + 2] += 1e-9
-    ctx.ground = replace(g, amp=amp)
+    ctx.ground = Signal(ctx.lat, amp)
 
 
 def _theta_moved(monkeypatch, ctx):
@@ -420,7 +420,7 @@ def _theta_moved(monkeypatch, ctx):
             return tg
         amp = tg.amp.copy()
         amp[lat.s + 1] += 1e-12
-        return replace(tg, amp=amp)
+        return Signal(lat, amp)
 
     monkeypatch.setattr(verify, "theta_gaussian", faulty)
 
@@ -432,7 +432,7 @@ def _projector_entry_moved(delta):
         pr = ctx.projectors
         mat = pr[1].mat.copy()
         mat[0, 1] += delta
-        ctx.projectors = replace(pr, pi=(pr[0], Operator(ctx.lat, mat), *pr.pi[2:]))
+        ctx.projectors = (pr[0], Operator(ctx.lat, mat), *pr[2:])
 
     fault.__name__ = f"_projector_entry_moved_by_{delta:.0e}"
     return fault
