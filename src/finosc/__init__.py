@@ -42,7 +42,6 @@ from .phasespace import (
     displacement,
     momentum_operator,
     overlap,
-    phase_point,
     position_operator,
 )
 from .quantize import (
@@ -135,7 +134,6 @@ __all__ = [
     "momentum_operator",
     "oscillator_basis",
     "overlap",
-    "phase_point",
     "position_operator",
     "raising_operator",
     "raising_symbol",

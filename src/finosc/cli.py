@@ -28,7 +28,7 @@ import tempfile
 import numpy as np
 
 from .frft import apply_frft, frft_kernel, rectangular_signal
-from .lattice import Signal, make_lattice
+from .lattice import make_lattice
 from .phasespace import coherent_frame
 from .quantize import frame_hamiltonian, ladder_states
 from .reference import (
@@ -205,13 +205,9 @@ def cmd_compare(cfg) -> int:
     frame = coherent_frame(lat)
     frame_basis = _labeled_basis(lat, "frame")
     harper_basis = _labeled_basis(lat, "harper")
-    # the report reads signed vectors; a basis signs them on the first read,
-    # holding two copies of V meanwhile, so that read comes before the ladder
-    for basis in (frame_basis, harper_basis):
-        basis.vectors
     ladder = ladder_states(frame)
     if cfg.normalize_ladder:
-        ladder = [Signal(lat, f.amp / np.linalg.norm(f.amp)) for f in ladder]
+        ladder /= np.array([np.linalg.norm(row) for row in ladder])[:, None]
     rep = deviation_report(frame_basis, harper_basis, ladder)
     cols = (np.arange(lat.d), rep.delta_f, rep.delta_h, rep.delta_m, rep.delta_r)
     return _emit_table(("m", "delta_f", "delta_h", "delta_m", "delta_r"), cols, cfg)

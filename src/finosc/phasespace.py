@@ -61,10 +61,6 @@ class PhasePoint:
         return self.b_idx * self.lattice.sqrt_delta
 
 
-def phase_point(lat: Lattice, a_idx: int, b_idx: int) -> PhasePoint:
-    return PhasePoint(lattice=lat, a_idx=a_idx, b_idx=b_idx)
-
-
 def position_operator(lat: Lattice) -> Operator:
     """Q = diag(n√δ)."""
     return Operator(lat, np.diag(lat.points))

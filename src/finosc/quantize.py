@@ -17,11 +17,11 @@ autocorrelation R(k) = Σ_a g(a)·g(a+k), and A_f is a well plus a circulant,
 A symbol is a plain function f(α, β), called once per grid point by the
 brute-force ``frame_quantize``.  One construction gives both operators the
 package needs: the oscillator H quantizes ``harmonic_symbol``, (α² + β²)/2,
-less the half-quantum, and the raising operator a⁺ quantizes
-``raising_symbol``, (α - iβ)/√2, whose iterates from the ground state form
-the ladder of approximate eigenvectors.  Each is returned as the record (well,
-hop) with its dense matrix built only when read, and hops below the smallest
-normal float are exact zeros, so no product with them runs on subnormals.
+less the half-quantum, and the raising operator a⁺ quantizes ``raising_symbol``,
+(α - iβ)/√2, whose iterates from the ground state form the ladder of
+approximate eigenvectors, the rows of one d×d array.  Each operator is the
+record (well, hop), dense only when read; hops below the smallest normal float
+are exact zeros, so no product with them runs on subnormals.
 """
 
 from __future__ import annotations
@@ -189,9 +189,9 @@ def raising_operator(frame: CoherentFrame) -> CirculantSpec:
     return circulant(lat, _real(hop, "hop coefficients of the raising operator"), well)
 
 
-def ladder_states(frame: CoherentFrame) -> list[Signal]:
-    """The d states f̃_0 = g and f̃_{n+1} = a⁺ f̃_n / √(n+1), n < d - 1,
-    not re-normalized.
+def ladder_states(frame: CoherentFrame) -> np.ndarray:
+    """The d states f̃_0 = g and f̃_{n+1} = a⁺ f̃_n / √(n+1), n < d - 1, as
+    the rows of one (d, d) array, not re-normalized.
 
     The drift of f̃_n away from unit norm is part of what the ladder
     comparison is meant to expose, so no normalization is applied.  The
@@ -202,14 +202,14 @@ def ladder_states(frame: CoherentFrame) -> list[Signal]:
     """
     lat = frame.lattice
     ap = raising_operator(frame).mat
-    states = [Signal(lat, frame.ground.amp.copy())]
+    states = np.empty((lat.d, lat.d))
+    states[0] = frame.ground.amp
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(lat.d - 1):
-            nxt = ap @ states[-1].amp / np.sqrt(n + 1.0)
+            nxt = np.divide(ap @ states[n], np.sqrt(n + 1.0), out=states[n + 1])
             if not (np.all(np.isfinite(nxt)) and np.isfinite(nxt @ nxt)):
                 raise ArithmeticError(
                     f"ladder state of order {n + 1} has entries or a squared "
                     f"norm that are not finite at d = {lat.d}"
                 )
-            states.append(Signal(lat, nxt))
     return states

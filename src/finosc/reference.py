@@ -16,11 +16,11 @@ approximate Fourier eigenvectors; Φ_0 equals π^(-1/4)·g₁ term by term.
 
 The recurrence runs in blocks of ``_BLOCK`` orders (``_hermite_blocks``), and
 every reader of many orders takes them a block at a time: the basis sign fix
-in ``spectral``, ``deviation_report`` (a block of Ψ_m and of Φ_m, each over
-its points), and ``_hermite_rows``, which keeps only the orders asked for.
-Whole tables are formed only where they are returned: ``_sample_table`` (the
-tests' oracle, d × d), ``_periodized_table`` (mmax+1 rows, not the 7× larger
-table of its wrapped points) and the M rows of the transform oracle.
+``_sign_columns`` (in ``spectral`` and here), ``deviation_report`` (a block of
+Ψ_m and of Φ_m, each over its points), and ``_hermite_rows``, which keeps only
+the orders asked for.  Whole tables are formed only where they are returned:
+``_sample_table`` (the tests' oracle, d × d), ``_periodized_table`` (mmax+1
+rows, not the 7× larger table of its wrapped points) and the M oracle rows.
 
 The fractional transform oracle expands a line profile in the Ψ_m basis,
 with coefficients ⟨Ψ_m, ψ⟩ the profile gives in closed form, and applies the
@@ -43,6 +43,7 @@ _FAR = 708.0  # π^{-1/4}·e^{-x²/2} is a normal float up to x²/2 = 708
 _LN512 = 512.0 * math.log(2.0)
 _BLOCK = 32  # orders, or basis columns, per block of a streamed pass
 _WINDOW = 8  # half-width, in grid steps, of the coherent deviation window
+_SIGN_FLOOR = 1e-12  # an overlap at most this large has no reliable sign
 
 
 def _hermite_count(M) -> int:
@@ -250,6 +251,15 @@ def mehta_function(lat: Lattice, m: int) -> Signal:
     return Signal(lat, _periodized_table(lat, m)[m])
 
 
+def _sign_columns(cols: np.ndarray, targets: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = ``cols`` (d × k), column i signed to make its overlap with
+    ``targets[i]`` positive, or its largest entry where that overlap ≤ 1e-12."""
+    overlaps = np.einsum("mn,nm->m", targets, cols)
+    peaks = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    signs = np.where(np.abs(overlaps) > _SIGN_FLOOR, np.sign(overlaps), np.sign(peaks))
+    return np.multiply(cols, signs, out=out)
+
+
 @dataclass(frozen=True, eq=False)
 class DeviationReport:
     """Per-order sup deviations of the four grid families from ⁴√δ·Ψ_m."""
@@ -265,40 +275,44 @@ def deviation_report(frame_basis, harper_basis, ladder) -> DeviationReport:
     """Compare the four discrete families against the scaled line samples,
     on the lattice of ``frame_basis``.
 
-    The Harper basis and the d ladder states must live on that lattice too;
-    a mismatch is refused by name.
+    The bases must be of kind 'frame' and 'harper', in that order, on one
+    lattice, and ``ladder`` a (d, d) array whose row n is f̃_n; a mismatch is
+    refused by name.
 
-    The eigenbases arrive sign-fixed and unit-norm.  The periodized samples
+    The unit-norm eigenbases are read as held, signed or not, and signed here
+    a block of columns at a time (``_sign_columns``).  The periodized samples
     Φ_m are normalized (and sign-aligned) here, putting all four families on
     the same footing as the unit-norm targets; ladder states are compared as
     constructed, so their drift includes normalization loss.
     """
     lat = frame_basis.lattice
     d = lat.d
+    kinds = (frame_basis.kind, harper_basis.kind)
+    if kinds != ("frame", "harper"):
+        raise ValueError(f"expected a 'frame' and a 'harper' basis, got {kinds}")
     if harper_basis.lattice != lat:
         raise ValueError(
             f"the Harper basis has d={harper_basis.lattice.d}, the frame basis d={d}"
         )
-    if len(ladder) != d:
-        raise ValueError(f"expected {d} ladder states, got {len(ladder)}")
-    if any(state.lattice != lat for state in ladder):
-        raise ValueError(f"the ladder states do not all live on the d={d} lattice")
+    # a lattice is fixed by its d; iterating a list of Signals would never end
+    shape = ladder.shape if isinstance(ladder, np.ndarray) else type(ladder).__name__
+    if shape != (d, d):
+        raise ValueError(f"expected the ladder as a ({d}, {d}) array, got {shape}")
+    held = (frame_basis._held_vectors(), harper_basis._held_vectors())
     deltas = np.empty((4, d))
     scale = lat.delta**0.25
+    signed = np.empty((d, min(_BLOCK, d)))  # one block of signed columns, reused
     # every step is per order, so blocks of orders give the bits of whole tables
     blocks = zip(_hermite_blocks(d - 1, lat.points), _periodized_blocks(lat, d - 1))
     for (first, herm), (_, phi) in blocks:
         rows = slice(first, first + len(herm))
         targets = scale * herm
+        for delta, vecs in zip(deltas, held):
+            cols = _sign_columns(vecs[:, rows], targets, signed[:, : len(herm)])
+            delta[rows] = np.max(np.abs(cols.T - targets), axis=1)
         phi /= np.linalg.norm(phi, axis=1, keepdims=True)
         phi[np.sum(phi * targets, axis=1) < 0.0] *= -1.0
-        families = (
-            frame_basis.vectors[:, rows].T,
-            harper_basis.vectors[:, rows].T,
-            phi,
-            np.stack([state.amp for state in ladder[rows]]),
-        )
-        for delta, family in zip(deltas, families):
+        for delta, family in zip(deltas[2:], (phi, ladder[rows])):
             delta[rows] = np.max(np.abs(family - targets), axis=1)
     delta_f, delta_h, delta_m, delta_r = deltas
     return DeviationReport(

@@ -36,11 +36,11 @@ at d = 1001, V included.
 
 Every label and audit is blind to the sign of a column, and LAPACK leaves
 those signs arbitrary.  The convention that each overlap with ⁴√δ·Ψ_m is
-positive costs one pass of the Hermite recurrence to order d - 1, so a
-basis pays it when ``vectors`` is first read, not when it is built (see
-``SpectralBasis``).  Until then it holds V as mirrored from the block
-vectors, which every reader that sees a column v only through v·vᵀ, such as
-the fractional Fourier transform, takes as it is.
+positive (``reference._sign_columns``) costs one pass of the Hermite
+recurrence to order d - 1, so a basis pays it when ``vectors`` is first
+read, not when it is built (see ``SpectralBasis``).  Until then it holds V
+as mirrored from the block vectors, which the fractional Fourier transform
+(blind to signs) and ``reference.deviation_report`` (which signs) read.
 """
 
 from __future__ import annotations
@@ -157,9 +157,16 @@ def sign_alternations(v) -> int:
 
     Entries below 1e-12 of the max magnitude are ignored; a change is counted
     when consecutive surviving entries differ in sign.  This is the discrete
-    stand-in for the node count of a continuous eigenfunction.
+    stand-in for the node count of a continuous eigenfunction.  It needs a
+    non-empty 1-D vector of finite entries.
     """
     arr = v.amp if isinstance(v, Signal) else np.asarray(v)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(
+            f"alternation count needs a non-empty 1-D vector, got {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("alternation count needs finite entries")
     if np.iscomplexobj(arr):
         mx = float(np.max(np.abs(arr)))
         if mx > 0.0 and float(np.max(np.abs(arr.imag))) > ZERO_SKIP * mx:
@@ -206,21 +213,13 @@ class _Mirrored:
 
 
 def _signed(vecs: np.ndarray, lat: Lattice) -> np.ndarray:
-    """A new array of the columns of ``vecs``, column m signed so that its
-    overlap with ⁴√δ·Ψ_m is positive; where that overlap vanishes
-    numerically, its largest entry is made positive instead.  ``vecs`` is
-    only read.  One pass of the Hermite recurrence, a block of orders (and
-    of columns) at a time.
-    """
+    """A new array of ``vecs`` (only read) signed by ``reference._sign_columns``,
+    in one pass of the Hermite recurrence, a block of orders at a time."""
     signed = np.empty_like(vecs)
     scale = lat.delta**0.25
     for first, herm in reference._hermite_blocks(lat.d - 1, lat.points):
         cols = slice(first, first + len(herm))
-        block = vecs[:, cols]
-        overlaps = np.einsum("mn,nm->m", scale * herm, block)
-        peaks = block[np.argmax(np.abs(block), axis=0), np.arange(len(herm))]
-        signs = np.where(np.abs(overlaps) > ZERO_SKIP, np.sign(overlaps), np.sign(peaks))
-        np.multiply(block, signs, out=signed[:, cols])
+        reference._sign_columns(vecs[:, cols], scale * herm, signed[:, cols])
     return signed
 
 
@@ -269,7 +268,7 @@ class SpectralBasis:
 
     def _held_vectors(self) -> np.ndarray:
         """V with whichever column signs the basis holds, fixed or not, for a
-        reader that sees each column v only through v·vᵀ."""
+        reader that sees each column v only through v·vᵀ or signs it itself."""
         held = self._vectors
         return held.vecs if isinstance(held, _Mirrored) else held
 

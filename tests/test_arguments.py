@@ -18,7 +18,6 @@ from finosc import (
     make_lattice,
     mehta_function,
     oscillator_basis,
-    phase_point,
     rectangular_profile,
     transform_of_coordinate_at,
     transform_of_coordinate_squared_at,
@@ -42,7 +41,7 @@ def basis(lat):
 
 # (entry point, call with a non-integer argument, the name the error gives)
 _CALLS = {
-    "phase_point": (lambda lat, fr, b: phase_point(lat, 1.7, 0), "a_idx"),
+    "PhasePoint(a_idx)": (lambda lat, fr, b: PhasePoint(lat, 1.7, 0), "a_idx"),
     "PhasePoint": (lambda lat, fr, b: PhasePoint(lat, 0, 1.5), "b_idx"),
     "coherent_deviation_table": (
         lambda lat, fr, b: coherent_deviation_table(fr, [1.5], [1]),
@@ -83,7 +82,7 @@ def test_non_integer_argument_is_refused_by_name(lat, frame, basis, entry):
 
 def test_bool_is_refused_and_numpy_integers_are_accepted(lat, frame, basis):
     with pytest.raises(ValueError, match="a_idx must be an integer, got True"):
-        phase_point(lat, True, 0)
+        PhasePoint(lat, True, 0)
     with pytest.raises(ValueError, match="dimension must be an integer"):
         make_lattice(True)
     with pytest.raises(ValueError, match="frequency must be an integer, got True"):
@@ -99,7 +98,7 @@ def test_bool_is_refused_and_numpy_integers_are_accepted(lat, frame, basis):
     assert basis_signal(lat, 1)[np.int64(1)] == 1.0
     assert np.array_equal(basis_signal(lat, np.int64(3)).amp, basis_signal(lat, 3).amp)
     assert transform_of_coordinate_at(lat, np.int32(3)) == transform_of_coordinate_at(lat, 3)
-    p = phase_point(lat, np.int64(3), np.int32(-2))
+    p = PhasePoint(lat, np.int64(3), np.int32(-2))
     assert (p.a_idx, p.b_idx) == (3, -2) and type(p.a_idx) is int
     assert PhasePoint(lat, np.int64(3), 0).a_idx == 3
     assert np.array_equal(basis.vector(np.int64(2)).amp, basis.vectors[:, 2])

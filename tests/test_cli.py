@@ -21,7 +21,7 @@ from finosc import (
     rectangular_profile,
     rectangular_signal,
 )
-from finosc import cli, verify
+from finosc import cli, reference, spectral, verify
 from finosc.cli import main
 
 
@@ -145,24 +145,36 @@ def test_compare_normalized_ladder_differs(capsys):
     assert dr_norm[0] == dr_raw[0]
 
 
-def test_compare_signs_both_bases_before_it_builds_the_ladder(monkeypatch, capsys):
-    # a first read of V holds it twice for a moment; with the ladder's d
-    # states alive too, that moment would set the command's peak
+def test_compare_runs_one_hermite_pass_over_the_grid(monkeypatch, capsys):
+    # the report signs both bases against the targets it computes anyway,
+    # so no basis runs a pass of its own for its signs
+    lat = make_lattice(101)
+    grid_passes = []
+    hermite = reference._hermite_blocks
+
+    def counted(top, x):
+        x = np.asarray(x)
+        grid_passes.append(x.shape == lat.points.shape and np.array_equal(x, lat.points))
+        return hermite(top, x)
+
+    monkeypatch.setattr(reference, "_hermite_blocks", counted)
+    code, _, _ = run_cli(capsys, "compare", "--d", "101")
+    # the other pass is the periodized samples', over the wrapped points
+    assert code == 0 and sorted(grid_passes) == [False, True]
+
+
+def test_compare_leaves_both_bases_unsigned(monkeypatch, capsys):
     built = []
-    build, ladder = cli.oscillator_basis, cli.ladder_states
+    build = cli.oscillator_basis
 
     def recorded(*args):
         built.append(build(*args))
         return built[-1]
 
-    def checked(*args):
-        assert [type(b._vectors) for b in built] == [np.ndarray, np.ndarray]
-        return ladder(*args)
-
     monkeypatch.setattr(cli, "oscillator_basis", recorded)
-    monkeypatch.setattr(cli, "ladder_states", checked)
-    code, out, _ = run_cli(capsys, "compare", "--d", "21")
-    assert code == 0 and len(built) == 2
+    code, _, _ = run_cli(capsys, "compare", "--d", "21")
+    assert code == 0 and [b.kind for b in built] == ["frame", "harper"]
+    assert all(isinstance(b._vectors, spectral._Mirrored) for b in built)
 
 
 def test_frft_both_methods_layout(capsys):

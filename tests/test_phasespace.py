@@ -5,6 +5,7 @@ import pytest
 
 from finosc import (
     CoherentFrame,
+    PhasePoint,
     Signal,
     coherent_frame,
     dft_operator,
@@ -13,7 +14,6 @@ from finosc import (
     make_lattice,
     momentum_operator,
     overlap,
-    phase_point,
     position_operator,
 )
 from finosc.phasespace import _displacement_parts, _overlaps
@@ -45,20 +45,20 @@ def test_momentum_scales_columns_instead_of_multiplying_by_a_diagonal(d):
 
 
 def test_phase_point_range_checks(lat5):
-    p = phase_point(lat5, 2, -2)
+    p = PhasePoint(lat5, 2, -2)
     assert p.alpha == pytest.approx(2 * lat5.sqrt_delta)
     assert p.beta == pytest.approx(-2 * lat5.sqrt_delta)
     with pytest.raises(ValueError):
-        phase_point(lat5, 3, 0)
+        PhasePoint(lat5, 3, 0)
     with pytest.raises(ValueError):
-        phase_point(lat5, 0, -3)
+        PhasePoint(lat5, 0, -3)
 
 
 def test_displacement_matches_first_principles(lat7):
     rng = np.random.default_rng(11)
     phi = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     for a, b in [(0, 0), (1, 0), (0, 2), (-3, 3), (2, -1)]:
-        p = phase_point(lat7, a, b)
+        p = PhasePoint(lat7, a, b)
         out = displacement(p).mat @ phi
         for n in lat7.indices:
             u = n * lat7.sqrt_delta
@@ -72,7 +72,7 @@ def test_displacement_matches_first_principles(lat7):
 
 def test_displacement_is_unitary(lat7):
     for a, b in [(1, 2), (-3, -3), (0, 1)]:
-        D = displacement(phase_point(lat7, a, b)).mat
+        D = displacement(PhasePoint(lat7, a, b)).mat
         assert np.max(np.abs(D.conj().T @ D - np.eye(7))) < 1e-14
 
 
@@ -84,8 +84,8 @@ def test_composition_phase_with_wrap_sign(lat7):
     d = lat.d
     cases = [(1, 1, 1, 1), (3, 0, 3, 0), (3, 2, 3, 3), (-3, -2, -2, -3), (2, 3, 2, 3)]
     for a1, b1, a2, b2 in cases:
-        D1 = displacement(phase_point(lat, a1, b1)).mat
-        D2 = displacement(phase_point(lat, a2, b2)).mat
+        D1 = displacement(PhasePoint(lat, a1, b1)).mat
+        D2 = displacement(PhasePoint(lat, a2, b2)).mat
         asum, bsum = lat.wrap(a1 + a2), lat.wrap(b1 + b2)
         sa = (a1 + a2 - asum) // d
         sb = (b1 + b2 - bsum) // d
@@ -93,7 +93,7 @@ def test_composition_phase_with_wrap_sign(lat7):
         al1, be1 = a1 * lat.sqrt_delta, b1 * lat.sqrt_delta
         al2, be2 = a2 * lat.sqrt_delta, b2 * lat.sqrt_delta
         phase = np.exp(-0.5j * (al1 * be2 - al2 * be1)) * sign
-        D12 = displacement(phase_point(lat, asum, bsum)).mat
+        D12 = displacement(PhasePoint(lat, asum, bsum)).mat
         assert np.max(np.abs(D1 @ D2 - phase * D12)) < 1e-13
 
 
@@ -104,7 +104,7 @@ def test_frame_states_and_indexing(lat21):
     norms = np.linalg.norm(fr.states, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-14
     # the origin state is the ground state itself
-    p0 = phase_point(lat21, 0, 0)
+    p0 = PhasePoint(lat21, 0, 0)
     assert np.max(np.abs(fr.states[fr.flat_index(p0)] - ground_state(lat21).amp)) < 1e-15
     # flat_index walks the row-major sweep in iter_points order
     for k, p in enumerate(fr.iter_points()):
@@ -130,7 +130,7 @@ def test_dense_states_are_built_on_first_read_and_kept(lat7):
 
 def test_state_rejects_foreign_points(lat5, lat7):
     with pytest.raises(ValueError):
-        coherent_frame(lat7).state(phase_point(lat5, 0, 0))
+        coherent_frame(lat7).state(PhasePoint(lat5, 0, 0))
 
 
 def test_states_match_displacement_matrices(lat7):
@@ -168,7 +168,7 @@ def test_overlap_diagonal_is_one(lat5):
 def test_overlap_rejects_foreign_points(lat5, lat7):
     fr = coherent_frame(lat7)
     with pytest.raises(ValueError):
-        overlap(fr, phase_point(lat5, 0, 0), phase_point(lat7, 0, 0))
+        overlap(fr, PhasePoint(lat5, 0, 0), PhasePoint(lat7, 0, 0))
 
 
 def test_fourier_rotates_the_grid_by_a_quarter_turn(lat21):
@@ -178,7 +178,7 @@ def test_fourier_rotates_the_grid_by_a_quarter_turn(lat21):
     worst = 0.0
     for p in fr.iter_points():
         lhs = F @ fr.states[fr.flat_index(p)]
-        q = phase_point(lat21, p.b_idx, -p.a_idx)
+        q = PhasePoint(lat21, p.b_idx, -p.a_idx)
         worst = max(worst, np.max(np.abs(lhs - fr.states[fr.flat_index(q)])))
     assert worst < 1e-13
 
@@ -188,7 +188,7 @@ def test_inverse_fourier_rotates_the_other_way(lat7):
     F = dft_operator(lat7).mat
     for p in fr.iter_points():
         lhs = F.conj().T @ fr.states[fr.flat_index(p)]
-        q = phase_point(lat7, -p.b_idx, p.a_idx)
+        q = PhasePoint(lat7, -p.b_idx, p.a_idx)
         assert np.max(np.abs(lhs - fr.states[fr.flat_index(q)])) < 1e-13
 
 
@@ -215,7 +215,7 @@ def test_displacement_is_the_scatter_of_its_parts(d):
     for i, (p, q) in enumerate(zip(a, b)):
         want = np.zeros((d, d), dtype=complex)
         want[rows, cols[i]] = vals[i]
-        assert np.array_equal(displacement(phase_point(lat, p, q)).mat, want)
+        assert np.array_equal(displacement(PhasePoint(lat, p, q)).mat, want)
         one_cols, one_vals = _displacement_parts(lat, int(p), int(q))
         assert np.array_equal(one_cols, cols[i]) and np.array_equal(one_vals, vals[i])
     # index arrays broadcast: a column of a against a row of b
@@ -234,7 +234,7 @@ def test_overlap_is_a_row_of_the_batched_overlaps(d):
     batch = _overlaps(fr, a1, b1, a2, b2)
     assert batch.shape == (30,)
     one = np.array([
-        overlap(fr, phase_point(lat, p, q), phase_point(lat, r, t))
+        overlap(fr, PhasePoint(lat, p, q), PhasePoint(lat, r, t))
         for p, q, r, t in zip(a1, b1, a2, b2)
     ])
     scalar = np.array([_overlaps(fr, *idx) for idx in zip(a1, b1, a2, b2)])

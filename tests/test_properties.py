@@ -14,7 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from finosc import (  # noqa: E402
+from finosc import (
+    PhasePoint,
     Signal,
     apply_frft,
     coherent_frame,
@@ -25,7 +26,6 @@ from finosc import (  # noqa: E402
     harper_hamiltonian,
     make_lattice,
     oscillator_basis,
-    phase_point,
     sign_alternations,
     spectral,
 )
@@ -208,8 +208,8 @@ def test_displacement_phases_depend_only_on_the_reduced_integers(d, seed):
     k = rng.integers(np.count_nonzero(same))
     a2, b2 = int(A[same][k]), int(B[same][k])
     n = lat.indices
-    e1 = displacement(phase_point(lat, a, b)).mat[lat.pos(n), lat.pos(n - a)]
-    e2 = displacement(phase_point(lat, a2, b2)).mat[lat.pos(n), lat.pos(n - a2)]
+    e1 = displacement(PhasePoint(lat, a, b)).mat[lat.pos(n), lat.pos(n - a)]
+    e2 = displacement(PhasePoint(lat, a2, b2)).mat[lat.pos(n), lat.pos(n - a2)]
     i, j = np.nonzero((b * n[:, None] - b2 * n[None, :]) % d == 0)
     assert len(i) > 0  # n = 0 always pairs with n = 0
     assert np.array_equal(e1[i], e2[j])
@@ -221,5 +221,5 @@ def test_single_state_is_its_dense_row(d, seed):
     frame = coherent_frame(make_lattice(d))
     rng = np.random.default_rng(seed)
     for a, b in rng.integers(-frame.lattice.s, frame.lattice.s + 1, size=(10, 2)):
-        p = phase_point(frame.lattice, a, b)
+        p = PhasePoint(frame.lattice, a, b)
         assert np.array_equal(frame.state(p).amp, frame.states[frame.flat_index(p)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from finosc import (
+    PhasePoint,
     Signal,
     circulant,
     coherent_expectation,
@@ -21,7 +22,6 @@ from finosc import (
     make_lattice,
     oscillator_basis,
     overlap,
-    phase_point,
     raising_operator,
     raising_symbol,
     trace_ratio,
@@ -163,7 +163,7 @@ def test_coherent_expectation_matches_quadratic_form(lat21):
     frame = coherent_frame(lat21)
     H = fh.op.mat
     for a, b in [(0, 0), (3, -2), (-10, 10), (7, 7)]:
-        p = phase_point(lat21, a, b)
+        p = PhasePoint(lat21, a, b)
         v = frame.states[frame.flat_index(p)]
         direct = float(np.vdot(v, H @ v).real)
         assert coherent_expectation(fh, frame, p) == pytest.approx(direct, abs=1e-12)
@@ -172,15 +172,15 @@ def test_coherent_expectation_matches_quadratic_form(lat21):
 def test_coherent_expectation_swap_symmetry(lat7):
     fh = frame_hamiltonian(lat7)
     frame = coherent_frame(lat7)
-    e1 = coherent_expectation(fh, frame, phase_point(lat7, 2, -3))
-    e2 = coherent_expectation(fh, frame, phase_point(lat7, -3, 2))
+    e1 = coherent_expectation(fh, frame, PhasePoint(lat7, 2, -3))
+    e2 = coherent_expectation(fh, frame, PhasePoint(lat7, -3, 2))
     assert e1 == pytest.approx(e2, abs=1e-14)
 
 
 def test_coherent_expectation_rejects_mismatch(lat5, lat7):
     fh = frame_hamiltonian(lat7)
     with pytest.raises(ValueError):
-        coherent_expectation(fh, coherent_frame(lat5), phase_point(lat5, 0, 0))
+        coherent_expectation(fh, coherent_frame(lat5), PhasePoint(lat5, 0, 0))
 
 
 def test_raising_operator_is_real_and_centrally_antisymmetric(lat21):
@@ -216,18 +216,19 @@ def test_separable_parts_match_projector_average(d):
 def test_ladder_starts_at_the_ground_and_recurses(lat21):
     frame = coherent_frame(lat21)
     states = ladder_states(frame)
-    assert len(states) == lat21.d
-    assert np.array_equal(states[0].amp, frame.ground.amp)
+    # one (d, d) array, row n holding f̃_n
+    assert type(states) is np.ndarray and states.shape == (lat21.d, lat21.d)
+    assert np.array_equal(states[0], frame.ground.amp)
     ap = raising_operator(frame).mat
     for n in range(5):
-        want = ap @ states[n].amp / np.sqrt(n + 1.0)
-        assert np.max(np.abs(states[n + 1].amp - want)) < 1e-14
+        want = ap @ states[n] / np.sqrt(n + 1.0)
+        assert np.max(np.abs(states[n + 1] - want)) < 1e-14
 
 
 def test_ground_state_readers_never_build_the_dense_frame(lat21):
     frame = coherent_frame(lat21)
     fh = frame_hamiltonian(lat21)
-    p1, p2 = phase_point(lat21, 3, -2), phase_point(lat21, -7, 5)
+    p1, p2 = PhasePoint(lat21, 3, -2), PhasePoint(lat21, -7, 5)
     ladder_states(frame)
     overlap(frame, p1, p2)
     coherent_expectation(fh, frame, p1)
@@ -245,7 +246,7 @@ def test_coherent_expectation_is_a_row_of_the_batched_energies(d):
     a, b = np.random.default_rng(d).integers(-lat.s, lat.s + 1, size=(2, 30))
     batch = _coherent_energies(fh, frame, a, b)
     assert batch.shape == (30,)
-    one = np.array([coherent_expectation(fh, frame, phase_point(lat, p, q))
+    one = np.array([coherent_expectation(fh, frame, PhasePoint(lat, p, q))
                     for p, q in zip(a, b)])
     scalar = np.array([_coherent_energies(fh, frame, p, q) for p, q in zip(a, b)])
     scale = float(np.max(np.abs(batch)))
@@ -267,8 +268,8 @@ def test_ladder_refuses_states_past_the_float_range():
 
 def test_ladder_at_601_stays_finite():
     states = ladder_states(coherent_frame(make_lattice(601)))
-    assert len(states) == 601
-    sq = np.array([s.amp @ s.amp for s in states])
+    assert states.shape == (601, 601)
+    sq = np.array([row @ row for row in states])
     assert np.all(np.isfinite(sq))
     # the largest norm is about 7e129: far from the float range, yet the
     # ladder has left unit norm far behind
@@ -281,7 +282,7 @@ def test_low_ladder_states_track_the_eigenbasis(lat21, frame_basis21):
     frame = coherent_frame(lat21)
     states = ladder_states(frame)[:4]
     for n in range(4):
-        v = states[n].amp
+        v = states[n]
         overlap = abs(np.dot(v / np.linalg.norm(v), frame_basis21.vectors[:, n]))
         assert overlap > 0.999
 

@@ -6,6 +6,7 @@ from numpy.polynomial.hermite import hermval
 
 from finosc import (
     GaussianProfile,
+    PhasePoint,
     RectangularProfile,
     Signal,
     coherent_deviation_table,
@@ -23,9 +24,9 @@ from finosc import (
     make_lattice,
     mehta_function,
     oscillator_basis,
-    phase_point,
     rectangular_profile,
     reference,
+    spectral,
     theta_gaussian,
 )
 from math import factorial
@@ -195,7 +196,7 @@ def test_hermite_sample_is_a_signal_of_the_scaled_samples(lat21, m):
 
 
 def test_displaced_sample_formula(lat21):
-    p = phase_point(lat21, 4, -6)
+    p = PhasePoint(lat21, 4, -6)
     out = displaced_ground_sample(p).amp
     for k, x in enumerate(lat21.points):
         want = (
@@ -228,7 +229,7 @@ def test_deviation_table_equals_the_per_point_loop(d):
     sel = np.abs(lat.indices) <= 8
     for i, a in enumerate(a_idx):
         for j, b in enumerate(b_idx):
-            p = phase_point(lat, a, b)
+            p = PhasePoint(lat, a, b)
             disc = frame.state(p).amp
             cont = displaced_ground_sample(p).amp
             assert tab[i, j] == np.max(np.abs(disc[sel] - cont[sel]))
@@ -297,7 +298,7 @@ def test_deviation_report_equals_the_per_order_loop(d):
             np.max(np.abs(fb.vectors[:, m] - t)),
             np.max(np.abs(hb.vectors[:, m] - t)),
             np.max(np.abs(phi - t)),
-            np.max(np.abs(ladder[m].amp - t)),
+            np.max(np.abs(ladder[m] - t)),
         ]
         got = [rep.delta_f[m], rep.delta_h[m], rep.delta_m[m], rep.delta_r[m]]
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
@@ -315,7 +316,7 @@ def test_deviation_report_reads_the_whole_tables_in_any_block_size(d, monkeypatc
     phi = reference._periodized_table(lat, d - 1)
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
     phi[np.sum(phi * targets, axis=1) < 0.0] *= -1.0
-    families = (fb.vectors.T, hb.vectors.T, phi, np.stack([f.amp for f in ladder]))
+    families = (fb.vectors.T, hb.vectors.T, phi, ladder)
     want = [np.max(np.abs(rows - targets), axis=1) for rows in families]
     for block in (1, 7, 32, d):
         monkeypatch.setattr(reference, "_BLOCK", block)
@@ -327,8 +328,57 @@ def test_deviation_report_reads_the_whole_tables_in_any_block_size(d, monkeypatc
 
 def test_deviation_report_rejects_short_ladder(lat21, frame_basis21, harper_basis21):
     ladder = ladder_states(coherent_frame(lat21))[:5]
-    with pytest.raises(ValueError, match="expected 21 ladder states, got 5"):
+    with pytest.raises(ValueError, match=r"ladder as a \(21, 21\) array, got \(5, 21\)"):
         deviation_report(frame_basis21, harper_basis21, ladder)
+
+
+def test_deviation_report_rejects_a_ladder_that_is_not_an_array(
+    lat21, frame_basis21, harper_basis21
+):
+    # a list of rows, or of Signals, is refused before anything iterates it
+    rows = list(ladder_states(coherent_frame(lat21)))
+    signals = [Signal(lat21, row) for row in rows]
+    for ladder in (rows, signals):
+        with pytest.raises(ValueError, match=r"ladder as a \(21, 21\) array, got list"):
+            deviation_report(frame_basis21, harper_basis21, ladder)
+
+
+def test_deviation_report_rejects_swapped_bases(lat21, frame_basis21, harper_basis21):
+    ladder = ladder_states(coherent_frame(lat21))
+    # the delta_f column used to be Harper's, without a word
+    want = r"expected a 'frame' and a 'harper' basis, got \('{}', '{}'\)"
+    with pytest.raises(ValueError, match=want.format("harper", "frame")):
+        deviation_report(harper_basis21, frame_basis21, ladder)
+    with pytest.raises(ValueError, match=want.format("frame", "frame")):
+        deviation_report(frame_basis21, frame_basis21, ladder)
+
+
+def _sign_fix_refused(*args):
+    raise AssertionError("a basis signed its vectors")
+
+
+@pytest.mark.parametrize("d", [5, 21, 101])
+def test_deviation_report_of_a_read_basis_is_that_of_it_unread(d, monkeypatch):
+    # the report signs the held columns itself, by the rule a first read of
+    # ``vectors`` applies, and that rule is its own fixed point
+    lat = make_lattice(d)
+    ladder = ladder_states(coherent_frame(lat))
+
+    def bases():
+        return (oscillator_basis(frame_hamiltonian(lat).op, lat, "frame"),
+                oscillator_basis(harper_hamiltonian(lat), lat, "harper"))
+
+    unread = bases()
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_signed", _sign_fix_refused)
+        fresh = deviation_report(*unread, ladder)
+    assert all(isinstance(b._vectors, spectral._Mirrored) for b in unread)
+    read = bases()
+    for b in read:
+        b.vectors
+    again = deviation_report(*read, ladder)
+    for col in ("delta_f", "delta_h", "delta_m", "delta_r"):
+        assert np.array_equal(getattr(fresh, col), getattr(again, col)), col
 
 
 def test_deviation_report_rejects_a_harper_basis_of_another_size(lat21, frame_basis21):
@@ -341,7 +391,7 @@ def test_deviation_report_rejects_a_harper_basis_of_another_size(lat21, frame_ba
 
 def test_deviation_report_rejects_a_ladder_of_another_lattice(frame_basis21, harper_basis21):
     ladder = ladder_states(coherent_frame(make_lattice(23)))[:21]
-    with pytest.raises(ValueError, match="ladder states do not all live on the d=21"):
+    with pytest.raises(ValueError, match=r"ladder as a \(21, 21\) array, got \(21, 23\)"):
         deviation_report(frame_basis21, harper_basis21, ladder)
 
 

@@ -150,6 +150,25 @@ def test_sign_alternations_basics(lat5):
         sign_alternations(np.array([1.0, 1.0j]))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([1.0, np.nan, -1.0, 1.0], "needs finite entries"),
+        ([1.0, np.inf, -1.0, 1.0], "needs finite entries"),
+        ([1.0, -np.inf, -1.0, 1.0], "needs finite entries"),
+        ([1.0, complex(np.nan, 0.0), -1.0], "needs finite entries"),
+        ([], r"needs a non-empty 1-D vector, got \(0,\)"),
+        (np.ones((3, 3)), r"needs a non-empty 1-D vector, got \(3, 3\)"),
+        (1.0, r"needs a non-empty 1-D vector, got \(\)"),
+    ],
+)
+def test_sign_alternations_refuses_what_it_cannot_count(bad, message):
+    # a NaN or infinite peak used to keep no entry (count 0), and the empty
+    # and 2-D inputs failed inside NumPy
+    with pytest.raises(ValueError, match=f"^alternation count {message}"):
+        sign_alternations(np.array(bad))
+
+
 def test_sign_alternations_floor_is_relative():
     # 1e-3 survives next to a max of 1, but not next to a max of 1e10
     assert sign_alternations(np.array([1.0, -1e-3, 1.0])) == 2
