@@ -27,11 +27,9 @@ from .fourier import (
 from .frft import FrftKernel, apply_frft, frft_kernel, rectangular_signal
 from .lattice import (
     Lattice,
-    Operator,
     Signal,
     basis_signal,
     coordinate_signal,
-    identity_operator,
     inner_product,
     make_lattice,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "FrftKernel",
     "GaussianProfile",
     "Lattice",
-    "Operator",
     "PhasePoint",
     "RectangularProfile",
     "Signal",
@@ -125,7 +122,6 @@ __all__ = [
     "harper_hamiltonian",
     "hermite_gaussian",
     "hermite_sample",
-    "identity_operator",
     "inner_product",
     "jacobi_theta3",
     "ladder_states",

@@ -15,7 +15,8 @@ Steiglitz 1982):
     π_0, π_2 = (I + J ± 2·Re F)/4,      π_1, π_3 = (I - J ∓ 2·Im F)/4.
 
 ``fourier_projectors`` returns them as the plain tuple (π_0, π_1, π_2, π_3)
-of Operators, so ``proj[m]`` is the projector for the eigenvalue (-i)^m.
+of real (d, d) arrays, so ``proj[m]`` is the projector for the eigenvalue
+(-i)^m.
 
 Circulant operators (entry (n, m) = c[n-m], indices mod d) diagonalize in the
 Fourier basis.  ``CirculantSpec`` holds a well plus a circulant, diag(w) + C(c),
@@ -36,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, Operator, Signal, _as_int
+from .lattice import Lattice, Signal, _as_int
 
 
 def _root(k, period: int, sign: float = 1.0) -> np.ndarray:
@@ -60,12 +61,12 @@ def _root_table(period: int, sign: float) -> np.ndarray:
     return table
 
 
-def dft_operator(lat: Lattice) -> Operator:
-    """The finite Fourier matrix F; its inverse F⁺ is ``.adjoint()``."""
+def dft_operator(lat: Lattice) -> np.ndarray:
+    """The finite Fourier matrix F; its inverse F⁺ is ``.conj().T``."""
     n = lat.indices
     roots = _root(np.outer(n, n), lat.d, -1.0)
     roots /= np.sqrt(lat.d)  # in place: no second d×d array
-    return Operator(lat, roots)
+    return roots
 
 
 def dft_parity_blocks(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +95,7 @@ def dft_parity_blocks(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def fourier_projectors(lat: Lattice) -> tuple[Operator, ...]:
+def fourier_projectors(lat: Lattice) -> tuple[np.ndarray, ...]:
     """The tuple (π_0, π_1, π_2, π_3) of the spectral projectors of F, π_m
     for the eigenvalue (-i)^m.
 
@@ -107,7 +108,7 @@ def fourier_projectors(lat: Lattice) -> tuple[Operator, ...]:
     F and the four π's are the only d×d arrays held.
     """
     d = lat.d
-    F = dft_operator(lat).mat
+    F = dft_operator(lat)
     np.multiply(F.real, 2.0, out=F.real)
     np.multiply(F.imag, 2.0, out=F.imag)
     flip = (np.arange(d), np.arange(d)[::-1])
@@ -118,7 +119,7 @@ def fourier_projectors(lat: Lattice) -> tuple[Operator, ...]:
         p[flip] += parity  # I ± J
         combine(p, part, out=p)
         p /= 4.0
-        pi.append(Operator(lat, p))
+        pi.append(p)
     return tuple(pi)
 
 
@@ -209,10 +210,13 @@ class CirculantSpec:
 
 
 def circulant(lat: Lattice, first_column, well=0.0) -> CirculantSpec:
-    """The record diag(w) + C(c); the default well w = 0 gives a plain circulant."""
-    col = np.asarray(first_column)
+    """The record diag(w) + C(c); the default well w = 0 gives a plain circulant,
+    and a scalar well is the same on every site."""
+    col, well = np.asarray(first_column), np.asarray(well)
     if col.shape != (lat.d,):
         raise ValueError(f"first column length {col.shape} does not match d={lat.d}")
+    if well.ndim and well.shape != col.shape:
+        raise ValueError(f"well length {well.shape} does not match d={lat.d}")
     return CirculantSpec(lattice=lat, first_column=col, well=np.broadcast_to(well, col.shape))
 
 

@@ -14,7 +14,7 @@ A kernel is its basis and its d phases e^{-iπmα/2}, from
 and d alone, so one LRU of ``CACHE_SIZE`` (α, d) pairs serves every basis.
 Every request is applied in factored form, V·(phases ⊙ Vᵀx), in O(d²), and
 no kernel holds a d×d matrix: the dense V·diag(phases)·Vᵀ is built in O(d³)
-on each read of ``FrftKernel.op``, an oracle for tests and ``verify``.
+on each read of ``FrftKernel.mat``, an oracle for tests and ``verify``.
 
 Both read V with whichever column signs the basis holds, so neither makes a
 basis fix its signs (a Hermite pass to order d - 1, run on the first read of
@@ -22,7 +22,7 @@ basis fix its signs (a Hermite pass to order d - 1, run on the first read of
 m negates row m of the coefficients Vᵀx, and in each product of the second
 call, V[n, m]·c[m], both factors change sign, so every term, and every sum
 BLAS forms from the terms in its fixed order, keeps its bits.  The same
-holds for each term V[n, m]·phase_m·V[k, m] of ``op``.
+holds for each term V[n, m]·phase_m·V[k, m] of ``mat``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Operator, Signal
+from .lattice import Signal
 from .reference import _eigenphases
 from .spectral import SpectralBasis
 
@@ -54,11 +54,10 @@ class FrftKernel:
     phases: np.ndarray  # e^{-iπmα/2} for m = 0..d-1
 
     @property
-    def op(self) -> Operator:
+    def mat(self) -> np.ndarray:
         """The dense kernel V·diag(phases)·Vᵀ, built afresh on each read."""
         vecs = self.basis._held_vectors()
-        mat = (vecs * self.phases[None, :]) @ vecs.T
-        return Operator(self.basis.lattice, mat)
+        return (vecs * self.phases[None, :]) @ vecs.T
 
 
 def frft_kernel(basis: SpectralBasis, alpha: float) -> FrftKernel:

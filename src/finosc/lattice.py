@@ -4,7 +4,8 @@ The configuration space is the set of d = 2s+1 points n·√δ with n = -s..s an
 δ = 2π/d.  Everything downstream (transforms, frames, Hamiltonians) acts on
 complex d-periodic functions of the grid index.  Signals store their values in
 ascending index order; index access wraps modulo d, so sig[n] and sig[n + d]
-are the same array element.
+are the same array element.  A dense operator is a plain (d, d) ndarray with
+rows and columns in the same storage order.
 
 Inner products are conjugate-linear in the first argument:
 ⟨a, b⟩ = Σ_n conj(a[n])·b[n].
@@ -112,6 +113,11 @@ class Signal:
         # periodic access: n and n + d hit the same stored element
         return self.amp[(_as_int(n, "index") + self.lattice.s) % self.lattice.d]
 
+    def __iter__(self):
+        # the d stored values once each: the periodic ``__getitem__`` never
+        # raises IndexError, so the sequence protocol alone would not end
+        return iter(self.amp)
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))
 
@@ -137,41 +143,3 @@ def coordinate_signal(lat: Lattice) -> Signal:
     """The coordinate function q: value n·√δ at index n."""
     return Signal(lat, lat.points.copy())
 
-
-class Operator:
-    """Dense d×d matrix acting on signals, rows/columns in storage order."""
-
-    __slots__ = ("lattice", "mat")
-
-    def __init__(self, lattice: Lattice, mat):
-        mat = np.asarray(mat)
-        if mat.shape != (lattice.d, lattice.d):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match d={lattice.d}"
-            )
-        self.lattice = lattice
-        self.mat = mat
-
-    def apply(self, sig: Signal) -> Signal:
-        if sig.lattice != self.lattice:
-            raise ValueError("operator and signal lattices differ")
-        return Signal(self.lattice, self.mat @ sig.amp)
-
-    def adjoint(self) -> "Operator":
-        return Operator(self.lattice, self.mat.conj().T)
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            if other.lattice != self.lattice:
-                raise ValueError("operator lattices differ")
-            return Operator(self.lattice, self.mat @ other.mat)
-        if isinstance(other, Signal):
-            return self.apply(other)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Operator(d={self.lattice.d})"
-
-
-def identity_operator(lat: Lattice) -> Operator:
-    return Operator(lat, np.eye(lat.d))

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import _root, dft_operator
-from .lattice import Lattice, Operator, Signal, _as_int
+from .lattice import Lattice, Signal, _as_int
 from .thetagauss import ground_state
 
 
@@ -61,15 +61,15 @@ class PhasePoint:
         return self.b_idx * self.lattice.sqrt_delta
 
 
-def position_operator(lat: Lattice) -> Operator:
+def position_operator(lat: Lattice) -> np.ndarray:
     """Q = diag(n√δ)."""
-    return Operator(lat, np.diag(lat.points))
+    return np.diag(lat.points)
 
 
-def momentum_operator(lat: Lattice) -> Operator:
+def momentum_operator(lat: Lattice) -> np.ndarray:
     """P = F⁺·Q·F, the position operator conjugated into the frequency side."""
-    F = dft_operator(lat).mat
-    return Operator(lat, (F.conj().T * lat.points) @ F)  # F⁺·Q scales columns
+    F = dft_operator(lat)
+    return (F.conj().T * lat.points) @ F  # F⁺·Q scales columns
 
 
 def _displacement_parts(lat: Lattice, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +90,7 @@ def _displacement_parts(lat: Lattice, a, b) -> tuple[np.ndarray, np.ndarray]:
     return lat.pos(n - a[..., None]), vals
 
 
-def displacement(p: PhasePoint) -> Operator:
+def displacement(p: PhasePoint) -> np.ndarray:
     """Matrix of D(α, β) on the lattice of ``p``: the one-point scatter of
     ``_displacement_parts``.
 
@@ -100,7 +100,7 @@ def displacement(p: PhasePoint) -> Operator:
     cols, vals = _displacement_parts(lat, p.a_idx, p.b_idx)
     mat = np.zeros((lat.d, lat.d), dtype=complex)
     mat[lat.pos(lat.indices), cols] = vals
-    return Operator(lat, mat)
+    return mat
 
 
 def _coherent_amplitudes(lat: Lattice, g: np.ndarray, a, b) -> np.ndarray:
@@ -159,13 +159,13 @@ class CoherentFrame:
             for b in range(-s, s + 1):
                 yield PhasePoint(lattice=self.lattice, a_idx=a, b_idx=b)
 
-    def frame_operator(self) -> Operator:
+    def frame_operator(self) -> np.ndarray:
         """S = (1/d)·Σ_p |p⟩⟨p|; equals the identity for a tight frame.
 
         A brute-force oracle: it reads the dense ``states`` array.
         """
         S = np.einsum("pn,pm->nm", self.states, self.states.conj())
-        return Operator(self.lattice, S / self.lattice.d)
+        return S / self.lattice.d
 
 
 def coherent_frame(lat: Lattice) -> CoherentFrame:

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Lattice, Operator, Signal
+from .lattice import Lattice, Signal
 from .fourier import CirculantSpec, circulant, cyclic_windows, equidistant_circulant
 from .phasespace import CoherentFrame, PhasePoint
 from .thetagauss import ground_state
@@ -50,7 +50,7 @@ def raising_symbol(a: float, b: float) -> complex:
 
 def frame_quantize(
     frame: CoherentFrame, symbol: Callable[[float, float], complex]
-) -> Operator:
+) -> np.ndarray:
     """A_f = (1/d) Σ_p f(α_p, β_p) |p⟩⟨p|, by direct projector average.
 
     Deliberately brute force, O(d³) in memory and work: it reads the dense
@@ -62,8 +62,7 @@ def frame_quantize(
     pts = lat.points.tolist()
     weights = np.array([symbol(a, b) for a in pts for b in pts], dtype=complex)
     states = frame.states
-    mat = (states.T * weights) @ states.conj() / lat.d
-    return Operator(lat, mat)
+    return (states.T * weights) @ states.conj() / lat.d
 
 
 def _separable_parts(

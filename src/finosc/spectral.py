@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, Operator, Signal, _as_int
+from .lattice import Lattice, Signal, _as_int
 from .fourier import CirculantSpec, circulant, dft_parity_blocks
 from . import reference
 
@@ -73,9 +73,11 @@ def _real_symmetric(op):
         mat = np.concatenate([op.well + col[lat.pos(0)], col])
         flip = lambda a: np.concatenate([a[: lat.d], a[: lat.d - 1 : -1]])  # c[-k]
     else:
-        mat = op.mat if isinstance(op, Operator) else np.asarray(op)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        mat = np.asarray(op)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ValueError(
+                f"expected a non-empty square matrix, got shape {mat.shape}"
+            )
         flip = np.transpose
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
@@ -125,7 +127,7 @@ def _audit(sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
 def eigh(op) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric operator.
 
-    Accepts a record diag(w) + C(c), an Operator or a square ndarray, with
+    Accepts a record diag(w) + C(c) or a non-empty square array, with
     entries finite and real symmetric up to 1e-10 relative; anything farther
     from symmetric is rejected rather than silently symmetrized.  Returns
     (values ascending, vectors in matching columns).  The result is audited:
@@ -422,7 +424,7 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     """
     if kind not in ("frame", "harper"):
         raise ValueError(f"kind must be 'frame' or 'harper', got {kind!r}")
-    if isinstance(op, (Operator, CirculantSpec)) and op.lattice != lat:
+    if isinstance(op, CirculantSpec) and op.lattice != lat:
         raise ValueError("operator belongs to a different lattice")
     d, s = lat.d, lat.s
     h = _real_symmetric(op)

@@ -70,7 +70,7 @@ class _Ctx:
 
     @cached_property
     def fmat(self):
-        return dft_operator(self.lat).mat
+        return dft_operator(self.lat)
 
     @cached_property
     def projectors(self):
@@ -192,23 +192,21 @@ def _chk_root_of_unity_sum(ctx):
 def _chk_projectors(ctx):
     pr = ctx.projectors
     eye = np.eye(ctx.d)
-    total = sum(p.mat for p in pr)
+    total = sum(pr)
     dev_sum = np.linalg.norm(total - eye)
     worst = 0.0
     for j in range(4):
-        worst = max(worst, np.linalg.norm(pr[j].mat @ pr[j].mat - pr[j].mat))
-        worst = max(
-            worst, np.linalg.norm(pr[j].mat - pr[j].mat.conj().T)
-        )
+        worst = max(worst, np.linalg.norm(pr[j] @ pr[j] - pr[j]))
+        worst = max(worst, np.linalg.norm(pr[j] - pr[j].conj().T))
         for k in range(j + 1, 4):
-            worst = max(worst, np.linalg.norm(pr[j].mat @ pr[k].mat))
+            worst = max(worst, np.linalg.norm(pr[j] @ pr[k]))
     # Σ(-i)^m·π_m in place: the terms are real or imaginary, so each one is
     # added to one part, in the order m = 0..3
     recon = np.zeros((ctx.d, ctx.d), dtype=complex)
-    recon.real += pr[0].mat
-    recon.imag -= pr[1].mat
-    recon.real -= pr[2].mat
-    recon.imag += pr[3].mat
+    recon.real += pr[0]
+    recon.imag -= pr[1]
+    recon.real -= pr[2]
+    recon.imag += pr[3]
     recon -= ctx.fmat
     dev_rec = np.linalg.norm(recon)
     _require(dev_sum < 1e-12, f"Σπ - I = {dev_sum:.2e}")
@@ -219,7 +217,7 @@ def _chk_projectors(ctx):
 
 def _chk_projector_ranks(ctx):
     pr = ctx.projectors
-    traces = [float(np.trace(p.mat).real) for p in pr]
+    traces = [float(np.trace(p)) for p in pr]
     counts = [int(round(t)) for t in traces]
     worst = max(abs(t - c) for t, c in zip(traces, counts))
     _require(worst < 1e-10, f"trace not integral: {traces}")
@@ -243,7 +241,7 @@ def _chk_projector_vs_eigensolver(ctx):
         for target_eig, proj in targets:
             sel = np.abs(vals - target_eig) < 0.5
             rebuilt = vecs[:, sel] @ vecs[:, sel].T
-            worst = max(worst, np.linalg.norm(rebuilt - proj.mat))
+            worst = max(worst, np.linalg.norm(rebuilt - proj))
     _require(worst < 1e-11, f"projector mismatch {worst:.2e}")
     return f"projectors match Re/Im eigenspaces ({worst:.1e})"
 
@@ -377,7 +375,7 @@ def _chk_ground_autocorrelation(ctx):
 
 def _chk_momentum_operator(ctx):
     lat = ctx.lat
-    p = momentum_operator(lat).mat
+    p = momentum_operator(lat)
     herm = np.linalg.norm(p - p.conj().T)
     _require(herm < 1e-15 * np.linalg.norm(p), f"not Hermitian: {herm:.2e}")
     qexp = np.exp(-1j * lat.sqrt_delta * lat.points)
@@ -393,7 +391,7 @@ def _chk_momentum_operator(ctx):
 
 def _chk_momentum_convolution_form(ctx):
     lat = ctx.lat
-    pmat = momentum_operator(lat).mat
+    pmat = momentum_operator(lat)
     n = lat.indices
     # kern[v] = (1/d)·Σ_n q_n·e^{2πi·n·v/d}, and (Pφ)_n = Σ_v kern[v]·φ(n - v)
     kern = _root(np.outer(n, n), lat.d) @ lat.points / lat.d
@@ -440,7 +438,7 @@ def _chk_displacement_unitary(ctx):
     _require(worst < 1e-13, f"unitarity off by {worst:.2e}")
     rows = np.arange(lat.d)
     for p, q, c, v in zip(a, b, cols, vals):
-        mat = displacement(PhasePoint(lattice=lat, a_idx=int(p), b_idx=int(q))).mat
+        mat = displacement(PhasePoint(lattice=lat, a_idx=int(p), b_idx=int(q)))
         _require(np.count_nonzero(mat) == lat.d, f"displacement ({p}, {q}) is not monomial")
         _require(np.array_equal(mat[rows, c], v), f"displacement ({p}, {q}) is not its parts")
     return f"random displacements unitary ({worst:.1e})"
@@ -528,7 +526,7 @@ def _chk_frame_states(ctx):
     norms = np.linalg.norm(frame.states, axis=1)
     dev_norm = float(np.max(np.abs(norms - 1.0)))
     _require(dev_norm < 1e-13, f"state norms off by {dev_norm:.2e}")
-    smat = frame.frame_operator().mat
+    smat = frame.frame_operator()
     dev_id = float(np.linalg.norm(smat - np.eye(ctx.d)))
     _require(dev_id < 1e-11, f"frame operator off identity {dev_id:.2e}")
     return f"unit states, tight frame ({dev_id:.1e})"
@@ -586,14 +584,14 @@ def _chk_overlap_formula(ctx):
 # ---------------------------------------------------------------- quantize
 
 def _chk_quantizer_identity_symbol(ctx):
-    amat = quantize.frame_quantize(ctx.frame, lambda a, b: 1.0).mat
+    amat = quantize.frame_quantize(ctx.frame, lambda a, b: 1.0)
     dev = float(np.linalg.norm(amat - np.eye(ctx.d)))
     _require(dev < 1e-11, f"unit symbol off identity by {dev:.2e}")
     return f"quantizing 1 gives the identity ({dev:.1e})"
 
 
 def _chk_hamiltonian_fast_path(ctx):
-    brute = quantize.frame_quantize(ctx.frame, quantize.harmonic_symbol).mat
+    brute = quantize.frame_quantize(ctx.frame, quantize.harmonic_symbol)
     brute = brute - 0.5 * np.eye(ctx.d)
     dev = float(np.max(np.abs(brute - ctx.fh.op.mat)))
     _require(dev < 1e-11, f"fast path off brute force by {dev:.2e}")
@@ -701,7 +699,7 @@ def _chk_wielandt_hoffman(ctx):
 def _chk_raising_operator(ctx):
     lat = ctx.lat
     fast = quantize.raising_operator(ctx.frame).mat
-    brute = quantize.frame_quantize(ctx.frame, quantize.raising_symbol).mat
+    brute = quantize.frame_quantize(ctx.frame, quantize.raising_symbol)
     imag = float(np.max(np.abs(brute.imag)))
     _require(imag < 1e-11, f"imaginary parts {imag:.2e}")
     dev = float(np.max(np.abs(fast - brute)))
@@ -710,7 +708,7 @@ def _chk_raising_operator(ctx):
     anti = float(np.max(np.abs(fast + fast[np.ix_(flip, flip)])))
     _require(anti < 1e-11, f"antisymmetry off by {anti:.2e}")
     # the lowering symbol (α + iβ)/√2
-    adj = quantize.frame_quantize(ctx.frame, lambda a, b: (a + 1j * b) / np.sqrt(2.0)).mat
+    adj = quantize.frame_quantize(ctx.frame, lambda a, b: (a + 1j * b) / np.sqrt(2.0))
     dev_adj = float(np.max(np.abs(brute.conj().T - adj)))
     _require(dev_adj < 1e-12, f"adjoint symbol law off by {dev_adj:.2e}")
     return f"real, antisymmetric, matches brute force ({dev:.1e})"
@@ -973,8 +971,7 @@ def _chk_deviation_report(ctx):
     # dimensional (tr π_k = 1: orders 1, 2, 3 at d = 5, order 3 at d = 7) they
     # are the same vector, so δ_f and δ_h agree up to rounding and which one
     # is smaller is not a property of either basis.
-    dims = np.array([round(float(np.trace(p.mat).real))
-                     for p in ctx.projectors])
+    dims = np.array([round(float(np.trace(p))) for p in ctx.projectors])
     tied = dims[np.arange(ctx.d) % 4] == 1
     spread = float(np.max(np.abs(rep.delta_f - rep.delta_h)[tied], initial=0.0))
     _require(spread < 1e-12, f"one-dimensional classes differ by {spread:.2e}")
@@ -1020,27 +1017,27 @@ def _chk_kernel_laws(ctx):
     eye = np.eye(ctx.d)
     worst_u = worst_a = 0.0
     for basis in (ctx.frame_basis, ctx.harper_basis):
-        k0 = frft.frft_kernel(basis, 0.0).op.mat
-        k1 = frft.frft_kernel(basis, 1.0).op.mat
+        k0 = frft.frft_kernel(basis, 0.0).mat
+        k1 = frft.frft_kernel(basis, 1.0).mat
         _require(
             float(np.linalg.norm(k0 - eye)) < 1e-10, "order 0 not identity"
         )
         _require(
             float(np.linalg.norm(k1 - ctx.fmat)) < 1e-9, "order 1 not Fourier"
         )
-        kb = frft.frft_kernel(basis, 0.7).op.mat
+        kb = frft.frft_kernel(basis, 0.7).mat
         for alpha in (0.1, 0.25, 0.5, 1.0, 1.5, 2.0):
-            ka = frft.frft_kernel(basis, alpha).op.mat
+            ka = frft.frft_kernel(basis, alpha).mat
             worst_u = max(
                 worst_u, float(np.linalg.norm(ka @ ka.conj().T - eye))
             )
             worst_u = max(worst_u, float(np.linalg.norm(ka - ka.T)))
-            kab = frft.frft_kernel(basis, alpha + 0.7).op.mat
+            kab = frft.frft_kernel(basis, alpha + 0.7).mat
             worst_a = max(worst_a, float(np.linalg.norm(ka @ kb - kab)))
-        kper = frft.frft_kernel(basis, 0.5 + 4.0).op.mat
+        kper = frft.frft_kernel(basis, 0.5 + 4.0).mat
         worst_a = max(
             worst_a,
-            float(np.linalg.norm(kper - frft.frft_kernel(basis, 0.5).op.mat)),
+            float(np.linalg.norm(kper - frft.frft_kernel(basis, 0.5).mat)),
         )
     _require(worst_u < 1e-10, f"unitarity/symmetry off by {worst_u:.2e}")
     _require(worst_a < 1e-9, f"additivity/period off by {worst_a:.2e}")

@@ -156,7 +156,7 @@ def test_acceptance_3_autocorrelation_identity(d):
     def body():
         lat = make_lattice(d)
         g = ground_state(lat).amp
-        F = dft_operator(lat).mat
+        F = dft_operator(lat)
         spec = F @ (g * g)
         res = 0.0
         for j in lat.indices:
@@ -171,7 +171,7 @@ def test_acceptance_3_autocorrelation_identity(d):
 def test_acceptance_3_fourier_gauss_law(d):
     def body():
         lat = make_lattice(d)
-        F = dft_operator(lat).mat
+        F = dft_operator(lat)
         for kappa in (0.25, 0.5, 1.0, 2.0, 10.0):
             lhs = F @ theta_gaussian(lat, kappa).amp
             rhs = theta_gaussian(lat, 1.0 / kappa).amp / np.sqrt(kappa)
@@ -184,7 +184,7 @@ def test_acceptance_3_fourier_gauss_law(d):
 def test_acceptance_4_frame_tightness(d):
     def body():
         lat = make_lattice(d)
-        S = coherent_frame(lat).frame_operator().mat
+        S = coherent_frame(lat).frame_operator()
         assert float(np.linalg.norm(S - np.eye(d))) < 1e-11
 
     _clause(f"4 (frame tightness, d={d})", body)
@@ -203,7 +203,7 @@ def test_acceptance_4_fourier_covariance_as_stated():
     def body():
         lat = make_lattice(21)
         fr = coherent_frame(lat)
-        F = dft_operator(lat).adjoint().mat
+        F = dft_operator(lat).conj().T
         worst = 0.0
         for p in fr.iter_points():
             lhs = F @ fr.states[fr.flat_index(p)]
@@ -218,7 +218,7 @@ def test_acceptance_4_fourier_covariance_quarter_turn():
     def body():
         lat = make_lattice(21)
         fr = coherent_frame(lat)
-        F = dft_operator(lat).mat
+        F = dft_operator(lat)
         worst = 0.0
         for p in fr.iter_points():
             lhs = F @ fr.states[fr.flat_index(p)]
@@ -234,7 +234,7 @@ def test_acceptance_5_fast_equals_brute(d):
     def body():
         lat = make_lattice(d)
         frame = coherent_frame(lat)
-        brute = frame_quantize(frame, harmonic_symbol).mat
+        brute = frame_quantize(frame, harmonic_symbol)
         fast = frame_hamiltonian(lat).op.mat
         assert np.max(np.abs(brute - 0.5 * np.eye(d) - fast)) < 1e-11
 
@@ -309,7 +309,7 @@ def test_acceptance_6_mean_drift_bound(d):
 def test_acceptance_7_basis_structure(d):
     def body():
         lat, fb, hb = _bases(d)
-        F = dft_operator(lat).mat
+        F = dft_operator(lat)
         roots = np.array([1.0, -1.0j, -1.0, 1.0j])
         for basis in (fb, hb):
             gram = basis.vectors.T @ basis.vectors
@@ -335,7 +335,7 @@ def test_acceptance_7_frame_parity_counts_as_stated():
         lat, fb, _ = _bases(21)
         evens = int(np.sum(fb.parities == 0))
         odds = int(np.sum(fb.parities == 1))
-        F = dft_operator(lat).mat
+        F = dft_operator(lat)
         flip = F @ F
         eye = np.eye(lat.d)
         dims = [np.trace(eye + sign * flip) / 2.0 for sign in (1.0, -1.0)]
@@ -360,7 +360,7 @@ def test_acceptance_8_raising_operator():
     def body():
         lat = make_lattice(21)
         frame = coherent_frame(lat)
-        brute = frame_quantize(frame, raising_symbol).mat
+        brute = frame_quantize(frame, raising_symbol)
         assert float(np.max(np.abs(brute.imag))) < 1e-11
         fast = raising_operator(frame).mat
         assert not np.iscomplexobj(fast)
@@ -380,12 +380,12 @@ def test_acceptance_9_transform_laws(kind):
         lat, fb, hb = _bases(21)
         basis = fb if kind == "frame" else hb
         eye = np.eye(21)
-        K = lambda a: frft_kernel(basis, a).op.mat
+        K = lambda a: frft_kernel(basis, a).mat
         for alpha in (0.3, 0.5, 1.0, 2.5):
             mat = K(alpha)
             assert np.max(np.abs(mat.conj().T @ mat - eye)) < 1e-10
         assert np.max(np.abs(K(0.0) - eye)) < 1e-9
-        assert np.max(np.abs(K(1.0) - dft_operator(lat).mat)) < 1e-9
+        assert np.max(np.abs(K(1.0) - dft_operator(lat))) < 1e-9
         grid = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
         for a in grid:
             for b in grid:

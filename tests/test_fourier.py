@@ -23,7 +23,7 @@ from conftest import naive_dft
 @pytest.mark.parametrize("d", [5, 7, 21])
 def test_dft_matches_definition(d):
     lat = make_lattice(d)
-    F = dft_operator(lat).mat
+    F = dft_operator(lat)
     assert np.max(np.abs(F - naive_dft(d))) < 1e-15
 
 
@@ -37,19 +37,19 @@ def test_dft_is_the_exponential_of_the_reduced_phase(d, inverse):
     n = lat.indices
     phase = np.exp(sign * 2j * np.pi * (np.outer(n, n) % d) / d)
     F = dft_operator(lat)
-    assert np.array_equal((F.adjoint() if inverse else F).mat, phase / np.sqrt(d))
+    assert np.array_equal((F.conj().T if inverse else F), phase / np.sqrt(d))
 
 
 @pytest.mark.parametrize("d", [5, 21])
 def test_dft_unitary_and_inverse(d):
     lat = make_lattice(d)
-    F = dft_operator(lat).mat
-    Fi = dft_operator(lat).adjoint().mat
+    F = dft_operator(lat)
+    Fi = dft_operator(lat).conj().T
     assert np.max(np.abs(F @ Fi - np.eye(d))) < 1e-14
 
 
 def test_dft_fourth_power_and_parity(lat21):
-    F = dft_operator(lat21).mat
+    F = dft_operator(lat21)
     F2 = F @ F
     # F² reverses the grid about the center
     reversal = np.eye(21)[::-1]
@@ -59,15 +59,15 @@ def test_dft_fourth_power_and_parity(lat21):
 
 def test_projectors_resolve_identity(lat5):
     proj = fourier_projectors(lat5)
-    F = dft_operator(lat5).mat
-    total = sum(proj[m].mat for m in range(4))
+    F = dft_operator(lat5)
+    total = sum(proj[m] for m in range(4))
     assert np.max(np.abs(total - np.eye(5))) < 1e-14
     for m in range(4):
-        pm = proj[m].mat
+        pm = proj[m]
         assert np.max(np.abs(pm @ pm - pm)) < 1e-14
         assert np.max(np.abs(F @ pm - (-1j) ** m * pm)) < 1e-13
         for k in range(m + 1, 4):
-            assert np.max(np.abs(pm @ proj[k].mat)) < 1e-14
+            assert np.max(np.abs(pm @ proj[k])) < 1e-14
     assert isinstance(proj, tuple) and len(proj) == 4
 
 
@@ -83,8 +83,8 @@ def test_closed_form_projectors_equal_the_power_sum(d):
     proj = fourier_projectors(lat)
     oracle = _power_sum_projectors(naive_dft(d))
     for m in range(4):
-        assert proj[m].mat.dtype == np.float64
-        assert np.max(np.abs(proj[m].mat - oracle[m])) < 1e-13
+        assert proj[m].dtype == np.float64
+        assert np.max(np.abs(proj[m] - oracle[m])) < 1e-13
 
 
 @pytest.mark.parametrize("d", [5, 21, 51])
@@ -129,7 +129,7 @@ def test_circulant_diagonalized_by_dft(d):
     rng = np.random.default_rng(d)
     col = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     spec = circulant(lat, col)
-    F = dft_operator(lat).mat
+    F = dft_operator(lat)
     rebuilt = F.conj().T @ np.diag(spec.eigenvalues()) @ F
     assert np.max(np.abs(spec.mat - rebuilt)) < 1e-12
 
@@ -137,8 +137,10 @@ def test_circulant_diagonalized_by_dft(d):
 def test_circulant_rejects_wrong_length(lat5):
     with pytest.raises(ValueError):
         circulant(lat5, np.zeros(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"well length \(4,\) does not match d=5"):
         circulant(lat5, np.zeros(5), np.zeros(4))
+    # a scalar well is the same on every site
+    assert np.array_equal(circulant(lat5, np.zeros(5), 2.0).mat, 2.0 * np.eye(5))
 
 
 @pytest.mark.parametrize("d", [5, 21, 101])
@@ -210,7 +212,7 @@ def test_circulant_applies_as_cyclic_convolution(lat5):
 
 def test_coordinate_signal_round_trip(lat21):
     # F⁺F restores q exactly within round-off
-    F = dft_operator(lat21).mat
+    F = dft_operator(lat21)
     q = coordinate_signal(lat21).amp
     assert np.max(np.abs(F.conj().T @ (F @ q) - q)) < 1e-13
 
@@ -228,6 +230,6 @@ def test_root_tables_are_built_once_and_read_only():
 
 
 def test_dft_has_no_inverse_flag(lat5):
-    # F⁺ is dft_operator(lat).adjoint(); there is no second way to build it
+    # F⁺ is dft_operator(lat).conj().T; there is no second way to build it
     with pytest.raises(TypeError):
         dft_operator(lat5, inverse=True)

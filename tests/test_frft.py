@@ -31,45 +31,45 @@ from finosc.reference import _eigenphases
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.7, 2.9])
 def test_kernels_are_unitary(frame_basis21, harper_basis21, alpha):
     for basis in (frame_basis21, harper_basis21):
-        K = frft_kernel(basis, alpha).op.mat
+        K = frft_kernel(basis, alpha).mat
         assert np.max(np.abs(K.conj().T @ K - np.eye(21))) < 1e-12
 
 
 def test_order_zero_is_the_identity(frame_basis21):
-    K = frft_kernel(frame_basis21, 0.0).op.mat
+    K = frft_kernel(frame_basis21, 0.0).mat
     assert np.max(np.abs(K - np.eye(21))) < 1e-12
 
 
 def test_order_one_is_the_fourier_operator(lat21, frame_basis21, harper_basis21):
-    F = dft_operator(lat21).mat
+    F = dft_operator(lat21)
     for basis in (frame_basis21, harper_basis21):
-        K = frft_kernel(basis, 1.0).op.mat
+        K = frft_kernel(basis, 1.0).mat
         assert np.max(np.abs(K - F)) < 1e-9
 
 
 def test_order_two_reverses_the_grid(frame_basis21):
-    K = frft_kernel(frame_basis21, 2.0).op.mat
+    K = frft_kernel(frame_basis21, 2.0).mat
     assert np.max(np.abs(K - np.eye(21)[::-1])) < 1e-9
 
 
 def test_order_four_closes_the_cycle(harper_basis21):
-    K = frft_kernel(harper_basis21, 4.0).op.mat
+    K = frft_kernel(harper_basis21, 4.0).mat
     assert np.max(np.abs(K - np.eye(21))) < 1e-12
 
 
 @pytest.mark.parametrize("a,b", [(0.25, 0.5), (0.5, 0.5), (1.0, 0.75), (1.5, 2.0)])
 def test_orders_add(frame_basis21, harper_basis21, a, b):
     for basis in (frame_basis21, harper_basis21):
-        Ka = frft_kernel(basis, a).op.mat
-        Kb = frft_kernel(basis, b).op.mat
-        Kab = frft_kernel(basis, a + b).op.mat
+        Ka = frft_kernel(basis, a).mat
+        Kb = frft_kernel(basis, b).mat
+        Kab = frft_kernel(basis, a + b).mat
         assert np.max(np.abs(Ka @ Kb - Kab)) < 1e-12
 
 
 def test_period_four(frame_basis21):
     for alpha in (0.5, 1.25):
-        K1 = frft_kernel(frame_basis21, alpha).op.mat
-        K2 = frft_kernel(frame_basis21, alpha + 4.0).op.mat
+        K1 = frft_kernel(frame_basis21, alpha).mat
+        K2 = frft_kernel(frame_basis21, alpha + 4.0).mat
         assert np.max(np.abs(K1 - K2)) < 1e-12
 
 
@@ -81,7 +81,7 @@ def test_a_repeated_order_reuses_its_phases(frame_basis21):
 
 
 def test_eigenvectors_pick_up_their_phase(frame_basis21):
-    K = frft_kernel(frame_basis21, 0.6).op.mat
+    K = frft_kernel(frame_basis21, 0.6).mat
     for m in (0, 1, 5, 12):
         v = frame_basis21.vectors[:, m]
         want = np.exp(-0.5j * np.pi * m * 0.6) * v
@@ -89,8 +89,8 @@ def test_eigenvectors_pick_up_their_phase(frame_basis21):
 
 
 def test_families_disagree_at_fractional_orders(frame_basis21, harper_basis21):
-    Kf = frft_kernel(frame_basis21, 0.5).op.mat
-    Kh = frft_kernel(harper_basis21, 0.5).op.mat
+    Kf = frft_kernel(frame_basis21, 0.5).mat
+    Kh = frft_kernel(harper_basis21, 0.5).mat
     assert np.max(np.abs(Kf - Kh)) > 0.01
 
 
@@ -161,7 +161,7 @@ def test_second_request_shares_the_phases_and_the_output(lat21):
     second = frft_kernel(basis, 0.3)
     assert second.phases is first.phases
     assert np.array_equal(apply_frft(second, x).amp, out)
-    first.op  # the dense oracle is built on read and not kept
+    first.mat  # the dense oracle is built on read and not kept
     assert set(vars(first)) == {"basis", "alpha", "phases"}
 
 
@@ -208,12 +208,12 @@ def test_an_evicted_order_comes_back_equal(lat21):
     basis = _fresh_harper_basis(lat21)
     _phases.cache_clear()
     first = frft_kernel(basis, 0.37)
-    mat = first.op.mat
+    mat = first.mat
     _phases_of(basis, [1.0 + 0.1 * k for k in range(CACHE_SIZE)])
     again = frft_kernel(basis, 0.37)
     assert again.phases is not first.phases
     assert np.array_equal(again.phases, first.phases)
-    assert np.max(np.abs(again.op.mat - mat)) < 1e-13
+    assert np.max(np.abs(again.mat - mat)) < 1e-13
 
 
 def test_one_order_shares_its_read_only_phases_across_bases(frame_basis21, harper_basis21):
@@ -267,7 +267,7 @@ def test_factored_apply_matches_the_dense_kernel(bases_by_size, d, kind):
         # each apply requests its kernel: a miss first, then hits
         outs = [apply_frft(frft_kernel(basis, alpha), x).amp
                 for _ in range(2) for x in signals]
-        mat = frft_kernel(basis, alpha).op.mat
+        mat = frft_kernel(basis, alpha).mat
         for x, out in zip(signals * 2, outs):
             assert np.linalg.norm(out - mat @ x.amp) < 1e-13 * np.linalg.norm(x.amp)
 
@@ -321,7 +321,7 @@ def _outputs(basis, lat):
     outs = []
     for alpha in (0.0, 1.0, 2.0, -1.3, 0.37, 5.1):
         kern = frft_kernel(basis, alpha)
-        outs.append(kern.op.mat)
+        outs.append(kern.mat)
         outs += [apply_frft(kern, sig).amp for sig in signals]
     return outs
 
@@ -357,7 +357,7 @@ def test_spectrum_and_the_transform_run_no_hermite_pass(monkeypatch, capsys):
     lat = make_lattice(51)
     basis = oscillator_basis(harper_hamiltonian(lat), lat, "harper")
     apply_frft(frft_kernel(basis, 0.3), rectangular_signal(lat))
-    frft_kernel(basis, 0.3).op
+    frft_kernel(basis, 0.3).mat
     capsys.readouterr()
 
 

@@ -1,6 +1,7 @@
 """Grid bookkeeping: index conventions, periodic access, inner product."""
 
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from finosc import (
     Signal,
     basis_signal,
     coordinate_signal,
-    identity_operator,
     inner_product,
     make_lattice,
 )
@@ -98,6 +98,17 @@ def test_signal_periodic_indexing(lat5):
     assert len(sig) == 5
 
 
+@pytest.mark.parametrize("d", [5, 21])
+def test_iterating_a_signal_yields_its_stored_values_once(d):
+    # the periodic __getitem__ never raises IndexError, so without __iter__
+    # iteration would not end; islice bounds it, so a regression fails here
+    # rather than hanging
+    sig = Signal(make_lattice(d), np.arange(float(d)))
+    assert len(list(islice(iter(sig), d + 1))) == d
+    assert np.array_equal(list(sig), sig.amp)
+    assert np.asarray([sig, sig]).shape == (2, d)
+
+
 def test_signal_rejects_wrong_length(lat5):
     with pytest.raises(ValueError):
         Signal(lat5, np.zeros(4))
@@ -129,15 +140,6 @@ def test_basis_and_coordinate_signals(lat5):
     assert np.array_equal(basis_signal(lat5, 6).amp, e.amp)
     q = coordinate_signal(lat5)
     assert np.array_equal(q.amp, lat5.points)
-
-
-def test_operator_apply_and_identity(lat5):
-    rng = np.random.default_rng(7)
-    sig = Signal(lat5, rng.standard_normal(5))
-    assert np.array_equal(identity_operator(lat5).apply(sig).amp, sig.amp)
-    op = identity_operator(lat5)
-    assert np.array_equal((op @ op).mat, np.eye(5))
-    assert np.array_equal((op @ sig).amp, sig.amp)
 
 
 def test_grid_arrays_are_built_once_and_read_only():

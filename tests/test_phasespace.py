@@ -21,16 +21,16 @@ from finosc.phasespace import _displacement_parts, _overlaps
 
 def test_position_is_the_coordinate_diagonal(lat21):
     Q = position_operator(lat21)
-    assert np.array_equal(Q.mat, np.diag(lat21.points))
+    assert np.array_equal(Q, np.diag(lat21.points))
 
 
 def test_momentum_is_fourier_conjugate_of_position(lat7):
-    F = dft_operator(lat7).mat
+    F = dft_operator(lat7)
     P = momentum_operator(lat7)
-    assert np.max(np.abs(P.mat - F.conj().T @ np.diag(lat7.points) @ F)) < 1e-15
+    assert np.max(np.abs(P - F.conj().T @ np.diag(lat7.points) @ F)) < 1e-15
     # hermitian with the same spectrum as Q
-    assert np.max(np.abs(P.mat - P.mat.conj().T)) < 1e-15
-    ev = np.sort(np.linalg.eigvalsh(P.mat))
+    assert np.max(np.abs(P - P.conj().T)) < 1e-15
+    ev = np.sort(np.linalg.eigvalsh(P))
     assert np.max(np.abs(ev - lat7.points)) < 1e-13
 
 
@@ -39,9 +39,9 @@ def test_momentum_scales_columns_instead_of_multiplying_by_a_diagonal(d):
     # every term the dense F⁺·diag(q) adds beside F⁺[n, m]·q_m is an exact
     # zero, so scaling the columns changes no bit
     lat = make_lattice(d)
-    F = dft_operator(lat).mat
+    F = dft_operator(lat)
     dense = F.conj().T @ np.diag(lat.points) @ F
-    assert np.array_equal(momentum_operator(lat).mat, dense)
+    assert np.array_equal(momentum_operator(lat), dense)
 
 
 def test_phase_point_range_checks(lat5):
@@ -59,7 +59,7 @@ def test_displacement_matches_first_principles(lat7):
     phi = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     for a, b in [(0, 0), (1, 0), (0, 2), (-3, 3), (2, -1)]:
         p = PhasePoint(lat7, a, b)
-        out = displacement(p).mat @ phi
+        out = displacement(p) @ phi
         for n in lat7.indices:
             u = n * lat7.sqrt_delta
             want = (
@@ -72,7 +72,7 @@ def test_displacement_matches_first_principles(lat7):
 
 def test_displacement_is_unitary(lat7):
     for a, b in [(1, 2), (-3, -3), (0, 1)]:
-        D = displacement(PhasePoint(lat7, a, b)).mat
+        D = displacement(PhasePoint(lat7, a, b))
         assert np.max(np.abs(D.conj().T @ D - np.eye(7))) < 1e-14
 
 
@@ -84,8 +84,8 @@ def test_composition_phase_with_wrap_sign(lat7):
     d = lat.d
     cases = [(1, 1, 1, 1), (3, 0, 3, 0), (3, 2, 3, 3), (-3, -2, -2, -3), (2, 3, 2, 3)]
     for a1, b1, a2, b2 in cases:
-        D1 = displacement(PhasePoint(lat, a1, b1)).mat
-        D2 = displacement(PhasePoint(lat, a2, b2)).mat
+        D1 = displacement(PhasePoint(lat, a1, b1))
+        D2 = displacement(PhasePoint(lat, a2, b2))
         asum, bsum = lat.wrap(a1 + a2), lat.wrap(b1 + b2)
         sa = (a1 + a2 - asum) // d
         sb = (b1 + b2 - bsum) // d
@@ -93,7 +93,7 @@ def test_composition_phase_with_wrap_sign(lat7):
         al1, be1 = a1 * lat.sqrt_delta, b1 * lat.sqrt_delta
         al2, be2 = a2 * lat.sqrt_delta, b2 * lat.sqrt_delta
         phase = np.exp(-0.5j * (al1 * be2 - al2 * be1)) * sign
-        D12 = displacement(PhasePoint(lat, asum, bsum)).mat
+        D12 = displacement(PhasePoint(lat, asum, bsum))
         assert np.max(np.abs(D1 @ D2 - phase * D12)) < 1e-13
 
 
@@ -137,14 +137,14 @@ def test_states_match_displacement_matrices(lat7):
     fr = coherent_frame(lat7)
     g = ground_state(lat7).amp
     for p in fr.iter_points():
-        want = displacement(p).mat @ g
+        want = displacement(p) @ g
         assert np.max(np.abs(fr.states[fr.flat_index(p)] - want)) < 1e-14
 
 
 @pytest.mark.parametrize("d", [5, 7, 21])
 def test_frame_is_tight(d):
     lat = make_lattice(d)
-    S = coherent_frame(lat).frame_operator().mat
+    S = coherent_frame(lat).frame_operator()
     assert np.max(np.abs(S - np.eye(d))) < 1e-14
 
 
@@ -174,7 +174,7 @@ def test_overlap_rejects_foreign_points(lat5, lat7):
 def test_fourier_rotates_the_grid_by_a_quarter_turn(lat21):
     # F·D(α,β)·g = D(β,-α)·g with no extra phase
     fr = coherent_frame(lat21)
-    F = dft_operator(lat21).mat
+    F = dft_operator(lat21)
     worst = 0.0
     for p in fr.iter_points():
         lhs = F @ fr.states[fr.flat_index(p)]
@@ -185,7 +185,7 @@ def test_fourier_rotates_the_grid_by_a_quarter_turn(lat21):
 
 def test_inverse_fourier_rotates_the_other_way(lat7):
     fr = coherent_frame(lat7)
-    F = dft_operator(lat7).mat
+    F = dft_operator(lat7)
     for p in fr.iter_points():
         lhs = F.conj().T @ fr.states[fr.flat_index(p)]
         q = PhasePoint(lat7, -p.b_idx, p.a_idx)
@@ -215,7 +215,7 @@ def test_displacement_is_the_scatter_of_its_parts(d):
     for i, (p, q) in enumerate(zip(a, b)):
         want = np.zeros((d, d), dtype=complex)
         want[rows, cols[i]] = vals[i]
-        assert np.array_equal(displacement(PhasePoint(lat, p, q)).mat, want)
+        assert np.array_equal(displacement(PhasePoint(lat, p, q)), want)
         one_cols, one_vals = _displacement_parts(lat, int(p), int(q))
         assert np.array_equal(one_cols, cols[i]) and np.array_equal(one_vals, vals[i])
     # index arrays broadcast: a column of a against a row of b

@@ -11,7 +11,6 @@ import pytest
 
 from finosc import (
     ConvergenceError,
-    Operator,
     Signal,
     SpectralBasis,
     circulant,
@@ -89,6 +88,11 @@ def test_eigh_rejects_bad_input():
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         eigh(np.array([[0.0, 1.0j], [-1.0j, 0.0]]))
+    empty = r"expected a non-empty square matrix, got shape \(0, 0\)"
+    with pytest.raises(ValueError, match=empty):
+        eigh(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=empty):
+        oscillator_basis(np.zeros((0, 0)), make_lattice(5), "frame")
 
 
 def test_eigh_shift_structure_has_cosine_spectrum(lat21):
@@ -119,7 +123,7 @@ def test_harper_matrix_entries(lat7):
 
 def test_harper_commutes_with_fourier(lat21):
     H = harper_hamiltonian(lat21).mat
-    F = dft_operator(lat21).mat
+    F = dft_operator(lat21)
     assert np.max(np.abs(H @ F - F @ H)) < 1e-12
 
 
@@ -190,7 +194,7 @@ def test_basis_label_audit(d, kind):
     vals, _ = eigh(op)
     assert np.max(np.abs(np.sort(basis.values) - vals)) < 1e-12
     # every labeled vector is Fourier invariant up to the fourth root
-    F = dft_operator(lat).mat
+    F = dft_operator(lat)
     roots = np.array([1.0, -1.0j, -1.0, 1.0j])
     for j in range(d):
         v = basis.vectors[:, j]
@@ -227,7 +231,7 @@ def test_blocks_match_a_full_matrix_solve(d, kind):
     assert np.max(np.abs(vals - basis.values)) < 1e-11
     assert np.array_equal(parities, basis.parities)
     assert np.array_equal([sign_alternations(v) for v in vecs.T], basis.alternations)
-    z = np.einsum("nm,nm->m", vecs, dft_operator(lat).mat @ vecs)
+    z = np.einsum("nm,nm->m", vecs, dft_operator(lat) @ vecs)
     roots = np.array([1.0, -1.0j, -1.0, 1.0j])
     fourier = np.argmin(np.abs(z[:, None] - roots[None, :]), axis=1)
     assert np.array_equal(fourier, basis.fourier_indices)
@@ -318,7 +322,7 @@ def _commutator(h, lat):
 
 
 def _dense_commutator(h, lat):
-    f = dft_operator(lat).mat
+    f = dft_operator(lat)
     return float(np.linalg.norm(f @ h - h @ f))
 
 
@@ -376,7 +380,7 @@ def test_block_fourier_expectations_are_the_dense_ones(d, kind):
     assert np.max(np.abs(spectral._mirror(even, odd) - basis.vectors)) < 1e-15
     z = spectral._fourier_expectations(cos, sin, even, odd)
     v = basis.vectors
-    dense = np.einsum("nm,nm->m", v, dft_operator(lat).mat @ v)
+    dense = np.einsum("nm,nm->m", v, dft_operator(lat) @ v)
     assert np.max(np.abs(z - dense)) < 1e-13
 
 
@@ -395,7 +399,7 @@ def test_parity_blocks_are_the_dense_change_of_frame(lat21):
     # a centro-symmetric H does not couple the even and odd vectors
     assert np.max(np.abs(hq[: s + 1, s + 1:])) < 1e-14
     cos, sin = dft_parity_blocks(lat21)
-    fq = q.T @ dft_operator(lat21).mat @ q
+    fq = q.T @ dft_operator(lat21) @ q
     assert np.max(np.abs(fq[: s + 1, : s + 1] - cos)) < 1e-15
     assert np.max(np.abs(fq[s + 1:, s + 1:] + 1j * sin)) < 1e-15
     assert np.max(np.abs(fq[: s + 1, s + 1:])) < 1e-15
@@ -683,7 +687,7 @@ def test_a_record_and_its_dense_matrix_give_the_same_basis(d, kind):
     op = _record(kind, lat)
     basis = oscillator_basis(op, lat, kind)
     assert "mat" not in vars(op)  # no d×d H is built for the basis
-    dense = oscillator_basis(Operator(lat, op.mat), lat, kind)
+    dense = oscillator_basis(op.mat, lat, kind)
     for field in ("values", "vectors", "alternations", "parities", "fourier_indices"):
         assert np.array_equal(getattr(basis, field), getattr(dense, field))
 

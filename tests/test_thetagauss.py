@@ -104,7 +104,7 @@ def test_rejects_non_finite_width(lat5, kappa):
 
 @pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0, 2.0, 10.0])
 def test_fourier_maps_width_to_reciprocal(lat21, kappa):
-    F = dft_operator(lat21).mat
+    F = dft_operator(lat21)
     lhs = F @ theta_gaussian(lat21, kappa).amp
     rhs = theta_gaussian(lat21, 1.0 / kappa).amp / np.sqrt(kappa)
     assert np.max(np.abs(lhs - rhs)) < 1e-11
@@ -178,7 +178,7 @@ def test_ground_state_properties(lat21):
     assert isinstance(g, Signal) and g.lattice == lat21
     assert np.linalg.norm(g.amp) == pytest.approx(1.0, abs=1e-15)
     assert np.array_equal(g.amp, g.amp[::-1])
-    F = dft_operator(lat21).mat
+    F = dft_operator(lat21)
     assert np.max(np.abs(F @ g.amp - g.amp)) < 1e-12
     # the normalizer approaches (d/2)^(1/4) from above as the wrap tail fades
     norm = normalizer(lat21)

@@ -8,9 +8,9 @@ import pytest
 
 from finosc import (
     CirculantSpec,
-    Operator,
     Signal,
     SpectralBasis,
+    circulant,
     deviation_report,
     frft,
     quantize,
@@ -143,13 +143,15 @@ def test_deviation_report_catches_a_fourier_invariant_change_of_h(d):
     # the quartic well q⁴ + F q⁴ F⁺ commutes with F and keeps the parity
     # split, so the basis audits accept the perturbed H, whose ground vector
     # moves by about 2e-5; the a posteriori bound follows H, and only the
-    # fixed 1e-6 cap on Δ_f(0) sees the change
+    # fixed 1e-6 cap on Δ_f(0) sees the change.  F q⁴ F⁺ is a circulant,
+    # so H stays a record: q⁴ joins the well, and column pos(0) of the
+    # dense F q⁴ F⁺, its first column, joins the hop
     ctx = _Ctx(d)
     fh = ctx.fh
-    well = np.diag(ctx.lat.points ** 4)
-    swap = (ctx.fmat @ well @ ctx.fmat.conj().T).real
-    mat = fh.op.mat + 1e-4 * (well + swap)
-    ctx.fh = replace(fh, op=Operator(ctx.lat, mat))
+    quartic = ctx.lat.points ** 4
+    swap = ((ctx.fmat * quartic) @ ctx.fmat.conj().T)[:, ctx.lat.pos(0)].real
+    col, well = fh.op.first_column + 1e-4 * swap, fh.op.well + 1e-4 * quartic
+    ctx.fh = replace(fh, op=circulant(ctx.lat, col, well))
     assert ctx.fh.op is not fh.op
     rep = deviation_report(ctx.frame_basis, ctx.harper_basis, ctx.ladder)
     assert rep.delta_f[0] < _ground_vector_bound(ctx)
@@ -282,13 +284,16 @@ def _mean_energy_off(monkeypatch, ctx):
 def _raising_sign_broken(monkeypatch, ctx):
     # the same entry is broken in the fast and the brute-force matrices, so
     # the comparison between them passes and only the antisymmetry is left
-    def flip(op):
-        mat = op.mat.copy()
+    def flip(mat):
+        mat = mat.copy()
         mat[0, 1] = -mat[0, 1]
-        return Operator(op.lattice, mat)
+        return mat
+
+    def flipped(op):
+        return _reading(op, flip(op.mat))
 
     fast, brute = quantize.raising_operator, quantize.frame_quantize
-    monkeypatch.setattr(quantize, "raising_operator", lambda fr: flip(fast(fr)))
+    monkeypatch.setattr(quantize, "raising_operator", lambda fr: flipped(fast(fr)))
     raising = quantize.raising_symbol
     monkeypatch.setattr(
         quantize, "frame_quantize",
@@ -296,12 +301,18 @@ def _raising_sign_broken(monkeypatch, ctx):
     )
 
 
+def _reading(op, mat, **changes):
+    """A copy of the record ``op``, with ``changes`` to its fields, whose
+    dense matrix reads ``mat``."""
+    moved = replace(op, **changes)
+    vars(moved)["mat"] = mat
+    return moved
+
+
 def _with_matrix(ctx, mat, **changes):
     """Put in ``ctx`` a copy of the Hamiltonian's record, with ``changes`` to
     its fields, whose dense matrix reads ``mat``."""
-    moved = replace(ctx.fh.op, **changes)
-    vars(moved)["mat"] = mat
-    ctx.fh = replace(ctx.fh, op=moved)
+    ctx.fh = replace(ctx.fh, op=_reading(ctx.fh.op, mat, **changes))
 
 
 def _tau_moved(monkeypatch, ctx):
@@ -359,9 +370,9 @@ def _edit_dense(monkeypatch, edit):
     real = verify.displacement
 
     def faulty(p):
-        mat = real(p).mat.copy()
+        mat = real(p).copy()
         edit(mat)
-        return Operator(p.lattice, mat)
+        return mat
 
     monkeypatch.setattr(verify, "displacement", faulty)
 
@@ -430,9 +441,9 @@ def _projector_entry_moved(delta):
 
     def fault(monkeypatch, ctx):
         pr = ctx.projectors
-        mat = pr[1].mat.copy()
+        mat = pr[1].copy()
         mat[0, 1] += delta
-        ctx.projectors = (pr[0], Operator(ctx.lat, mat), *pr[2:])
+        ctx.projectors = (pr[0], mat, *pr[2:])
 
     fault.__name__ = f"_projector_entry_moved_by_{delta:.0e}"
     return fault
