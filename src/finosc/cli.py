@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 import tempfile
@@ -149,8 +148,6 @@ def _parse_signal(lat, spec: str):
             kappa = float(spec[6:])
         except ValueError:
             raise ValueError(f"bad width in signal {spec!r}") from None
-        if not 0 < kappa < math.inf:
-            raise ValueError(f"signal width must be positive and finite, got {kappa}")
         return theta_gaussian(lat, kappa), gaussian_profile(kappa)
     raise ValueError(f"unknown signal {spec!r}; use rect or gauss:<width>")
 

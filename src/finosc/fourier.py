@@ -20,7 +20,7 @@ of real (d, d) arrays, so ``proj[m]`` is the projector for the eigenvalue
 
 Circulant operators (entry (n, m) = c[n-m], indices mod d) diagonalize in the
 Fourier basis.  ``CirculantSpec`` holds a well plus a circulant, diag(w) + C(c),
-by (w, c), and builds its dense matrix only when it is read.  The equidistant
+by (w, c) alone, and builds its dense matrix anew on each read.  The equidistant
 circulant C = F⁺·diag(1, …, d)·F has the closed-form first column
 
     c_k = (d+1)/2                      for k ≡ 0 (mod d),
@@ -33,7 +33,7 @@ and plays the role of the comparison operator with exactly the spectrum
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,13 +180,13 @@ def cyclic_windows(lat: Lattice, col: np.ndarray, sign: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CirculantSpec:
     """A = diag(w) + C(c), entry (n, m) = w[n]·δ_nm + c[(n-m) mod d], n = -s..s;
-    w = 0 for a plain circulant.  The dense ``mat`` is built on first read."""
+    w = 0 for a plain circulant.  The dense ``mat`` is built on each read."""
 
     lattice: Lattice
     first_column: np.ndarray
     well: np.ndarray
 
-    @cached_property
+    @property
     def mat(self) -> np.ndarray:
         return self.rows(self.lattice.indices)
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Signal
+from .lattice import Signal, _as_real, _lattice_of
 from .reference import _eigenphases
 from .spectral import SpectralBasis
 
@@ -62,15 +62,13 @@ class FrftKernel:
 
 def frft_kernel(basis: SpectralBasis, alpha: float) -> FrftKernel:
     """Order-α kernel for the given eigenbasis, sharing its phases with every
-    basis of the same size.  A NaN or infinite order is refused."""
-    key = float(alpha)
-    return FrftKernel(basis, key, _phases(key, basis.lattice.d))
+    basis of the same size.  The order must be a finite real number."""
+    alpha = _as_real(alpha, "transform order")
+    return FrftKernel(basis, alpha, _phases(alpha, basis.lattice.d))
 
 
 def apply_frft(kernel: FrftKernel, sig: Signal) -> Signal:
-    lat = kernel.basis.lattice
-    if sig.lattice != lat:
-        raise ValueError("signal belongs to a different lattice")
+    lat = _lattice_of(sig, "signal", kernel.basis.lattice)
     # Two real products on the (d, 2) float view of the complex signal: a
     # complex matmul would upcast V to a complex copy on every call.  The
     # phases scale the coefficients in place, through their complex view.

@@ -13,6 +13,7 @@ Inner products are conjugate-linear in the first argument:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +26,37 @@ def _as_int(value, name: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite float (an order), above zero if ``positive`` (a
+    width); anything but an int or a float, a bool included, is refused."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    x = float(value) if real and not isinstance(value, bool) else math.nan
+    if not (math.isfinite(x) and (x > 0.0 or not positive)):
+        rule = "a positive, finite" if positive else "a finite"
+        raise ValueError(f"{name} must be {rule} real number, got {value!r}")
+    return x
+
+
+def _as_index(value, lat: Lattice, name: str) -> int:
+    """``value`` as a grid index in -s..s of ``lat``, refused as ``_as_int``
+    refuses or when out of that range."""
+    n = _as_int(value, name)
+    if abs(n) > lat.s:
+        raise ValueError(f"{name} {n} outside index range -{lat.s}..{lat.s}")
+    return n
+
+
+def _lattice_of(arg, name: str, lat: Lattice | None = None) -> Lattice:
+    """The lattice ``arg`` lives on, which must be ``lat`` when one is given;
+    an argument that lives on none, or on another, is refused."""
+    have = getattr(arg, "lattice", None)
+    if not isinstance(have, Lattice) or (lat is not None and have != lat):
+        want = "a lattice" if lat is None else f"the d={lat.d} lattice"
+        got = f"d={have.d}" if isinstance(have, Lattice) else type(arg).__name__
+        raise ValueError(f"{name} must live on {want}, got {got}")
+    return have
 
 
 @dataclass(frozen=True)
@@ -127,8 +159,7 @@ class Signal:
 
 def inner_product(a: Signal, b: Signal) -> complex:
     """⟨a, b⟩ = Σ_n conj(a[n])·b[n], conjugate-linear in the first slot."""
-    if a.lattice != b.lattice:
-        raise ValueError("signals live on different lattices")
+    _lattice_of(b, "signal b", _lattice_of(a, "signal a"))
     return complex(np.vdot(a.amp, b.amp))
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import _root, dft_operator
-from .lattice import Lattice, Signal, _as_int
+from .lattice import Lattice, Signal, _as_index, _lattice_of
 from .thetagauss import ground_state
 
 
@@ -43,14 +43,9 @@ class PhasePoint:
 
     def __post_init__(self):
         # frozen: the checked ints replace the given indices once, here
-        object.__setattr__(self, "a_idx", _as_int(self.a_idx, "a_idx"))
-        object.__setattr__(self, "b_idx", _as_int(self.b_idx, "b_idx"))
-        s = self.lattice.s
-        if not (-s <= self.a_idx <= s and -s <= self.b_idx <= s):
-            raise ValueError(
-                f"phase point ({self.a_idx}, {self.b_idx}) outside index range "
-                f"-{s}..{s}"
-            )
+        for name in ("a_idx", "b_idx"):
+            index = _as_index(getattr(self, name), self.lattice, name)
+            object.__setattr__(self, name, index)
 
     @property
     def alpha(self) -> float:
@@ -128,7 +123,7 @@ class CoherentFrame:
     """
 
     def __init__(self, ground: Signal):
-        self.lattice = ground.lattice
+        self.lattice = _lattice_of(ground, "ground state")
         self.ground = ground
 
     @cached_property
@@ -148,8 +143,7 @@ class CoherentFrame:
         return (a_idx + s) % d * d + (b_idx + s) % d
 
     def state(self, p: PhasePoint) -> Signal:
-        if p.lattice != self.lattice:
-            raise ValueError("phase point belongs to a different lattice")
+        _lattice_of(p, "phase point", self.lattice)
         amp = _coherent_amplitudes(self.lattice, self.ground.amp, p.a_idx, p.b_idx)
         return Signal(self.lattice, amp)
 
@@ -194,7 +188,6 @@ def _overlaps(frame: CoherentFrame, a1, b1, a2, b2) -> np.ndarray:
 
 def overlap(frame: CoherentFrame, p1: PhasePoint, p2: PhasePoint) -> complex:
     """⟨p1|p2⟩: the one-point call of ``_overlaps``."""
-    lat = frame.lattice
-    if p1.lattice != lat or p2.lattice != lat:
-        raise ValueError("phase points belong to a different lattice")
+    _lattice_of(p1, "phase point p1", frame.lattice)
+    _lattice_of(p2, "phase point p2", frame.lattice)
     return complex(_overlaps(frame, p1.a_idx, p1.b_idx, p2.a_idx, p2.b_idx))

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Lattice, Signal
+from .lattice import Lattice, Signal, _lattice_of
 from .fourier import CirculantSpec, circulant, cyclic_windows, equidistant_circulant
 from .phasespace import CoherentFrame, PhasePoint
 from .thetagauss import ground_state
@@ -154,9 +154,8 @@ def _coherent_energies(fh: FrameHamiltonian, frame: CoherentFrame, a, b) -> np.n
 
 def coherent_expectation(fh: FrameHamiltonian, frame: CoherentFrame, p: PhasePoint) -> float:
     """⟨p| H |p⟩: the one-point call of ``_coherent_energies``."""
-    lat = fh.lattice
-    if frame.lattice != lat or p.lattice != lat:
-        raise ValueError("mismatched lattices")
+    _lattice_of(frame, "frame", fh.lattice)
+    _lattice_of(p, "phase point", fh.lattice)
     return float(_coherent_energies(fh, frame, p.a_idx, p.b_idx))
 
 

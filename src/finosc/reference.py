@@ -25,7 +25,7 @@ rows, not the 7× larger table of its wrapped points) and the M oracle rows.
 The fractional transform oracle expands a line profile in the Ψ_m basis,
 with coefficients ⟨Ψ_m, ψ⟩ the profile gives in closed form, and applies the
 continuous eigenphases e^{-iπmα/2} from ``_eigenphases``, as the discrete
-kernels of ``frft`` do; it is the one place a non-finite order is refused.
+kernels of ``frft`` do.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, Signal, _as_int
+from .lattice import Lattice, Signal, _as_index, _as_int, _as_real, _lattice_of
 from .phasespace import CoherentFrame, PhasePoint, _coherent_amplitudes
 from .thetagauss import _TOL
 
@@ -57,8 +57,7 @@ def _hermite_count(M) -> int:
 def _eigenphases(alpha: float, count: int) -> np.ndarray:
     """e^{-iπmα/2}, m = 0..count-1, for a finite order α (4-periodic: the
     exact fmod keeps the rounding of an order below 4)."""
-    if not math.isfinite(alpha):
-        raise ValueError(f"transform order must be finite, got {alpha}")
+    alpha = _as_real(alpha, "transform order")
     return np.exp(-0.5j * np.pi * math.fmod(alpha, 4.0) * np.arange(count))
 
 
@@ -200,15 +199,8 @@ def coherent_deviation_table(frame: CoherentFrame, a_indices, b_indices) -> np.n
     """max_{|n| ≤ 8} |discrete state - continuous samples| per (a, b)."""
     lat = frame.lattice
     sel = np.abs(lat.indices) <= _WINDOW
-    a = np.array([_as_int(i, "entry of a_indices") for i in a_indices], dtype=int)
-    b = np.array([_as_int(i, "entry of b_indices") for i in b_indices], dtype=int)
-    for idx in (a, b):
-        outside = idx[np.abs(idx) > lat.s]
-        if outside.size:
-            raise ValueError(
-                f"phase-point index {outside[0]} outside index range "
-                f"-{lat.s}..{lat.s}"
-            )
+    a = np.array([_as_index(i, lat, "entry of a_indices") for i in a_indices], dtype=int)
+    b = np.array([_as_index(i, lat, "entry of b_indices") for i in b_indices], dtype=int)
     a, b = a[:, None], b[None, :]
     disc = _coherent_amplitudes(lat, frame.ground.amp, a, b)
     cont = _displaced_ground_amplitudes(lat, a, b)
@@ -290,10 +282,7 @@ def deviation_report(frame_basis, harper_basis, ladder) -> DeviationReport:
     kinds = (frame_basis.kind, harper_basis.kind)
     if kinds != ("frame", "harper"):
         raise ValueError(f"expected a 'frame' and a 'harper' basis, got {kinds}")
-    if harper_basis.lattice != lat:
-        raise ValueError(
-            f"the Harper basis has d={harper_basis.lattice.d}, the frame basis d={d}"
-        )
+    _lattice_of(harper_basis, "Harper basis", lat)
     # a lattice is fixed by its d; iterating a list of Signals would never end
     shape = ladder.shape if isinstance(ladder, np.ndarray) else type(ladder).__name__
     if shape != (d, d):
@@ -320,14 +309,6 @@ def deviation_report(frame_basis, harper_basis, ladder) -> DeviationReport:
     )
 
 
-def _positive_finite(value, name: str) -> float:
-    """``value`` as a float, refused with a ValueError unless it is positive
-    and finite."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class GaussianProfile:
     """The line Gaussian e^{-κx²/2}; calling it samples the profile.
@@ -341,7 +322,8 @@ class GaussianProfile:
 
     def __post_init__(self):
         # frozen: the checked float replaces the given width once, here
-        object.__setattr__(self, "kappa", _positive_finite(self.kappa, "width parameter"))
+        kappa = _as_real(self.kappa, "width parameter", positive=True)
+        object.__setattr__(self, "kappa", kappa)
 
     def __call__(self, x):
         return np.exp(-0.5 * self.kappa * np.asarray(x, dtype=float) ** 2)
@@ -373,9 +355,8 @@ class RectangularProfile:
 
     def __post_init__(self):
         # frozen: the checked float replaces the given half width once, here
-        object.__setattr__(
-            self, "half_width", _positive_finite(self.half_width, "half width")
-        )
+        width = _as_real(self.half_width, "half width", positive=True)
+        object.__setattr__(self, "half_width", width)
 
     def __call__(self, x):
         return np.where(np.abs(np.asarray(x, dtype=float)) <= self.half_width, 1.0, 0.0)
@@ -415,8 +396,8 @@ def continuous_frft_oracle(psi, alpha: float, lat: Lattice, M: int = 64) -> Sign
 
         (𝓕^α ψ)(x) ≈ Σ_{m<M} e^{-iπmα/2}·Ψ_m(x)·⟨Ψ_m, ψ⟩.
 
-    Returns the grid samples scaled by ⁴√δ.  A NaN or infinite order is
-    refused, as ``frft_kernel`` refuses it.  M may be any positive count, and
+    Returns the grid samples scaled by ⁴√δ.  The order must be a finite
+    real number, as for ``frft_kernel``.  M may be any positive count, and
     accuracy is limited by the Hermite truncation M alone.  A Gaussian's coefficients fall off like
     |r|^{m/2}, r = (1-κ)/(1+κ), so its columns are exact to rounding unless
     κ is far from 1.  The box's jumps make its coefficients decay slowly, so

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, Signal, _as_int
+from .lattice import Lattice, Signal, _as_int, _lattice_of
 from .fourier import CirculantSpec, circulant, dft_parity_blocks
 from . import reference
 
@@ -68,12 +68,17 @@ class ConvergenceError(RuntimeError):
 def _real_symmetric(op):
     """The validated real symmetric form of ``op``, symmetrized; a record stays
     one, checked on its 2d distinct entries, the diagonal w[n] + c[0] and c."""
-    if isinstance(op, CirculantSpec):
+    record = isinstance(op, CirculantSpec)
+    parts = (op.well, op.first_column) if record else (np.asarray(op),)
+    for part in parts:
+        if part.dtype.kind not in "iufc":
+            raise ValueError(f"expected a real or complex matrix, got dtype {part.dtype}")
+    if record:
         lat, col = op.lattice, op.first_column
         mat = np.concatenate([op.well + col[lat.pos(0)], col])
         flip = lambda a: np.concatenate([a[: lat.d], a[: lat.d - 1 : -1]])  # c[-k]
     else:
-        mat = np.asarray(op)
+        mat = parts[0]
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
             raise ValueError(
                 f"expected a non-empty square matrix, got shape {mat.shape}"
@@ -90,7 +95,7 @@ def _real_symmetric(op):
     if asym > SYMMETRY_TOL * scale:
         raise ValueError(f"matrix is not symmetric: max|A - Aᵀ| = {asym:.3e}")
     sym = 0.5 * (mat + flip(mat))
-    if isinstance(op, CirculantSpec):
+    if record:
         return circulant(lat, sym[lat.d:], op.well.real)
     return sym
 
@@ -424,8 +429,8 @@ def oscillator_basis(op, lat: Lattice, kind: str) -> SpectralBasis:
     """
     if kind not in ("frame", "harper"):
         raise ValueError(f"kind must be 'frame' or 'harper', got {kind!r}")
-    if isinstance(op, CirculantSpec) and op.lattice != lat:
-        raise ValueError("operator belongs to a different lattice")
+    if isinstance(op, CirculantSpec):
+        _lattice_of(op, "operator", lat)
     d, s = lat.d, lat.s
     h = _real_symmetric(op)
     if not isinstance(h, CirculantSpec) and h.shape != (d, d):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Lattice, Signal
+from .lattice import Lattice, Signal, _as_real
 
 _EPS = np.finfo(float).eps
 # first omitted term of every truncated series here and in ``reference``
@@ -90,10 +90,9 @@ def theta_gaussian(lat: Lattice, kappa: float) -> Signal:
     ----------
     lat : Lattice
     kappa : float
-        Width parameter, must be positive and finite.
+        Width parameter, a positive, finite real number.
     """
-    if not 0 < kappa < np.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    kappa = _as_real(kappa, "kappa", positive=True)
     # an extreme width overflows the series rate or scale; the samples or
     # their squared norm then leave the float range and are refused below
     with np.errstate(over="ignore", invalid="ignore"):

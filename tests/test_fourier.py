@@ -146,16 +146,18 @@ def test_circulant_rejects_wrong_length(lat5):
 @pytest.mark.parametrize("d", [5, 21, 101])
 def test_well_plus_circulant_entries_and_rows(d):
     # entry (n, m) is w[n]·δ_nm + c[n - m], written out; a row gather reads
-    # the same numbers bit for bit, and the dense matrix is kept once built
+    # the same numbers bit for bit, and the record keeps no dense matrix:
+    # each read builds a new one from (w, c)
     lat = make_lattice(d)
     rng = np.random.default_rng(d)
     col, well = rng.standard_normal(d), rng.standard_normal(d)
     spec = circulant(lat, col, well)
-    assert "mat" not in vars(spec)
     n = lat.indices
     want = col[lat.pos(n[:, None] - n[None, :])] + np.diag(well)
-    assert np.array_equal(spec.mat, want)
-    assert spec.mat is spec.mat
+    first, second = spec.mat, spec.mat
+    assert np.array_equal(first, want) and np.array_equal(second, want)
+    assert first is not second
+    assert "mat" not in vars(spec)
     picks = np.array([0, -lat.s, lat.s, 1, -1])
     assert np.array_equal(spec.rows(picks), want[lat.pos(picks)])
     assert not np.any(circulant(lat, col).well)

@@ -300,7 +300,7 @@ def test_kernel_phases_are_the_shared_eigenphases(frame_basis21, alpha):
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_kernel_oracle_and_cli_refuse_a_non_finite_order_alike(harper_basis21, capsys, alpha):
-    message = f"transform order must be finite, got {alpha}"
+    message = f"transform order must be a finite real number, got {alpha}"
     lat = harper_basis21.lattice
     with pytest.raises(ValueError) as kernel:
         frft_kernel(harper_basis21, alpha)

@@ -385,7 +385,7 @@ def test_deviation_report_rejects_a_harper_basis_of_another_size(lat21, frame_ba
     lat23 = make_lattice(23)
     hb23 = oscillator_basis(harper_hamiltonian(lat23), lat23, "harper")
     ladder = ladder_states(coherent_frame(lat21))
-    with pytest.raises(ValueError, match="Harper basis has d=23, the frame basis d=21"):
+    with pytest.raises(ValueError, match="^Harper basis must live on the d=21 lattice, got d=23$"):
         deviation_report(frame_basis21, hb23, ladder)
 
 
@@ -414,12 +414,14 @@ def test_gaussian_profile_refuses_a_bad_width(kappa):
     for build in (GaussianProfile, gaussian_profile):
         with pytest.raises(ValueError) as err:
             build(kappa)
-        assert str(err.value) == f"width parameter must be positive and finite, got {kappa}"
+        assert str(err.value) == (
+            f"width parameter must be a positive, finite real number, got {kappa}"
+        )
 
 
 @pytest.mark.parametrize("h", [np.nan, np.inf, -1.0, 0.0])
 def test_rectangular_record_refuses_a_bad_half_width(h):
-    with pytest.raises(ValueError, match="half width must be positive and finite"):
+    with pytest.raises(ValueError, match="^half width must be a positive, finite real number, got "):
         RectangularProfile(h)
 
 
@@ -432,7 +434,7 @@ def test_profiles_store_their_checked_floats(lat21):
 @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
 def test_oracle_refuses_a_non_finite_order(lat21, alpha):
     # the same refusal as frft_kernel's, before any coefficient is computed
-    with pytest.raises(ValueError, match="transform order must be finite, got"):
+    with pytest.raises(ValueError, match="^transform order must be a finite real number, got "):
         continuous_frft_oracle(gaussian_profile(1.0), alpha, lat21)
 
 

@@ -93,6 +93,18 @@ def test_eigh_rejects_bad_input():
         eigh(np.zeros((0, 0)))
     with pytest.raises(ValueError, match=empty):
         oscillator_basis(np.zeros((0, 0)), make_lattice(5), "frame")
+    # a boolean, object or string matrix is refused by name; integers are real
+    lat = make_lattice(5)
+    bad = (np.eye(3, dtype=bool), np.eye(3).astype(object), np.full((3, 3), "a"))
+    for mat, kind in zip(bad, ("bool", "object", "<U1")):
+        message = f"^expected a real or complex matrix, got dtype {kind}$"
+        with pytest.raises(ValueError, match=message):
+            eigh(mat)
+    with pytest.raises(ValueError, match="got dtype bool$"):
+        oscillator_basis(np.eye(5, dtype=bool), lat, "frame")
+    with pytest.raises(ValueError, match="got dtype object$"):
+        eigh(circulant(lat, np.zeros(5).astype(object)))
+    assert np.array_equal(eigh(np.eye(3, dtype=int))[0], np.ones(3))
 
 
 def test_eigh_shift_structure_has_cosine_spectrum(lat21):
@@ -415,7 +427,7 @@ def test_basis_refuses_bad_arguments(lat5, lat7):
     h = frame_hamiltonian(lat5).op
     with pytest.raises(ValueError, match="kind must be"):
         oscillator_basis(h, lat5, "ladder")
-    with pytest.raises(ValueError, match="different lattice"):
+    with pytest.raises(ValueError, match="^operator must live on the d=7 lattice, got d=5$"):
         oscillator_basis(h, lat7, "frame")
     with pytest.raises(ValueError, match="does not match the lattice"):
         oscillator_basis(np.eye(7), lat5, "frame")

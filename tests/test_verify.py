@@ -290,7 +290,7 @@ def _raising_sign_broken(monkeypatch, ctx):
         return mat
 
     def flipped(op):
-        return _reading(op, flip(op.mat))
+        return _reading(monkeypatch, op, flip(op.mat))
 
     fast, brute = quantize.raising_operator, quantize.frame_quantize
     monkeypatch.setattr(quantize, "raising_operator", lambda fr: flipped(fast(fr)))
@@ -301,31 +301,35 @@ def _raising_sign_broken(monkeypatch, ctx):
     )
 
 
-def _reading(op, mat, **changes):
+def _reading(monkeypatch, op, mat, **changes):
     """A copy of the record ``op``, with ``changes`` to its fields, whose
-    dense matrix reads ``mat``."""
+    dense matrix reads ``mat``: the patched ``CirculantSpec.mat`` hands that
+    copy ``mat`` and builds every other record's matrix as before."""
     moved = replace(op, **changes)
-    vars(moved)["mat"] = mat
+    real = CirculantSpec.mat.fget
+    monkeypatch.setattr(
+        CirculantSpec, "mat", property(lambda spec: mat if spec is moved else real(spec))
+    )
     return moved
 
 
-def _with_matrix(ctx, mat, **changes):
+def _with_matrix(monkeypatch, ctx, mat, **changes):
     """Put in ``ctx`` a copy of the Hamiltonian's record, with ``changes`` to
     its fields, whose dense matrix reads ``mat``."""
-    ctx.fh = replace(ctx.fh, op=_reading(ctx.fh.op, mat, **changes))
+    ctx.fh = replace(ctx.fh, op=_reading(monkeypatch, ctx.fh.op, mat, **changes))
 
 
 def _tau_moved(monkeypatch, ctx):
     # the hop τ₁ (c at k = ±1) moves in the record but not in its dense matrix
     col = ctx.fh.op.first_column.copy()
     col[ctx.lat.pos([-1, 1])] += 1e-11
-    _with_matrix(ctx, ctx.fh.op.mat, first_column=col)
+    _with_matrix(monkeypatch, ctx, ctx.fh.op.mat, first_column=col)
 
 
 def _hamiltonian_entry_moved(monkeypatch, ctx):
     mat = ctx.fh.op.mat.copy()
     mat[1, 3] += 1e-10
-    _with_matrix(ctx, mat)
+    _with_matrix(monkeypatch, ctx, mat)
 
 
 def _edit_parts(monkeypatch, edit):
@@ -474,10 +478,10 @@ def _circulant_entry_moved(size, label):
     """A fault that moves entry (0, 1) of every circulant's dense matrix by ``size(mat)``."""
 
     def fault(monkeypatch, ctx):
-        real = CirculantSpec.mat.func
+        real = CirculantSpec.mat.fget
 
         def faulty(spec):
-            mat = real(spec).copy()
+            mat = real(spec)  # built anew on each read
             mat[0, 1] += size(mat)
             return mat
 
