@@ -21,8 +21,6 @@ from .fourier import (
     dft_operator,
     equidistant_circulant,
     fourier_projectors,
-    transform_of_coordinate_at,
-    transform_of_coordinate_squared_at,
 )
 from .frft import FrftKernel, apply_frft, frft_kernel, rectangular_signal
 from .lattice import (
@@ -62,7 +60,6 @@ from .reference import (
     continuous_frft_oracle,
     deviation_report,
     displaced_ground_sample,
-    gaussian_profile,
     hermite_gaussian,
     hermite_sample,
     mehta_function,
@@ -116,7 +113,6 @@ __all__ = [
     "frame_hamiltonian",
     "frame_quantize",
     "frft_kernel",
-    "gaussian_profile",
     "ground_state",
     "harmonic_symbol",
     "harper_hamiltonian",
@@ -139,8 +135,6 @@ __all__ = [
     "sign_alternations",
     "theta_gaussian",
     "trace_ratio",
-    "transform_of_coordinate_at",
-    "transform_of_coordinate_squared_at",
     "wielandt_hoffman_gap",
 ]
 

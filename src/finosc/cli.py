@@ -27,15 +27,14 @@ import tempfile
 import numpy as np
 
 from .frft import apply_frft, frft_kernel, rectangular_signal
-from .lattice import make_lattice
+from .lattice import _as_real, make_lattice
 from .phasespace import coherent_frame
 from .quantize import frame_hamiltonian, ladder_states
 from .reference import (
-    _eigenphases,
+    GaussianProfile,
     coherent_deviation_table,
     continuous_frft_oracle,
     deviation_report,
-    gaussian_profile,
     rectangular_profile,
 )
 from .spectral import harper_hamiltonian, oscillator_basis
@@ -148,7 +147,7 @@ def _parse_signal(lat, spec: str):
             kappa = float(spec[6:])
         except ValueError:
             raise ValueError(f"bad width in signal {spec!r}") from None
-        return theta_gaussian(lat, kappa), gaussian_profile(kappa)
+        return theta_gaussian(lat, kappa), GaussianProfile(kappa)
     raise ValueError(f"unknown signal {spec!r}; use rect or gauss:<width>")
 
 
@@ -212,7 +211,7 @@ def cmd_compare(cfg) -> int:
 
 def cmd_frft(cfg) -> int:
     lat = make_lattice(cfg.d)
-    _eigenphases(cfg.alpha, 0)  # refuse a NaN or infinite order before any basis
+    _as_real(cfg.alpha, "transform order")  # refuse a bad order before any basis
     sig, profile = _parse_signal(lat, cfg.signal)
     methods = ("frame", "harper") if cfg.method == "both" else (cfg.method,)
     outs = {}

@@ -18,6 +18,10 @@ Steiglitz 1982):
 of real (d, d) arrays, so ``proj[m]`` is the projector for the eigenvalue
 (-i)^m.
 
+``closed_form_coordinate_transforms`` returns the transforms F[q] and F[q²]
+of the coordinate q(n) = n·√δ as ``Signal``s, the one way to read either at
+any integer frequency.
+
 Circulant operators (entry (n, m) = c[n-m], indices mod d) diagonalize in the
 Fourier basis.  ``CirculantSpec`` holds a well plus a circulant, diag(w) + C(c),
 by (w, c) alone, and builds its dense matrix anew on each read.  The equidistant
@@ -37,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, Signal, _as_int
+from .lattice import Lattice, Signal
 
 
 def _root(k, period: int, sign: float = 1.0) -> np.ndarray:
@@ -123,39 +127,27 @@ def fourier_projectors(lat: Lattice) -> tuple[np.ndarray, ...]:
     return tuple(pi)
 
 
-def _coordinate_transforms(lat: Lattice, j) -> tuple[np.ndarray, np.ndarray]:
-    """F[q] and F[q²] at integer frequencies j (d-periodic in j).
+def closed_form_coordinate_transforms(lat: Lattice) -> tuple[Signal, Signal]:
+    """F[q] and F[q²] on the grid n = -s..s, from their closed forms
 
-    F[q](j)  = 0 for j ≡ 0 (mod d), else (-1)^j · i·√π / (√2·sin(πj/d));
-    F[q²](j) = (2π/√d)·s(s+1)/3 for j ≡ 0, else
-               (-1)^j · π·cos(πj/d) / (√d·sin²(πj/d)).
+        F[q](j)  = 0 for j ≡ 0 (mod d), else (-1)^j · i·√π / (√2·sin(πj/d));
+        F[q²](j) = (2π/√d)·s(s+1)/3 for j ≡ 0, else
+                   (-1)^j · π·cos(πj/d) / (√d·sin²(πj/d)).
+
+    Both are d-periodic in j, and a ``Signal`` index reduces j mod d, so
+    ``[0][j]`` is F[q](j) and ``[1][j].real`` is F[q²](j) at every integer j,
+    each read from its reduced frequency.
     """
     d, s = lat.d, lat.s
-    j = np.asarray(j)
-    fq = np.zeros(j.shape, dtype=complex)
-    fq2 = np.full(j.shape, (2.0 * np.pi / np.sqrt(d)) * s * (s + 1) / 3.0)
-    nz = j % d != 0
-    sn = np.sin(np.pi * j[nz] / d)
-    sgn = (-1.0) ** j[nz]
+    nz = lat.indices != 0
+    j = lat.indices[nz]
+    sn = np.sin(np.pi * j / d)
+    sgn = (-1.0) ** j
+    fq = np.zeros(d, dtype=complex)
+    fq2 = np.full(d, (2.0 * np.pi / np.sqrt(d)) * s * (s + 1) / 3.0, dtype=complex)
     fq[nz] = sgn * 1j * np.sqrt(np.pi) / (np.sqrt(2.0) * sn)
-    fq2[nz] = sgn * np.pi * np.cos(np.pi * j[nz] / d) / (np.sqrt(d) * sn**2)
-    return fq, fq2
-
-
-def closed_form_coordinate_transforms(lat: Lattice) -> tuple[Signal, Signal]:
-    """Closed forms of F[q] and F[q²] on the grid n = -s..s."""
-    fq, fq2 = _coordinate_transforms(lat, lat.indices)
-    return Signal(lat, fq), Signal(lat, fq2.astype(complex))
-
-
-def transform_of_coordinate_at(lat: Lattice, j: int) -> complex:
-    """F[q] at an arbitrary integer frequency j (d-periodic in j)."""
-    return complex(_coordinate_transforms(lat, [_as_int(j, "frequency")])[0][0])
-
-
-def transform_of_coordinate_squared_at(lat: Lattice, j: int) -> float:
-    """F[q²] at an arbitrary integer frequency j (d-periodic in j)."""
-    return float(_coordinate_transforms(lat, [_as_int(j, "frequency")])[1][0])
+    fq2[nz] = sgn * np.pi * np.cos(np.pi * j / d) / (np.sqrt(d) * sn**2)
+    return Signal(lat, fq), Signal(lat, fq2)
 
 
 def cyclic_windows(lat: Lattice, col: np.ndarray, sign: int) -> np.ndarray:

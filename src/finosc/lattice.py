@@ -30,9 +30,13 @@ def _as_int(value, name: str) -> int:
 
 def _as_real(value, name: str, positive: bool = False) -> float:
     """``value`` as a finite float (an order), above zero if ``positive`` (a
-    width); anything but an int or a float, a bool included, is refused."""
+    width); anything but an int or a float, a bool included, is refused, and
+    so is an int beyond the float range."""
     real = isinstance(value, (int, float, np.integer, np.floating))
-    x = float(value) if real and not isinstance(value, bool) else math.nan
+    try:
+        x = float(value) if real and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        x = math.nan
     if not (math.isfinite(x) and (x > 0.0 or not positive)):
         rule = "a positive, finite" if positive else "a finite"
         raise ValueError(f"{name} must be {rule} real number, got {value!r}")

@@ -143,11 +143,6 @@ def _hermite_rows(orders, x) -> np.ndarray:
     return out
 
 
-def _hermite_all(mmax: int, x: np.ndarray) -> np.ndarray:
-    """Stacked Ψ_0..Ψ_mmax evaluated at x, shape (mmax+1,) + x.shape."""
-    return _hermite_rows(range(mmax + 1), x)
-
-
 def hermite_gaussian(m: int, x):
     """Ψ_m(x), vectorized over x, for any order m ≥ 0.
 
@@ -165,7 +160,7 @@ def hermite_sample(lat: Lattice, m: int) -> Signal:
 def _sample_table(lat: Lattice) -> np.ndarray:
     """Row m is ``hermite_sample(lat, m).amp``, for m = 0..d-1, from one
     pass of the recurrence."""
-    return lat.delta**0.25 * _hermite_all(lat.d - 1, lat.points)
+    return lat.delta**0.25 * _hermite_rows(range(lat.d), lat.points)
 
 
 def _displaced_ground_amplitudes(lat: Lattice, a, b) -> np.ndarray:
@@ -311,7 +306,9 @@ def deviation_report(frame_basis, harper_basis, ladder) -> DeviationReport:
 
 @dataclass(frozen=True)
 class GaussianProfile:
-    """The line Gaussian e^{-κx²/2}; calling it samples the profile.
+    """The line Gaussian e^{-κx²/2}, the continuous twin of the width-κ
+    periodic Gaussian (which is exactly its wrap sum); calling it samples
+    the profile.
 
     Its Hermite coefficients vanish at odd order and, with r = (1-κ)/(1+κ),
 
@@ -365,7 +362,7 @@ class RectangularProfile:
         """⟨Ψ_m, ψ⟩ for m = 0..M-1; M must be a positive int."""
         M = _hermite_count(M)
         h = self.half_width
-        edge = _hermite_all(M - 1, np.array([h]))[:, 0]
+        edge = _hermite_rows(range(M), np.array([h]))[:, 0]
         c = np.zeros(M)
         c[0] = np.pi**-0.25 * math.sqrt(2.0 * np.pi) * math.erf(h / math.sqrt(2.0))
         for m in range(1, M - 1, 2):
@@ -373,12 +370,6 @@ class RectangularProfile:
                 math.sqrt(m / (m + 1)) * c[m - 1] - math.sqrt(2.0 / (m + 1)) * 2.0 * edge[m]
             )
         return c
-
-
-def gaussian_profile(kappa: float) -> GaussianProfile:
-    """The line Gaussian e^{-κx²/2}, the continuous twin of the width-κ
-    periodic Gaussian (which is exactly its wrap sum)."""
-    return GaussianProfile(kappa)
 
 
 def rectangular_profile(lat: Lattice) -> RectangularProfile:
@@ -407,6 +398,6 @@ def continuous_frft_oracle(psi, alpha: float, lat: Lattice, M: int = 64) -> Sign
     M = _hermite_count(M)
     phases = _eigenphases(alpha, M)
     coeffs = psi.coefficients(M)
-    grid_basis = _hermite_all(M - 1, lat.points)
+    grid_basis = _hermite_rows(range(M), lat.points)
     amp = lat.delta**0.25 * (phases * coeffs) @ grid_basis
     return Signal(lat, amp)

@@ -114,11 +114,10 @@ def jacobi_theta3(z, t: float):
 
     ``z`` is a float or an array of floats; an array gives the array of
     values, each bit for bit the scalar call at that z, from one pass over
-    the series.  t must be positive; the series is truncated once its terms
-    drop below 1e-18.
+    the series.  t must be a positive, finite real number; the series is
+    truncated once its terms drop below 1e-18.
     """
-    if not t > 0:
-        raise ValueError(f"theta nome parameter t must be positive, got {t}")
+    t = _as_real(t, "theta nome parameter t", positive=True)
     z = np.asarray(z, dtype=float)
     total = np.ones_like(z)
     alpha = 1

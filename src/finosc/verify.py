@@ -989,7 +989,7 @@ def _chk_deviation_report(ctx):
 
 
 def _chk_frft_oracle_identity(ctx):
-    prof = reference.gaussian_profile(10.0)
+    prof = reference.GaussianProfile(10.0)
     out = reference.continuous_frft_oracle(prof, 0.0, ctx.lat)
     samples = ctx.lat.delta ** 0.25 * prof(ctx.lat.points)
     dev = float(np.max(np.abs(out.amp - samples)))
@@ -998,9 +998,9 @@ def _chk_frft_oracle_identity(ctx):
 
 
 def _chk_frft_oracle_fourier(ctx):
-    prof = reference.gaussian_profile(10.0)
+    prof = reference.GaussianProfile(10.0)
     out = reference.continuous_frft_oracle(prof, 1.0, ctx.lat)
-    target = ctx.lat.delta ** 0.25 * reference.gaussian_profile(0.1)(
+    target = ctx.lat.delta ** 0.25 * reference.GaussianProfile(0.1)(
         ctx.lat.points
     ) / np.sqrt(10.0)
     dev = float(np.max(np.abs(out.amp - target)))
@@ -1100,7 +1100,7 @@ def _chk_comparative_accuracy(ctx):
     lat = ctx.lat
     scale = lat.delta ** 0.25
     cases = [
-        (theta_gaussian(lat, 10.0), reference.gaussian_profile(10.0)),
+        (theta_gaussian(lat, 10.0), reference.GaussianProfile(10.0)),
         (frft.rectangular_signal(lat), reference.rectangular_profile(lat)),
     ]
     details = []
@@ -1194,7 +1194,10 @@ _CHECKS = [
 
 
 def run_suite(d_values, emit=print) -> tuple[int, int]:
-    """Run every applicable check at each size; returns (passed, failed)."""
+    """Run every applicable check at each size; returns (passed, failed).
+
+    A check that raises fails, except on a MemoryError, which is no failed
+    invariant and leaves the suite."""
     passed = failed = 0
     for i, d in enumerate(d_values):
         ctx = _Ctx(d)
@@ -1208,7 +1211,9 @@ def run_suite(d_values, emit=print) -> tuple[int, int]:
                 detail = fn(ctx)
                 passed += 1
                 emit(f"ok   d={d:<4d} {name}: {detail}")
-            except Exception as exc:  # noqa: BLE001 - every failure is reportable
+            except MemoryError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - every other failure is reportable
                 failed += 1
                 emit(f"FAIL d={d:<4d} {name}: {exc}")
     return passed, failed

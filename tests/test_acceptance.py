@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from finosc import (
+    GaussianProfile,
     PhasePoint,
     apply_frft,
     coherent_deviation_table,
@@ -23,7 +24,6 @@ from finosc import (
     frame_hamiltonian,
     frame_quantize,
     frft_kernel,
-    gaussian_profile,
     ground_state,
     harmonic_symbol,
     harper_hamiltonian,
@@ -409,7 +409,7 @@ def test_acceptance_10_signal_transforms_beat_harper():
     def body():
         lat, fb, hb = _bases(21)
         cases = [
-            (theta_gaussian(lat, 10.0), gaussian_profile(10.0)),
+            (theta_gaussian(lat, 10.0), GaussianProfile(10.0)),
             (rectangular_signal(lat), rectangular_profile(lat)),
         ]
         for sig, profile in cases:

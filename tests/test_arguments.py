@@ -21,6 +21,7 @@ from finosc import (
     Signal,
     apply_frft,
     basis_signal,
+    closed_form_coordinate_transforms,
     coherent_deviation_table,
     coherent_expectation,
     coherent_frame,
@@ -28,7 +29,6 @@ from finosc import (
     deviation_report,
     frame_hamiltonian,
     frft_kernel,
-    gaussian_profile,
     harper_hamiltonian,
     inner_product,
     overlap,
@@ -39,8 +39,6 @@ from finosc import (
     mehta_function,
     oscillator_basis,
     rectangular_profile,
-    transform_of_coordinate_at,
-    transform_of_coordinate_squared_at,
 )
 from finosc.cli import main
 
@@ -72,23 +70,17 @@ _CALLS = {
     "hermite_sample": (lambda lat, fr, b: hermite_sample(lat, 2.5), "order"),
     "mehta_function": (lambda lat, fr, b: mehta_function(lat, 2.5), "order"),
     "continuous_frft_oracle": (
-        lambda lat, fr, b: continuous_frft_oracle(gaussian_profile(1.0), 0.5, lat, M=2.5),
+        lambda lat, fr, b: continuous_frft_oracle(GaussianProfile(1.0), 0.5, lat, M=2.5),
         "M",
     ),
     # these raised a TypeError from inside NumPy
     "GaussianProfile.coefficients": (
-        lambda lat, fr, b: gaussian_profile(1.0).coefficients(2.5), "M"
+        lambda lat, fr, b: GaussianProfile(1.0).coefficients(2.5), "M"
     ),
     "RectangularProfile.coefficients": (
         lambda lat, fr, b: rectangular_profile(lat).coefficients(2.5), "M"
     ),
     "SpectralBasis.vector": (lambda lat, fr, b: b.vector(1.5), "quantum number"),
-    "transform_of_coordinate_at": (
-        lambda lat, fr, b: transform_of_coordinate_at(lat, 2.5), "frequency"
-    ),
-    "transform_of_coordinate_squared_at": (
-        lambda lat, fr, b: transform_of_coordinate_squared_at(lat, 2.5), "frequency"
-    ),
     "basis_signal": (lambda lat, fr, b: basis_signal(lat, 2.5), "index"),
     "Signal.__getitem__": (lambda lat, fr, b: basis_signal(lat, 1)[2.5], "index"),
 }
@@ -106,10 +98,6 @@ def test_bool_is_refused_and_numpy_integers_are_accepted(lat, frame, basis):
         PhasePoint(lat, True, 0)
     with pytest.raises(ValueError, match="dimension must be an integer"):
         make_lattice(True)
-    with pytest.raises(ValueError, match="frequency must be an integer, got True"):
-        transform_of_coordinate_at(lat, True)
-    with pytest.raises(ValueError, match="frequency must be an integer, got True"):
-        transform_of_coordinate_squared_at(lat, True)
     with pytest.raises(ValueError, match="index must be an integer, got True"):
         basis_signal(lat, True)
     with pytest.raises(ValueError, match="index must be an integer, got True"):
@@ -118,12 +106,13 @@ def test_bool_is_refused_and_numpy_integers_are_accepted(lat, frame, basis):
         rectangular_profile(lat).coefficients(True)
     assert basis_signal(lat, 1)[np.int64(1)] == 1.0
     assert np.array_equal(basis_signal(lat, np.int64(3)).amp, basis_signal(lat, 3).amp)
-    assert transform_of_coordinate_at(lat, np.int32(3)) == transform_of_coordinate_at(lat, 3)
+    fq = closed_form_coordinate_transforms(lat)[0]
+    assert fq[np.int32(3)] == fq[3]
     p = PhasePoint(lat, np.int64(3), np.int32(-2))
     assert (p.a_idx, p.b_idx) == (3, -2) and type(p.a_idx) is int
     assert PhasePoint(lat, np.int64(3), 0).a_idx == 3
     assert np.array_equal(basis.vector(np.int64(2)).amp, basis.vectors[:, 2])
-    for psi in (gaussian_profile(1.0), rectangular_profile(lat)):
+    for psi in (GaussianProfile(1.0), rectangular_profile(lat)):
         assert np.array_equal(psi.coefficients(np.int64(7)), psi.coefficients(7))
     assert np.array_equal(
         coherent_deviation_table(frame, np.array([1, 3]), [1]),
@@ -168,7 +157,7 @@ def _rule_cases():
             (f"frft_kernel-{v}", lambda f, v=v: frft_kernel(f.basis, v), _ORDER.format(v)),
             (
                 f"continuous_frft_oracle-{v}",
-                lambda f, v=v: continuous_frft_oracle(gaussian_profile(1.0), v, f.lat),
+                lambda f, v=v: continuous_frft_oracle(GaussianProfile(1.0), v, f.lat),
                 _ORDER.format(v),
             ),
         ]
@@ -187,6 +176,19 @@ def _rule_cases():
         if not isinstance(v, (bool, str)):  # and the width as a float
             cases.append((f"cli-gauss-{v}", lambda f, v=v: _cli("frft", f"--signal=gauss:{v}"),
                           _WIDTH.format("kappa", float(v))))
+    huge = 10**400  # an int beyond the float range
+    cases += [
+        ("frft_kernel-10**400", lambda f: frft_kernel(f.basis, huge), _ORDER.format(huge)),
+        ("continuous_frft_oracle-10**400",
+         lambda f: continuous_frft_oracle(GaussianProfile(1.0), huge, f.lat),
+         _ORDER.format(huge)),
+        ("theta_gaussian-10**400", lambda f: theta_gaussian(f.lat, huge),
+         _WIDTH.format("kappa", huge)),
+        ("GaussianProfile-10**400", lambda f: GaussianProfile(huge),
+         _WIDTH.format("width parameter", huge)),
+        ("RectangularProfile-10**400", lambda f: RectangularProfile(huge),
+         _WIDTH.format("half width", huge)),
+    ]
     return cases + [
         ("PhasePoint-s+1", lambda f: PhasePoint(f.lat, 0, f.lat.s + 1),
          "b_idx 11 outside index range -10..10"),

@@ -12,8 +12,6 @@ from finosc import (
     equidistant_circulant,
     fourier_projectors,
     make_lattice,
-    transform_of_coordinate_at,
-    transform_of_coordinate_squared_at,
 )
 from finosc.fourier import _root, _root_table, cyclic_windows
 
@@ -95,23 +93,18 @@ def test_coordinate_transform_closed_forms(d):
     fq, fq2 = closed_form_coordinate_transforms(lat)
     assert np.max(np.abs(fq.amp - F @ q)) < 1e-12
     assert np.max(np.abs(fq2.amp - F @ q**2)) < 1e-11
-    # pointwise accessors agree with the assembled signals and wrap in j
+    # both are d-periodic in j: the signals read any integer frequency at
+    # its reduced integer, so a far frequency gives the same bits
     for j in (-lat.s, 0, 1, lat.s):
-        assert transform_of_coordinate_at(lat, j) == pytest.approx(
-            complex(fq[j]), abs=1e-12
-        )
-        assert transform_of_coordinate_squared_at(lat, j) == pytest.approx(
-            float(fq2[j].real), abs=1e-11
-        )
-        assert transform_of_coordinate_at(lat, j + d) == pytest.approx(
-            transform_of_coordinate_at(lat, j), abs=1e-12
-        )
+        for k in (1, -3, 10**12):
+            assert fq[j + k * d] == fq[j] and fq2[j + k * d] == fq2[j]
 
 
 def test_transform_of_coordinate_zero_frequency(lat21):
-    assert transform_of_coordinate_at(lat21, 0) == 0.0
+    fq, fq2 = closed_form_coordinate_transforms(lat21)
+    assert fq[0] == 0.0
     want = (2.0 * np.pi / np.sqrt(21)) * 10 * 11 / 3.0
-    assert transform_of_coordinate_squared_at(lat21, 0) == pytest.approx(want)
+    assert fq2[0].real == pytest.approx(want)
 
 
 def test_circulant_matrix_is_shift_structured(lat5):

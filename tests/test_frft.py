@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from finosc import (
+    GaussianProfile,
     Signal,
     SpectralBasis,
     apply_frft,
@@ -16,7 +17,6 @@ from finosc import (
     dft_operator,
     frame_hamiltonian,
     frft_kernel,
-    gaussian_profile,
     harper_hamiltonian,
     make_lattice,
     oscillator_basis,
@@ -286,7 +286,7 @@ def test_large_orders_act_as_their_residue_mod_four(alpha):
         want = apply_frft(frft_kernel(basis, 0.5), x).amp
         got = apply_frft(frft_kernel(basis, alpha), x).amp
         assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(x.amp)
-    prof = gaussian_profile(2.0)
+    prof = GaussianProfile(2.0)
     want = continuous_frft_oracle(prof, 0.5, lat).amp
     got = continuous_frft_oracle(prof, alpha, lat).amp
     assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
@@ -305,7 +305,7 @@ def test_kernel_oracle_and_cli_refuse_a_non_finite_order_alike(harper_basis21, c
     with pytest.raises(ValueError) as kernel:
         frft_kernel(harper_basis21, alpha)
     with pytest.raises(ValueError) as oracle:
-        continuous_frft_oracle(gaussian_profile(1.0), alpha, lat)
+        continuous_frft_oracle(GaussianProfile(1.0), alpha, lat)
     assert str(kernel.value) == str(oracle.value) == message
     assert main(["frft", f"--alpha={alpha}"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")

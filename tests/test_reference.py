@@ -15,7 +15,6 @@ from finosc import (
     deviation_report,
     displaced_ground_sample,
     frame_hamiltonian,
-    gaussian_profile,
     ground_state,
     harper_hamiltonian,
     hermite_gaussian,
@@ -31,7 +30,7 @@ from finosc import (
 )
 from math import factorial
 
-from finosc.reference import _hermite_all, _hermite_rows, _sample_table
+from finosc.reference import _hermite_rows, _sample_table
 
 
 def hermite_oracle(m, x):
@@ -61,11 +60,11 @@ def test_hermite_gaussian_is_the_table_row_bit_for_bit(m, block, monkeypatch):
     # in the same order, whatever the size of the blocks it writes
     monkeypatch.setattr(reference, "_BLOCK", m + 1 if block == "m + 1" else block)
     x = np.linspace(-25.0, 25.0, 2001)
-    assert np.array_equal(hermite_gaussian(m, x), _hermite_all(m, x)[m])
-    assert np.array_equal(_hermite_all(m, x), hermite_table_loop(m, x))
+    assert np.array_equal(hermite_gaussian(m, x), _hermite_rows(range(m + 1), x)[m])
+    assert np.array_equal(_hermite_rows(range(m + 1), x), hermite_table_loop(m, x))
     grid = x[:2000].reshape(40, 50)
-    assert np.array_equal(hermite_gaussian(m, grid), _hermite_all(m, grid)[m])
-    assert hermite_gaussian(m, 1.5) == _hermite_all(m, np.array([1.5]))[m, 0]
+    assert np.array_equal(hermite_gaussian(m, grid), _hermite_rows(range(m + 1), grid)[m])
+    assert hermite_gaussian(m, 1.5) == _hermite_rows(range(m + 1), np.array([1.5]))[m, 0]
 
 
 @pytest.mark.parametrize("d", [5, 21, 101, 301])
@@ -97,9 +96,9 @@ def test_far_point_blocks_are_the_one_block_pass_bit_for_bit(block, monkeypatch)
     # near points are the plain loop; the far ones, whose start values
     # underflow, match a single block of all 701 orders
     x = np.linspace(-70.0, 70.0, 1401)
-    whole = _hermite_all(700, x)
+    whole = _hermite_rows(range(701), x)
     monkeypatch.setattr(reference, "_BLOCK", block)
-    table = _hermite_all(700, x)
+    table = _hermite_rows(range(701), x)
     assert np.array_equal(table, whole)
     near = 0.5 * x * x <= 708.0
     assert np.array_equal(table[:, near], hermite_table_loop(700, x[near]))
@@ -397,11 +396,11 @@ def test_deviation_report_rejects_a_ladder_of_another_lattice(frame_basis21, har
 
 def test_profiles():
     lat = make_lattice(21)
-    g = gaussian_profile(2.0)
+    g = GaussianProfile(2.0)
     assert g(0.0) == pytest.approx(1.0)
     assert g(1.0) == pytest.approx(np.exp(-1.0))
     with pytest.raises(ValueError):
-        gaussian_profile(0.0)
+        GaussianProfile(0.0)
     r = rectangular_profile(lat)
     vals = r(lat.points)
     inside = np.abs(lat.indices) <= 1
@@ -410,13 +409,11 @@ def test_profiles():
 
 @pytest.mark.parametrize("kappa", [np.nan, np.inf, -1.0, -3.0, 0.0])
 def test_gaussian_profile_refuses_a_bad_width(kappa):
-    # the record refuses as the factory does, with the same message
-    for build in (GaussianProfile, gaussian_profile):
-        with pytest.raises(ValueError) as err:
-            build(kappa)
-        assert str(err.value) == (
-            f"width parameter must be a positive, finite real number, got {kappa}"
-        )
+    with pytest.raises(ValueError) as err:
+        GaussianProfile(kappa)
+    assert str(err.value) == (
+        f"width parameter must be a positive, finite real number, got {kappa}"
+    )
 
 
 @pytest.mark.parametrize("h", [np.nan, np.inf, -1.0, 0.0])
@@ -435,13 +432,13 @@ def test_profiles_store_their_checked_floats(lat21):
 def test_oracle_refuses_a_non_finite_order(lat21, alpha):
     # the same refusal as frft_kernel's, before any coefficient is computed
     with pytest.raises(ValueError, match="^transform order must be a finite real number, got "):
-        continuous_frft_oracle(gaussian_profile(1.0), alpha, lat21)
+        continuous_frft_oracle(GaussianProfile(1.0), alpha, lat21)
 
 
 def test_oracle_reproduces_an_in_span_profile(lat21):
     # the unit-width Gaussian is exactly the lowest basis function, so both
     # the identity and the full transform come back at machine precision
-    g = gaussian_profile(1.0)
+    g = GaussianProfile(1.0)
     want = lat21.delta**0.25 * np.exp(-0.5 * lat21.points**2)
     for alpha in (0.0, 1.0, 2.0):
         out = continuous_frft_oracle(g, alpha, lat21).amp
@@ -486,7 +483,7 @@ def test_oracle_matches_the_gaussian_chirp(d, kappa):
         chirp = np.exp(0.5j * phi) / np.sqrt(den) * np.exp(
             -0.5 * x * x * (kappa * c + 1j * s) / den
         )
-        out = continuous_frft_oracle(gaussian_profile(kappa), alpha, lat).amp
+        out = continuous_frft_oracle(GaussianProfile(kappa), alpha, lat).amp
         assert np.max(np.abs(out - lat.delta**0.25 * chirp)) < 1e-12
 
 
@@ -508,11 +505,11 @@ def test_rectangle_coefficients_match_fine_quadrature():
 
 def test_oracle_validates_order_count(lat5):
     with pytest.raises(ValueError):
-        continuous_frft_oracle(gaussian_profile(1.0), 0.0, lat5, M=0)
+        continuous_frft_oracle(GaussianProfile(1.0), 0.0, lat5, M=0)
 
 
 @pytest.mark.parametrize(
-    "profile", [lambda lat: gaussian_profile(1.0), rectangular_profile],
+    "profile", [lambda lat: GaussianProfile(1.0), rectangular_profile],
     ids=["gaussian", "rectangular"],
 )
 @pytest.mark.parametrize("M", [0, -3])

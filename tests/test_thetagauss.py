@@ -167,10 +167,13 @@ def test_theta3_on_an_array_is_the_scalar_calls_bit_for_bit(d):
 
 
 def test_theta3_rejects_bad_nome():
-    with pytest.raises(ValueError):
-        jacobi_theta3(0.0, 0.0)
-    with pytest.raises(ValueError):
-        jacobi_theta3(0.0, -1.0)
+    # the positive-width rule's one message, as for every other width
+    for t in (0.0, -1.0, True, "1", np.nan, np.inf):
+        with pytest.raises(ValueError) as err:
+            jacobi_theta3(0.0, t)
+        assert str(err.value) == (
+            f"theta nome parameter t must be a positive, finite real number, got {t!r}"
+        )
 
 
 def test_ground_state_properties(lat21):

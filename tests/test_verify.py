@@ -259,6 +259,18 @@ def test_verify_output_stays_in_the_basic_plane(capsys):
     assert max(map(ord, capsys.readouterr().out)) < 0x10000
 
 
+def test_allocation_failure_in_a_check_exits_2_not_as_a_failed_check(capsys, monkeypatch):
+    def too_large(ctx):
+        raise MemoryError(f"cannot allocate at d = {ctx.d}")
+
+    name, _, span = _CHECKS[1]
+    monkeypatch.setattr(verify, "_CHECKS", [_CHECKS[0], (name, too_large, span), *_CHECKS[2:]])
+    assert main(["verify", "--d", "21"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: cannot allocate at d = 5\n"
+    assert "FAIL" not in out and " checks: " not in out
+
+
 # Injected faults: each rewritten check must fail when the quantity it
 # compares is off by a little more than its bound.  Every fault is applied
 # to a fresh workspace, in the function or batched core the check reads.
